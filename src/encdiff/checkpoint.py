@@ -10,17 +10,18 @@ save → load round-trip reproduces every array bit-exactly.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
+from .io_utils import atomic_write_bytes
 
 MAGIC = b"ENC1"
 FORMAT_VERSION = 1
+_REQUIRED_KEYS = ("format_version", "lambda_max", "lambda_min", "encoder_kind", "step",
+                  "tensors")
 
 
 @dataclass
@@ -61,39 +62,50 @@ def save(path: str, ckpt: Checkpoint) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + b"".join(blobs)
-    # atomic write: temp file in the same directory, then rename
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, payload)
 
 
 def load(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed content raises ConfigError."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:4] != MAGIC:
         raise ConfigError(f"not a checkpoint file (bad magic {raw[:4]!r}): {path}")
+    if len(raw) < 8:
+        raise ConfigError(f"truncated checkpoint: {len(raw)} bytes, no header length: {path}")
     (header_len,) = struct.unpack("<I", raw[4:8])
-    header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+    base = 8 + header_len
+    if base > len(raw):
+        raise ConfigError(f"truncated checkpoint: header ends at byte {base} but file has "
+                          f"{len(raw)}: {path}")
+    try:
+        header = json.loads(raw[8:base].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"corrupt checkpoint header ({exc}): {path}") from None
+    if not isinstance(header, dict) or any(key not in header for key in _REQUIRED_KEYS):
+        raise ConfigError(f"checkpoint header lacks one of {_REQUIRED_KEYS}: {path}")
     if header["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
-    base = 8 + header_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = base + entry["offset"]
-        end = start + count * 8
-        if end > len(raw):
-            raise ConfigError(f"truncated checkpoint: tensor '{entry['name']}' ends at byte "
-                              f"{end} but file has {len(raw)}")
-        arrays[entry["name"]] = np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).copy()
+    size = base
+    try:
+        for entry in header["tensors"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            start = base + entry["offset"]
+            end = start + count * 8
+            if start < base or end > len(raw):
+                raise ConfigError(f"truncated checkpoint: tensor '{entry['name']}' spans bytes "
+                                  f"{start}..{end} but file has {len(raw)}: {path}")
+            values = np.frombuffer(raw[start:end], dtype="<f8")
+            arrays[entry["name"]] = values.reshape(shape).copy()
+            size = max(size, end)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed tensor entry in checkpoint header ({exc!r}): {path}") from None
+    if size != len(raw):
+        raise ConfigError(f"checkpoint has {len(raw) - size} bytes after its last tensor: {path}")
     return Checkpoint(
         lambda_max=header["lambda_max"],
         lambda_min=header["lambda_min"],

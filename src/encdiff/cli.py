@@ -154,7 +154,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         config.seed = args.seed
     steps = args.steps if args.steps is not None else config.sample_steps
     mode = args.counterterm or config.counterterm
-    counterterm = (config.encoder != "identity") if mode == "auto" else (mode == "on")
+    counterterm = encoder.counterterm if mode == "auto" else (mode == "on")
     sampler_config = SamplerConfig(steps=steps, counterterm=counterterm,
                                    seed=config.seed,
                                    stochastic_decode=args.stochastic_decode)

@@ -59,7 +59,7 @@ class RunConfig:
     n_mc: int = 128
     # sample
     sample_steps: int = 256
-    counterterm: str = "auto"  # on | off | auto (on for encoder-trained checkpoints)
+    counterterm: str = "auto"  # on | off | auto (the encoder's counterterm)
     # out
     out_dir: str = "runs/out"
 

@@ -17,9 +17,22 @@ dy/dλ is realized as a symmetric finite difference of the inner network with
 step h = 1e-3 · |dλ/dt|, built from two ordinary forward passes so that
 reverse-mode differentiation of any loss flows through the estimator without
 second-order machinery.
+
+Each encoder also carries its role in the continuous-time v-loss (see
+objective.py).  `loss_terms` returns the encoded data x_enc as a graph node
+and the encoder's extra residual as a function of the x-prediction x̂:
+
+    identity     None  (no extra term)
+    nt           x̂ − x_enc
+    trainable    x̂ − x_enc + y − dy/dλ
+
+`counterterm` says whether the generative mean carries the counterterm by
+default: off for identity, on for the encoders that move x_t.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -35,15 +48,23 @@ NON_TRAINABLE = "nt"
 TRAINABLE = "trainable"
 ENCODER_KINDS = (IDENTITY, NON_TRAINABLE, TRAINABLE)
 
+# loss_terms' extra residual: x̂ -> extra, or None when there is no extra term
+Extra = Callable[[Tensor], Tensor] | None
+
 
 class IdentityEncoder:
     """x_t = x for all t; the λ-derivative vanishes."""
 
     kind = IDENTITY
     trainable = False
+    counterterm = False
 
     def __init__(self):
         self.calls = 0
+
+    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
+                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
+        return Tensor(x2), None
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -65,9 +86,15 @@ class NonTrainableEncoder:
 
     kind = NON_TRAINABLE
     trainable = False
+    counterterm = True
 
     def __init__(self):
         self.calls = 0
+
+    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
+                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
+        x_enc = Tensor(alpha_sq * x2)
+        return x_enc, lambda x_hat: x_hat - x_enc
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -89,6 +116,7 @@ class TrainableEncoder:
 
     kind = TRAINABLE
     trainable = True
+    counterterm = True
 
     def __init__(self, inner_net: EncoderInnerNet):
         if inner_net is None:
@@ -96,21 +124,26 @@ class TrainableEncoder:
         self.inner = inner_net
         self.calls = 0
 
-    def _fd_step(self, point: SchedulePoint) -> float:
-        h = FD_REL_STEP * abs(point.lam_prime)
-        return h if h > 0 else FD_REL_STEP
+    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
+                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
+        y = self.inner.forward(x2, lam)
+        dy = self._dy_dlambda(x2, lam, lam_prime)
+        x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
+        return x_enc, lambda x_hat: x_hat - x_enc + y - dy
 
     # --- inner-network views -------------------------------------------
+
+    def _dy_dlambda(self, x2: np.ndarray, lam: np.ndarray | float, lam_prime: float) -> Tensor:
+        h = FD_REL_STEP * abs(lam_prime)
+        h = h if h > 0 else FD_REL_STEP
+        return (self.inner.forward(x2, lam + h) - self.inner.forward(x2, lam - h)) * (0.5 / h)
 
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return self.inner.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), point.lam)
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        h = self._fd_step(point)
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y_plus = self.inner.forward(x2, point.lam + h)
-        y_minus = self.inner.forward(x2, point.lam - h)
-        return (y_plus - y_minus) * (0.5 / h)
+        return self._dy_dlambda(x2, point.lam, point.lam_prime)
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         out = self.y_t(x, point).data

@@ -57,10 +57,6 @@ class ParamStore:
     def tensors(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
-
     def n_scalars(self) -> int:
         return sum(t.data.size for t in self.params.values())
 

@@ -6,12 +6,7 @@ Continuous-time losses use the v-parameterization: with z = α x_enc + σ ε,
     x̂      = α z − σ v̂               (x-prediction recovered from v̂)
     loss   = −½ λ' α² ‖v − v̂ + σ·extra‖²,      −λ' > 0
 
-where `extra` depends on the encoder:
-
-    identity     0
-    nt           x̂ − x_enc
-    trainable    x̂ − x_enc + y − dy/dλ
-
+where `extra` is the encoder's residual term (`loss_terms`, encoder.py).
 The x-parameterized form −½ λ' e^λ ‖x̂ − x_enc + σ² x̂ − dx_enc/dλ‖² is
 algebraically identical (for the identity encoder, −½ λ' e^λ ‖x̂ − x‖²); both
 are implemented and tested against each other.
@@ -30,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
-from .encoder import Encoder, FD_REL_STEP, IDENTITY, TRAINABLE
+from .encoder import Encoder
 from .process import (
     GaussianParams,
     generative_mean,
@@ -147,35 +142,25 @@ def _vloss_per_item(
     x2: np.ndarray,
     model,
     encoder: Encoder,
-    lam: np.ndarray,
-    alpha: np.ndarray,
-    sigma: np.ndarray,
-    lam_prime: float,
+    ts: np.ndarray,
     eps2: np.ndarray,
-    alpha_sq: np.ndarray,
-    sigma_sq: np.ndarray,
+    schedule: LogLinearSchedule,
 ) -> Tensor:
-    """Per-item diffusion integrand, shape (B, 1).  Column vectors broadcast row-wise."""
-    if encoder.kind == TRAINABLE:
-        y = encoder.inner.forward(x2, lam)
-        h = FD_REL_STEP * abs(lam_prime)
-        dy = (encoder.inner.forward(x2, lam + h) - encoder.inner.forward(x2, lam - h)) * (0.5 / h)
-        x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
-    else:
-        y = dy = None
-        data = x2 if encoder.kind == IDENTITY else alpha_sq * x2
-        x_enc = Tensor(data)
+    """Per-item diffusion integrand, shape (B, 1), for x2, eps2 of shape (B, d)."""
+    points = [schedule.at(float(t)) for t in ts]
+    lam = np.array([p.lam for p in points])
+    alpha = _col([p.alpha for p in points])
+    sigma = _col([p.sigma for p in points])
+    alpha_sq = _col([p.alpha_sq for p in points])
+    sigma_sq = _col([p.sigma_sq for p in points])
+    x_enc, extra = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
     z = alpha * x_enc + sigma * eps2
     v_hat = _model_vhat_graph(model, z, lam)
     v = alpha * eps2 - sigma * x_enc
     resid = v - v_hat
-    if encoder.kind != IDENTITY:
-        x_hat = alpha * z - sigma * v_hat
-        extra = x_hat - x_enc
-        if encoder.kind == TRAINABLE:
-            extra = extra + y - dy
-        resid = resid + sigma * extra
-    weight = -0.5 * lam_prime * alpha_sq
+    if extra is not None:
+        resid = resid + sigma * extra(alpha * z - sigma * v_hat)
+    weight = -0.5 * schedule.lam_prime * alpha_sq
     return resid.square().sum(axis=1, keepdims=True) * weight
 
 
@@ -192,21 +177,8 @@ def batch_vloss_graph(
     schedule: LogLinearSchedule,
 ) -> Tensor:
     """Mean single-sample diffusion loss over a batch; differentiable. x is (B, d)."""
-    points = [schedule.at(float(t)) for t in np.asarray(ts)]
-    lam = np.array([p.lam for p in points])
-    per_item = _vloss_per_item(
-        np.asarray(x, dtype=np.float64),
-        model,
-        encoder,
-        lam,
-        _col([p.alpha for p in points]),
-        _col([p.sigma for p in points]),
-        schedule.lam_prime,
-        np.asarray(eps, dtype=np.float64),
-        _col([p.alpha_sq for p in points]),
-        _col([p.sigma_sq for p in points]),
-    )
-    return per_item.mean()
+    return _vloss_per_item(np.asarray(x, dtype=np.float64), model, encoder, np.asarray(ts),
+                           np.asarray(eps, dtype=np.float64), schedule).mean()
 
 
 def continuous_vloss(
@@ -218,19 +190,9 @@ def continuous_vloss(
     schedule: LogLinearSchedule,
 ) -> float:
     """Single-draw v-parameterized diffusion integrand at time t (nonnegative)."""
-    p = schedule.at(t)
-    per_item = _vloss_per_item(
-        np.asarray(x, dtype=np.float64)[None, :],
-        model,
-        encoder,
-        np.array([p.lam]),
-        np.array([[p.alpha]]),
-        np.array([[p.sigma]]),
-        p.lam_prime,
-        np.asarray(eps, dtype=np.float64)[None, :],
-        np.array([[p.alpha_sq]]),
-        np.array([[p.sigma_sq]]),
-    )
+    per_item = _vloss_per_item(np.asarray(x, dtype=np.float64)[None, :], model, encoder,
+                               np.array([t]), np.asarray(eps, dtype=np.float64)[None, :],
+                               schedule)
     return float(per_item.data[0, 0])
 
 
@@ -249,10 +211,9 @@ def continuous_xloss(
     z = p.alpha * x_enc + p.sigma * np.asarray(eps, dtype=np.float64)
     v_hat = model.predict_v(z, p.lam)
     x_hat = p.alpha * z - p.sigma * v_hat
-    if encoder.kind == IDENTITY:
-        resid = x_hat - x
-    else:
-        resid = x_hat - x_enc + p.sigma_sq * x_hat - encoder.encode_dlambda(x, p)
+    resid = x_hat - x_enc
+    if encoder.counterterm:
+        resid = resid + p.sigma_sq * x_hat - encoder.encode_dlambda(x, p)
     return float(-0.5 * p.lam_prime * p.snr * np.sum(resid * resid))
 
 
@@ -274,7 +235,7 @@ class StepTerm:
 
 
 def _resolve_counterterm(encoder: Encoder, counterterm: bool | None) -> bool:
-    return encoder.kind != IDENTITY if counterterm is None else counterterm
+    return encoder.counterterm if counterterm is None else counterterm
 
 
 def discrete_step_terms(
@@ -381,17 +342,13 @@ def batch_latent_graph(x: np.ndarray, encoder: Encoder,
                        schedule: LogLinearSchedule) -> Tensor:
     """Differentiable batch-mean latent term; trains the encoder's t=1 output.
 
-    Constant for non-trainable encoders, so only the trainable path builds a
-    graph through the inner network.
+    Constant for non-trainable encoders, whose encode_t builds no graph.
     """
     p1 = schedule.at(1.0)
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d = x2.shape[1]
     const = d * (p1.sigma_sq - p1.log_sigma_sq - 1.0)
-    if encoder.kind == TRAINABLE:
-        x1 = encoder.encode_t(x2, p1)
-    else:
-        x1 = Tensor(x2 if encoder.kind == IDENTITY else p1.alpha_sq * x2)
+    x1 = encoder.encode_t(x2, p1)
     sq = x1.square().sum(axis=1, keepdims=True)
     return (0.5 * p1.alpha_sq) * sq.mean() + 0.5 * const
 

@@ -99,11 +99,6 @@ class LogLinearSchedule:
             snr=math.exp(lam),
         )
 
-    def at_lam(self, lam: float) -> SchedulePoint:
-        """Evaluate at a given log-SNR value (inverse of the affine map)."""
-        t = (self.lambda_max - lam) / (self.lambda_max - self.lambda_min)
-        return self.at(t)
-
     def snr_delta(self, s: float, t: float) -> float:
         """SNR(s) − SNR(t) > 0 for s < t, computed stably for s ≈ t."""
         if not s < t:

@@ -119,6 +119,8 @@ def restore(path: str) -> tuple[DenoiserNet, Encoder, ParamStore, RunConfig, Log
     config.lambda_max = ckpt.lambda_max
     config.lambda_min = ckpt.lambda_min
     config.encoder = ckpt.encoder_kind
+    if "d" not in ckpt.meta:
+        raise ConfigError(f"not a model checkpoint (its meta has no 'd'): {path}")
     d = int(ckpt.meta["d"])
     model, encoder, store = build_model(config, d)
     store.load_state_arrays(ckpt.arrays, step=ckpt.step)

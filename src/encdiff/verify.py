@@ -149,11 +149,6 @@ class ConstantEpsErrorPredictor:
         return (a * np.asarray(z) - self.predict_x(z, lam)) / s
 
 
-def gaussian_score_oracle(mean, cov_scale: float) -> GaussianPosteriorOracle:
-    """Closed-form x-prediction (and score) for isotropic Gaussian data."""
-    return GaussianPosteriorOracle(mean, cov_scale)
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -290,7 +285,7 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
     data-generating moments within 4 standard errors (optimal per-step variance)."""
     mean = np.asarray(mean, dtype=np.float64)
     d = mean.size
-    oracle = gaussian_score_oracle(mean, cov_scale)
+    oracle = GaussianPosteriorOracle(mean, cov_scale)
     config = SamplerConfig(steps=T, variance_mode=OPTIMAL, gap_table=oracle.gap_table,
                            counterterm=False, seed=seed)
     result = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d)

@@ -1,6 +1,7 @@
 """CLI and training-loop tests, run in-process through main()."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def _train_args(out_dir, encoder="identity", steps=40, extra=()):
         "--out-dir", out_dir,
         *extra,
     ]
+
+
+def _raw_checkpoint(header: bytes, header_len: int | None = None) -> bytes:
+    length = len(header) if header_len is None else header_len
+    return b"ENC1" + struct.pack("<I", length) + header
+
+
+_FULL_HEADER = (b'{"format_version": 1, "lambda_max": 13.3, "lambda_min": -5.0, '
+                b'"encoder_kind": "nt", "step": 0, '
+                b'"tensors": [{"name": "w", "shape": [2], "offset": 0}]}')
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +138,23 @@ class TestConfigFile:
         assert main(["eval", str(tmp_path / "nope.ckpt")]) == EXIT_CONFIG_ERROR
         assert main(["sample", str(tmp_path / "nope.ckpt")]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"ENC1\x01\x00", id="shorter-than-8-bytes"),
+        pytest.param(_raw_checkpoint(b"\xff\xfe{"), id="header-not-utf8"),
+        pytest.param(_raw_checkpoint(b"{garbled"), id="header-not-json"),
+        pytest.param(_raw_checkpoint(b"[1, 2]"), id="header-not-an-object"),
+        pytest.param(_raw_checkpoint(b'{"step": 10}'), id="header-missing-key"),
+        pytest.param(_raw_checkpoint(_FULL_HEADER.replace(b'"offset": 0', b'"at": 0')),
+                     id="tensor-entry-missing-key"),
+        pytest.param(_raw_checkpoint(_FULL_HEADER), id="payload-missing"),
+        pytest.param(_raw_checkpoint(_FULL_HEADER) + bytes(17), id="trailing-bytes"),
+        pytest.param(_raw_checkpoint(b"{}", header_len=1000), id="header-past-end"),
+    ])
+    def test_malformed_checkpoint_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw)
+        assert main(["eval", str(path)]) == EXIT_CONFIG_ERROR
+
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
         assert RunConfig().hash() != RunConfig(steps=7).hash()
@@ -207,6 +235,8 @@ class TestSampleCommand:
         assert dump.arrays["latent_final"].shape == (6, 2)
         assert dump.arrays["x_out"].shape == (6, 2)
         assert dump.meta["n_chains"] == 6
+        # the latents dump shares the container format but holds no model
+        assert main(["eval", os.path.join(out, "latents.ckpt")]) == EXIT_CONFIG_ERROR
 
 
 class TestHeatmapCommand:

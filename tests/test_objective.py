@@ -14,6 +14,8 @@ from encdiff.objective import (
     MonteCarloEstimate,
     OptimalWeight,
     UnitWeight,
+    batch_latent_graph,
+    batch_vloss_graph,
     continuous_vloss,
     continuous_xloss,
     discrete_diffusion_loss,
@@ -134,6 +136,29 @@ class TestParameterizationIdentities:
         with pytest.raises(ValueError):
             continuous_vloss(np.zeros(3), model, NonTrainableEncoder(), 1.5,
                              rng.standard_normal(3), schedule)
+
+
+ENCODER_FACTORIES = [
+    pytest.param(lambda: make_encoder("identity"), id="identity"),
+    pytest.param(NonTrainableEncoder, id="nt"),
+    pytest.param(_random_trainable, id="trainable"),
+]
+
+
+@pytest.mark.parametrize("make", ENCODER_FACTORIES)
+def test_batch_graphs_match_per_item_losses(make, schedule, rng):
+    """The training graphs are the batch means of the per-item eval losses."""
+    model, enc = _random_model(), make()
+    x = rng.uniform(-1, 1, size=(5, 3))
+    ts = rng.uniform(0.0, 1.0, size=5)
+    eps = rng.standard_normal((5, 3))
+    per_item = [continuous_vloss(x[i], model, enc, float(ts[i]), eps[i], schedule)
+                for i in range(5)]
+    batch = float(batch_vloss_graph(x, model, enc, ts, eps, schedule).data)
+    assert batch == pytest.approx(np.mean(per_item), rel=1e-12)
+    latent = float(batch_latent_graph(x, enc, schedule).data)
+    assert latent == pytest.approx(np.mean([latent_loss(xi, enc, schedule) for xi in x]),
+                                   rel=1e-12)
 
 
 class TestAlternativeFormulaRoutes:

@@ -14,7 +14,6 @@ from encdiff.verify import (
     GaussianPosteriorOracle,
     SmoothVectorPredictor,
     fd_gradient_suite,
-    gaussian_score_oracle,
     limit_convergence,
     mc_kl_oracle,
     optimal_penalty_decay,
@@ -67,7 +66,7 @@ class TestGaussianOracle:
         np.testing.assert_allclose(oracle.predict_x(z, lam), z / a, rtol=1e-9)
 
     def test_v_and_x_predictions_linked(self, rng):
-        oracle = gaussian_score_oracle([0.3, 0.1], 0.7)
+        oracle = GaussianPosteriorOracle([0.3, 0.1], 0.7)
         lam = 1.3
         a = math.sqrt(logistic(lam))
         s = math.sqrt(logistic(-lam))
