@@ -80,13 +80,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _require_at_least(minimum: int, **counts: int) -> None:
+    for flag, value in counts.items():
+        if value < minimum:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    _require_at_least(1, n_items=args.n_items, profile_points=args.profile_points)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
     if args.n_mc is not None:
         config.n_mc = args.n_mc
     if args.out_dir is not None:
         config.out_dir = args.out_dir
-    dataset = load_dataset(_eval_dataset_config(args, config))
+    dataset = load_dataset(_eval_dataset_config(args, config).validate())
     items = real_items(dataset)
     if items.shape[1] != model.d:
         raise ConfigError(
@@ -147,12 +154,14 @@ def _eval_dataset_config(args: argparse.Namespace, config: RunConfig) -> RunConf
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    _require_at_least(1, n_samples=args.n_samples)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
     if args.out_dir is not None:
         config.out_dir = args.out_dir
     if args.seed is not None:
         config.seed = args.seed
     steps = args.steps if args.steps is not None else config.sample_steps
+    _require_at_least(1, steps=steps)
     mode = args.counterterm or config.counterterm
     counterterm = encoder.counterterm if mode == "auto" else (mode == "on")
     sampler_config = SamplerConfig(steps=steps, counterterm=counterterm,
@@ -199,14 +208,18 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         config.out_dir = args.out_dir
     dataset = load_dataset(_eval_dataset_config(args, config))
+    if not 0 <= args.item < len(dataset):
+        raise ConfigError(f"--item must be in [0, {len(dataset)}), got {args.item}")
+    if not args.window > 0:
+        raise ConfigError(f"--window must be positive, got {args.window}")
+    for t in args.t_values:
+        if not args.window <= t <= 1.0:
+            raise ConfigError(f"heatmap t={t} must lie in [window, 1] = [{args.window}, 1]")
     x = real_items(dataset)[args.item]
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
     for t in args.t_values:
-        s = t - args.window
-        if s < 0:
-            raise ConfigError(f"heatmap window reaches below t=0 (t={t}, window={args.window})")
-        rate = change_heatmap(encoder, x, schedule, s, t)
+        rate = change_heatmap(encoder, x, schedule, t - args.window, t)
         rows.extend((t, j, rate[j]) for j in range(rate.size))
         if dataset.kind == PIXELS:
             h, w = dataset.dims
@@ -223,6 +236,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_schedule_report(args: argparse.Namespace) -> int:
+    _require_at_least(1, points=args.points)
     config = _build_config(args)
     schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
     ts = np.linspace(0.0, 1.0, args.points)

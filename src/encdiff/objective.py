@@ -196,6 +196,27 @@ def continuous_vloss(
     return float(per_item.data[0, 0])
 
 
+# (t, ε) draws evaluated per _vloss_per_item call, so eval memory stays bounded for any n_mc
+EVAL_ROWS = 256
+
+
+def _vloss_draws(
+    x: np.ndarray,
+    model,
+    encoder: Encoder,
+    ts: np.ndarray,
+    eps: np.ndarray,
+    schedule: LogLinearSchedule,
+) -> np.ndarray:
+    """Diffusion integrand of one datapoint x (d,) at each draw (ts[j], eps[j]), shape (n,)."""
+    out = np.empty(len(ts))
+    for start in range(0, len(ts), EVAL_ROWS):
+        rows = slice(start, start + EVAL_ROWS)
+        x2 = np.broadcast_to(x, eps[rows].shape)
+        out[rows] = _vloss_per_item(x2, model, encoder, ts[rows], eps[rows], schedule).data[:, 0]
+    return out
+
+
 def continuous_xloss(
     x: np.ndarray,
     model,
@@ -408,11 +429,13 @@ def elbo_bpd(
         x_pixels = None
         x_real = np.asarray(x, dtype=np.float64)
     d = x_real.size
-    draws = np.empty(n_mc)
+    ts = np.empty(n_mc)
+    eps = np.empty((n_mc, d))
+    # interleaved t then ε per draw: whole-array draws would change every seeded estimate
     for j in range(n_mc):
-        t = float(rng.uniform())
-        eps = rng.standard_normal(d)
-        draws[j] = continuous_vloss(x_real, model, encoder, t, eps, schedule)
+        ts[j] = rng.uniform()
+        eps[j] = rng.standard_normal(d)
+    draws = _vloss_draws(x_real, model, encoder, ts, eps, schedule)
     diff = mc_estimate(draws)
     latent = latent_loss(x_real, encoder, schedule)
     if pixel_data:
@@ -446,13 +469,11 @@ def t_profile(
     from .data import scale_pixels
 
     x_real = scale_pixels(np.asarray(x)) if pixel_data else np.asarray(x, dtype=np.float64)
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    eps = rng.standard_normal((t_grid.size * n_eps, x_real.size))
+    draws = _vloss_draws(x_real, model, encoder, np.repeat(t_grid, n_eps), eps, schedule)
     rows = []
-    for t in t_grid:
-        vals = np.array([
-            continuous_vloss(x_real, model, encoder, float(t),
-                             rng.standard_normal(x_real.size), schedule)
-            for _ in range(n_eps)
-        ])
+    for t, vals in zip(t_grid, draws.reshape(t_grid.size, n_eps)):
         est = mc_estimate(vals)
         rows.append((float(t), schedule.at(float(t)).lam, est.value, est.std_error))
     return rows

@@ -160,6 +160,27 @@ class TestConfigFile:
         assert RunConfig().hash() != RunConfig(steps=7).hash()
 
 
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("eval", ["--n-mc", "0"], id="eval-n-mc-0"),
+    pytest.param("eval", ["--n-items", "0"], id="eval-n-items-0"),
+    pytest.param("eval", ["--n-items", "-3"], id="eval-n-items-negative"),
+    pytest.param("eval", ["--profile-out", "profile.csv", "--profile-points", "-1"],
+                 id="eval-profile-points-negative"),
+    pytest.param("sample", ["--steps", "0"], id="sample-steps-0"),
+    pytest.param("sample", ["--n-samples", "0"], id="sample-n-samples-0"),
+    pytest.param("heatmap", ["--item", "999999"], id="heatmap-item-out-of-range"),
+    pytest.param("heatmap", ["--window", "0"], id="heatmap-window-0"),
+    pytest.param("heatmap", ["--t-values", "1.5"], id="heatmap-t-above-1"),
+    pytest.param("schedule-report", ["--points", "-1"], id="schedule-report-points-negative"),
+])
+def test_bad_value_is_config_error(trained_run, tmp_path, command, flags):
+    out = tmp_path / "out"
+    checkpoint = [] if command == "schedule-report" else [os.path.join(trained_run, "model.ckpt")]
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    assert main([command, *checkpoint, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
 class TestEvalCommand:
     def test_eval_writes_breakdown(self, trained_run, tmp_path, capsys):
         out = str(tmp_path / "eval")

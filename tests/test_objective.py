@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from encdiff.autodiff import Tensor
+from encdiff.data import scale_pixels
 from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.nets import DenoiserNet, EncoderInnerNet, ParamStore
 from encdiff.objective import (
+    EVAL_ROWS,
     FixedWeight,
     LossBreakdown,
     MonteCarloEstimate,
@@ -396,6 +399,94 @@ class TestElboBpd:
         with pytest.raises(ValueError):
             elbo_bpd(np.zeros(2), model, make_encoder("identity"), schedule, 0,
                      np.random.default_rng(0), pixel_data=False)
+
+
+def _reference_elbo_bpd(x, model, enc, schedule, n_mc, rng, pixel_data):
+    """elbo_bpd as one continuous_vloss call per (t, ε) draw."""
+    x_real = scale_pixels(x) if pixel_data else np.asarray(x, dtype=np.float64)
+    d = x_real.size
+    draws = []
+    for _ in range(n_mc):
+        t = float(rng.uniform())
+        draws.append(continuous_vloss(x_real, model, enc, t, rng.standard_normal(d), schedule))
+    diff = mc_estimate(np.array(draws))
+    recon = 0.0
+    if pixel_data:
+        p0 = schedule.at(0.0)
+        z0 = p0.alpha * enc.encode(x_real, p0) + p0.sigma * rng.standard_normal(d)
+        recon = reconstruction_loss(x, z0, schedule)
+    return LossBreakdown.from_components(diff.value, latent_loss(x_real, enc, schedule), recon,
+                                         0.0, d, diffusion_stderr=diff.std_error)
+
+
+def _reference_t_profile(x, model, enc, schedule, t_grid, n_eps, rng):
+    """t_profile as one continuous_vloss call per (t, ε) draw."""
+    rows = []
+    for t in t_grid:
+        vals = [continuous_vloss(x, model, enc, float(t), rng.standard_normal(x.size), schedule)
+                for _ in range(n_eps)]
+        est = mc_estimate(np.array(vals))
+        rows.append((float(t), schedule.at(float(t)).lam, est.value, est.std_error))
+    return rows
+
+
+MODEL_FACTORIES = [
+    pytest.param(lambda x: _random_model(d=x.size), id="denoiser"),
+    pytest.param(lambda x: SmoothVectorPredictor(0.5 * x), id="analytic"),
+]
+
+
+class TestBatchedEvalMatchesPerDrawLoop:
+    """elbo_bpd and t_profile evaluate their draws in batches; they must give the
+    per-draw loop's values from the same random draws, and leave the RNG where
+    the loop leaves it."""
+
+    @pytest.mark.parametrize("n_mc", [1, 128, EVAL_ROWS + 37])
+    @pytest.mark.parametrize("pixel_data", [True, False], ids=["pixels", "real"])
+    @pytest.mark.parametrize("make_model", MODEL_FACTORIES)
+    @pytest.mark.parametrize("make", ENCODER_FACTORIES)
+    def test_elbo_bpd(self, make, make_model, pixel_data, n_mc, schedule, rng):
+        x = rng.integers(0, 256, size=3) if pixel_data else rng.uniform(-1, 1, size=3)
+        x_real = scale_pixels(x) if pixel_data else x
+        model, enc = make_model(x_real), make()
+        r_batch, r_loop = np.random.default_rng(9), np.random.default_rng(9)
+        got = elbo_bpd(x, model, enc, schedule, n_mc, r_batch, pixel_data=pixel_data)
+        want = _reference_elbo_bpd(x, model, enc, schedule, n_mc, r_loop, pixel_data)
+        assert got.bpd == pytest.approx(want.bpd, rel=1e-12)
+        assert got.diffusion_stderr == pytest.approx(want.diffusion_stderr, rel=1e-12)
+        assert got.reconstruction == want.reconstruction
+        assert r_batch.uniform() == r_loop.uniform()
+
+    @pytest.mark.parametrize("n_eps", [1, 4, EVAL_ROWS // 2 + 1])
+    @pytest.mark.parametrize("make_model", MODEL_FACTORIES)
+    @pytest.mark.parametrize("make", ENCODER_FACTORIES)
+    def test_t_profile(self, make, make_model, n_eps, schedule, rng):
+        x = rng.uniform(-1, 1, size=3)
+        model, enc = make_model(x), make()
+        t_grid = np.linspace(0.02, 0.98, 3)
+        r_batch, r_loop = np.random.default_rng(4), np.random.default_rng(4)
+        got = t_profile(x, model, enc, schedule, t_grid, n_eps, r_batch)
+        want = _reference_t_profile(x, model, enc, schedule, t_grid, n_eps, r_loop)
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            assert got_row[:2] == want_row[:2]
+            assert got_row[2:] == pytest.approx(want_row[2:], rel=1e-12)
+        assert r_batch.uniform() == r_loop.uniform()
+
+
+@pytest.mark.parametrize("make", ENCODER_FACTORIES)
+def test_elbo_bpd_tensors_do_not_grow_with_draws(make, schedule, rng):
+    """All draws of one call share one graph: a per-draw graph would make the
+    Tensor count grow with n_mc."""
+    model, enc = _random_model(d=3), make()
+    pixels = rng.integers(0, 256, size=3)
+
+    def tensors_made(n_mc):
+        start = Tensor(0.0).node_id
+        elbo_bpd(pixels, model, enc, schedule, n_mc, np.random.default_rng(0))
+        return Tensor(0.0).node_id - start - 1
+
+    assert tensors_made(8) == tensors_made(128)
 
 
 class TestMonteCarloEstimate:
