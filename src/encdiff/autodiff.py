@@ -1,30 +1,44 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor wraps an ndarray and records the op that produced it; backward() walks
-the recorded graph in reverse topological order.  Supported ops cover what the
-training losses need: elementwise arithmetic with numpy-style broadcasting,
-matmul, tanh, sum/mean reductions and concatenation.
+the recorded graph once, in reverse topological order.  grad() relies on that
+single walk for its unused-parameter check as well: a parameter whose gradient
+slot stays empty after the walk was never on the record.  Every parent is made
+before its children, so sorting the reachable nodes by creation number gives
+a topological order.  Supported ops cover what the training losses need:
+elementwise arithmetic with numpy-style broadcasting, matmul, tanh, sum/mean
+reductions, concatenation and row slices.
 
 Every op checks its result for NaN/Inf and raises NumericsError naming the op,
 so a numerical blow-up is caught at the first offending node rather than after
-it has propagated through the whole loss.
+it has propagated through the whole loss.  The check sums the result: a finite
+sum proves every entry finite, and only a non-finite sum (a NaN or Inf entry,
+or finite entries whose sum overflows) falls back to the exact elementwise test.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NumericsError, UnusedParameterError
 
-_node_counter = 0
+# creation numbers: a node's parents always carry smaller ones than the node
+_node_ids = itertools.count(1)
+_by_node_id = attrgetter("node_id")
 
 
-def _next_node_id() -> int:
-    global _node_counter
-    _node_counter += 1
-    return _node_counter
+def all_finite(data: np.ndarray) -> bool:
+    """True when no entry of data is NaN or Inf.
+
+    Entries near the float64 limit can make the sum overflow, or +Inf and −Inf
+    make it NaN; numpy then warns about the sum before the exact test decides.
+    """
+    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -50,17 +64,18 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents: tuple = (), _op: str = "leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+                 _parents: tuple = (), _op: str = "leaf", _backward=None):
+        data = np.asarray(data, dtype=np.float64)
+        if not all_finite(data):
             raise NumericsError(f"non-finite values produced by op '{_op}'"
                                 + (f" (tensor '{name}')" if name else ""))
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.node_id = _next_node_id()
+        self.node_id = next(_node_ids)
         self.name = name
         self._parents = _parents
-        self._backward = None
+        self._backward = _backward
         self._op = _op
 
     @property
@@ -78,9 +93,7 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(x)
 
     def _make(self, data, parents, op, backward) -> "Tensor":
-        out = Tensor(data, _parents=parents, _op=op)
-        out._backward = backward
-        return out
+        return Tensor(data, _parents=parents, _op=op, _backward=backward)
 
     # --- arithmetic -----------------------------------------------------
 
@@ -169,10 +182,9 @@ class Tensor:
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g, a=self, axis=axis, keepdims=keepdims):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, a.shape).copy(),)
+            full = np.empty(a.shape)
+            full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
+            return (full,)
 
         return self._make(out_data, (self,), "sum", backward)
 
@@ -184,58 +196,61 @@ class Tensor:
     def concat(parts: Sequence["Tensor | np.ndarray"], axis: int = -1) -> "Tensor":
         parts = [Tensor.as_tensor(p) for p in parts]
         out_data = np.concatenate([p.data for p in parts], axis=axis)
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
+        spans = []
+        start = 0
+        for p in parts:
+            index = [slice(None)] * out_data.ndim
+            index[axis] = slice(start, start + p.data.shape[axis])
+            spans.append(tuple(index))
+            start += p.data.shape[axis]
 
-        def backward(g, splits=splits, axis=axis):
-            return tuple(np.split(g, splits, axis=axis))
+        def backward(g, spans=spans):
+            return tuple(g[span] for span in spans)
 
-        out = Tensor(out_data, _parents=tuple(parts), _op="concat")
-        out._backward = backward
-        return out
+        return Tensor(out_data, _parents=tuple(parts), _op="concat", _backward=backward)
+
+    def rows(self, start: int, stop: int) -> "Tensor":
+        """Rows start:stop along the first axis; the gradient lands in those rows."""
+        def backward(g, a=self, start=start, stop=stop):
+            full = np.zeros_like(a.data)
+            full[start:stop] = g
+            return (full,)
+
+        return self._make(self.data[start:stop], (self,), "rows", backward)
 
     # --- backward pass ----------------------------------------------------
 
     def _toposort(self) -> list["Tensor"]:
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        """Every node this one depends on, itself included, parents first."""
+        seen = {self}
+        stack = [self]
         while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if node.node_id in seen:
-                continue
-            seen.add(node.node_id)
-            stack.append((node, True))
-            for p in node._parents:
-                if p.node_id not in seen:
-                    stack.append((p, False))
-        return order
+            for parent in stack.pop()._parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return sorted(seen, key=_by_node_id)
 
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable node."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
-        order = self._toposort()
-        grads: dict[int, np.ndarray] = {self.node_id: np.ones_like(self.data)}
-        for node in reversed(order):
-            g = grads.pop(node.node_id, None)
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
+        for node in reversed(self._toposort()):
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
                 continue
-            parent_grads = node._backward(g)
-            for parent, pg in zip(node._parents, parent_grads):
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
-                if parent.node_id in grads:
-                    grads[parent.node_id] = grads[parent.node_id] + pg
+                if parent in grads:
+                    grads[parent] = grads[parent] + pg
                 else:
-                    grads[parent.node_id] = pg
+                    grads[parent] = pg
 
     def reachable_ids(self) -> set[int]:
         return {node.node_id for node in self._toposort()}
@@ -246,16 +261,20 @@ def grad(loss: Tensor, params: Iterable[Tensor], allow_unused: bool = False) -> 
 
     Parameters that never entered the recorded computation are reported
     explicitly rather than silently given zero gradients; parameters that are
-    on the record but do not influence the loss get exact zeros.
+    on the record but do not influence the loss get exact zeros.  Every
+    parameter must have requires_grad set: backward() fills the gradient slot
+    of each one on the record, so a slot left empty marks one that is not.
     """
     params = list(params)
-    on_record = loss.reachable_ids()
-    missing = [p.name or f"<node {p.node_id}>" for p in params if p.node_id not in on_record]
+    for p in params:
+        if not p.requires_grad:
+            raise ValueError(f"parameter {p.name or f'<node {p.node_id}>'} "
+                             "does not have requires_grad set")
+        p.grad = None
+    loss.backward()
+    missing = [p.name or f"<node {p.node_id}>" for p in params if p.grad is None]
     if missing and not allow_unused:
         raise UnusedParameterError(
             "parameters not on the computation record: " + ", ".join(missing)
         )
-    for p in params:
-        p.grad = None
-    loss.backward()
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]

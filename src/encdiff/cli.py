@@ -155,6 +155,7 @@ def _eval_dataset_config(args: argparse.Namespace, config: RunConfig) -> RunConf
 
 def cmd_sample(args: argparse.Namespace) -> int:
     _require_at_least(1, n_samples=args.n_samples)
+    _require_at_least(0, trajectory_every=args.trajectory_every)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
     if args.out_dir is not None:
         config.out_dir = args.out_dir

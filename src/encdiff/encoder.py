@@ -14,9 +14,13 @@ it coincides with the non-trainable one bit-for-bit.  Exact λ-derivatives
     d x_tr / dλ = α² σ² x + σ² dy/dλ − α² σ² y
 
 dy/dλ is realized as a symmetric finite difference of the inner network with
-step h = 1e-3 · |dλ/dt|, built from two ordinary forward passes so that
+step h = 1e-3 · |dλ/dt|, built from ordinary forward values so that
 reverse-mode differentiation of any loss flows through the estimator without
-second-order machinery.
+second-order machinery.  The rows at λ, λ + h and λ − h go through the inner
+network as one stacked pass whose output is split back into row blocks.  The
+latent term's rows at t = 1 are a separate pass: batch_latent_graph
+(objective.py) is its own loss function, evaluated only in training, while
+loss_terms also serves evaluation, which has no latent term.
 
 Each encoder also carries its role in the continuous-time v-loss (see
 objective.py).  `loss_terms` returns the encoded data x_enc as a graph node
@@ -126,24 +130,30 @@ class TrainableEncoder:
 
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
                    sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
-        y = self.inner.forward(x2, lam)
-        dy = self._dy_dlambda(x2, lam, lam_prime)
+        h = _fd_step(lam_prime)
+        y, y_up, y_down = self._inner_at(x2, (lam, lam + h, lam - h))
+        dy = _central_difference(y_up, y_down, h)
         x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
         return x_enc, lambda x_hat: x_hat - x_enc + y - dy
 
     # --- inner-network views -------------------------------------------
 
-    def _dy_dlambda(self, x2: np.ndarray, lam: np.ndarray | float, lam_prime: float) -> Tensor:
-        h = FD_REL_STEP * abs(lam_prime)
-        h = h if h > 0 else FD_REL_STEP
-        return (self.inner.forward(x2, lam + h) - self.inner.forward(x2, lam - h)) * (0.5 / h)
+    def _inner_at(self, x2: np.ndarray, lams) -> list[Tensor]:
+        """y(x2, λ) for each λ (scalar or per row) of lams, from one pass over stacked rows."""
+        n = len(x2)
+        lam_rows = np.empty(len(lams) * n)
+        for k, lam in enumerate(lams):
+            lam_rows[k * n:(k + 1) * n] = lam
+        y = self.inner.forward(np.concatenate([x2] * len(lams)), lam_rows)
+        return [y.rows(k * n, (k + 1) * n) for k in range(len(lams))]
 
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return self.inner.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), point.lam)
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self._dy_dlambda(x2, point.lam, point.lam_prime)
+        h = _fd_step(point.lam_prime)
+        return _central_difference(*self._inner_at(x2, (point.lam + h, point.lam - h)), h)
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         out = self.y_t(x, point).data
@@ -182,6 +192,17 @@ class TrainableEncoder:
 
 
 Encoder = IdentityEncoder | NonTrainableEncoder | TrainableEncoder
+
+
+def _fd_step(lam_prime: float) -> float:
+    """Finite-difference step in λ for dy/dλ: FD_REL_STEP of the λ span."""
+    h = FD_REL_STEP * abs(lam_prime)
+    return h if h > 0 else FD_REL_STEP
+
+
+def _central_difference(y_up: Tensor, y_down: Tensor, h: float) -> Tensor:
+    """dy/dλ ≈ (y(λ + h) − y(λ − h)) / 2h."""
+    return (y_up - y_down) * (0.5 / h)
 
 
 def make_encoder(kind: str, inner_net: EncoderInnerNet | None = None) -> Encoder:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .errors import NumericsError
+from .errors import ConfigError, NumericsError
 
 N_FREQUENCIES = 8
 # Geometric ladder topping out near omega = 2: the λ-derivative of the
@@ -23,33 +23,114 @@ N_FREQUENCIES = 8
 # ((omega h)^2/6 per component) below the 1e-3 consistency budget.
 _FREQ_BASE = 0.04
 _FREQ_RATIO = 1.75
+_FREQS = _FREQ_BASE * _FREQ_RATIO ** np.arange(N_FREQUENCIES)
 
 
-def sinusoidal_embedding(lam, n_freq: int = N_FREQUENCIES) -> np.ndarray:
-    """Map λ (scalar or (B,) array) to (B, 2·n_freq) sin/cos features."""
+def sinusoidal_embedding(lam) -> np.ndarray:
+    """Map λ (scalar or (B,) array) to (B, 2·N_FREQUENCIES) sin/cos features."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
-    freqs = _FREQ_BASE * _FREQ_RATIO ** np.arange(n_freq)
-    phases = lam[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(phases), np.cos(phases)], axis=1)
+    phases = lam[:, None] * _FREQS[None, :]
+    out = np.empty((lam.size, 2 * N_FREQUENCIES))
+    np.sin(phases, out=out[:, :N_FREQUENCIES])
+    np.cos(phases, out=out[:, N_FREQUENCIES:])
+    return out
+
+
+# the storage slot behind Tensor.data, which Parameter's property shadows
+_DATA_SLOT = Tensor.__dict__["data"]
+
+
+class Parameter(Tensor):
+    """Trainable leaf whose values are a view into its ParamStore's flat buffer.
+
+    Assigning `.data` copies the new values into that view, so a parameter
+    never drops out of the buffer that the optimizer and checkpoints read.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, data: np.ndarray, name: str):
+        # Tensor.__init__ assigns .data through the property below, which
+        # writes into the array already in the slot
+        _DATA_SLOT.__set__(self, data)
+        super().__init__(data, requires_grad=True, name=name)
+
+    @property
+    def data(self) -> np.ndarray:
+        return _DATA_SLOT.__get__(self)
+
+    @data.setter
+    def data(self, value) -> None:
+        view = _DATA_SLOT.__get__(self)
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValueError(f"parameter '{self.name}' has shape {view.shape}; "
+                             f"cannot assign shape {value.shape}")
+        view[...] = value
+
+
+def _views(flat: np.ndarray, layout: dict[str, tuple[slice, tuple]]) -> dict[str, np.ndarray]:
+    return {name: flat[span].reshape(shape) for name, (span, shape) in layout.items()}
 
 
 class ParamStore:
-    """Named parameter tensors with their gradient slots and optimizer moments."""
+    """Named parameters, their optimizer moments, and the step counter.
+
+    All parameter values live in one flat float64 buffer, `flat`, in the order
+    they were added; each Parameter's data is a view of its span.  The Adam
+    moments live in `m_flat` and `v_flat` with the same layout, and `m`/`v`
+    map each name to its view, so the optimizer works on whole buffers.
+    """
 
     def __init__(self):
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Parameter] = {}
         self.step: int = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.flat = np.zeros(0)
+        self.m_flat = np.zeros(0)
+        self.v_flat = np.zeros(0)
+        # name -> (span in the flat buffers, shape)
+        self._layout: dict[str, tuple[slice, tuple]] = {}
 
-    def add(self, name: str, value: np.ndarray) -> Tensor:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name '{name}'")
-        t = Tensor(np.asarray(value, dtype=np.float64), requires_grad=True, name=name)
-        self.params[name] = t
-        self.m[name] = np.zeros_like(t.data)
-        self.v[name] = np.zeros_like(t.data)
-        return t
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self.views(self.m_flat)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self.views(self.v_flat)
+
+    def add(self, name: str, value: np.ndarray) -> Parameter:
+        return self.add_many({name: value})[name]
+
+    def add_many(self, values: dict[str, np.ndarray]) -> dict[str, Parameter]:
+        """Add parameters by name; the flat buffers are reallocated once for the group."""
+        for name in values:
+            if name in self.params:
+                raise ValueError(f"duplicate parameter name '{name}'")
+        layout = dict(self._layout)
+        start = self.flat.size
+        for name, value in values.items():
+            layout[name] = (slice(start, start + np.size(value)), np.shape(value))
+            start += np.size(value)
+        flat = np.empty(start)
+        flat[:self.flat.size] = self.flat
+        views = _views(flat, layout)
+        for name, value in values.items():
+            views[name][...] = value
+        # a non-finite value raises here, before the store changes
+        added = {name: Parameter(views[name], name) for name in values}
+        for name, param in self.params.items():
+            _DATA_SLOT.__set__(param, views[name])
+        self.params.update(added)
+        self._layout = layout
+        self.flat = flat
+        self.m_flat = np.pad(self.m_flat, (0, start - self.m_flat.size))
+        self.v_flat = np.pad(self.v_flat, (0, start - self.v_flat.size))
+        return added
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's span of a buffer laid out like `flat`, in its shape."""
+        return _views(flat, self._layout)
 
     def names(self) -> list[str]:
         return list(self.params.keys())
@@ -58,34 +139,40 @@ class ParamStore:
         return list(self.params.values())
 
     def n_scalars(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+        return self.flat.size
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All arrays that must round-trip through a checkpoint, by name."""
+        m, v = self.m, self.v
         out: dict[str, np.ndarray] = {}
         for name, t in self.params.items():
             out[f"param/{name}"] = t.data
-            out[f"adam_m/{name}"] = self.m[name]
-            out[f"adam_v/{name}"] = self.v[name]
+            out[f"adam_m/{name}"] = m[name]
+            out[f"adam_v/{name}"] = v[name]
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int) -> None:
-        for name, t in self.params.items():
-            t.data = np.array(arrays[f"param/{name}"], dtype=np.float64)
-            self.m[name] = np.array(arrays[f"adam_m/{name}"], dtype=np.float64)
-            self.v[name] = np.array(arrays[f"adam_v/{name}"], dtype=np.float64)
+        """Copy checkpoint arrays into the buffers; a missing or misshapen one is a ConfigError."""
+        targets = self.state_arrays()
+        for key, target in targets.items():
+            if key not in arrays:
+                raise ConfigError(f"checkpoint has no array '{key}'")
+            source = np.asarray(arrays[key], dtype=np.float64)
+            if source.shape != target.shape:
+                raise ConfigError(f"checkpoint array '{key}' has shape {source.shape}, "
+                                  f"the model expects {target.shape}")
+        for key, target in targets.items():
+            target[...] = arrays[key]
         self.step = step
 
 
-def _init_linear(store: ParamStore, prefix: str, n_in: int, n_out: int,
-                 rng: np.random.Generator, zero: bool = False) -> tuple[Tensor, Tensor]:
+def _linear_init(prefix: str, n_in: int, n_out: int, rng: np.random.Generator,
+                 zero: bool = False) -> dict[str, np.ndarray]:
     if zero:
         w = np.zeros((n_in, n_out))
     else:
         w = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
-    weight = store.add(f"{prefix}.w", w)
-    bias = store.add(f"{prefix}.b", np.zeros(n_out))
-    return weight, bias
+    return {f"{prefix}.w": w, f"{prefix}.b": np.zeros(n_out)}
 
 
 class MLP:
@@ -106,11 +193,15 @@ class MLP:
         self.n_hidden = n_hidden
         self.residual = residual
         n_feat = d_in + 2 * N_FREQUENCIES
-        self.layers: list[tuple[Tensor, Tensor]] = []
-        self.layers.append(_init_linear(store, f"{prefix}.in", n_feat, width, rng))
-        for i in range(1, n_hidden):
-            self.layers.append(_init_linear(store, f"{prefix}.h{i}", width, width, rng))
-        self.out_layer = _init_linear(store, f"{prefix}.out", width, d_out, rng, zero=zero_output)
+        layers = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
+        values = _linear_init(layers[0], n_feat, width, rng)
+        for layer in layers[1:]:
+            values.update(_linear_init(layer, width, width, rng))
+        values.update(_linear_init(f"{prefix}.out", width, d_out, rng, zero=zero_output))
+        params = store.add_many(values)
+        self.layers: list[tuple[Tensor, Tensor]] = [
+            (params[f"{layer}.w"], params[f"{layer}.b"]) for layer in layers]
+        self.out_layer = (params[f"{prefix}.out.w"], params[f"{prefix}.out.b"])
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,)."""

@@ -147,12 +147,7 @@ def _vloss_per_item(
     schedule: LogLinearSchedule,
 ) -> Tensor:
     """Per-item diffusion integrand, shape (B, 1), for x2, eps2 of shape (B, d)."""
-    points = [schedule.at(float(t)) for t in ts]
-    lam = np.array([p.lam for p in points])
-    alpha = _col([p.alpha for p in points])
-    sigma = _col([p.sigma for p in points])
-    alpha_sq = _col([p.alpha_sq for p in points])
-    sigma_sq = _col([p.sigma_sq for p in points])
+    lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(ts)
     x_enc, extra = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
     z = alpha * x_enc + sigma * eps2
     v_hat = _model_vhat_graph(model, z, lam)
@@ -162,10 +157,6 @@ def _vloss_per_item(
         resid = resid + sigma * extra(alpha * z - sigma * v_hat)
     weight = -0.5 * schedule.lam_prime * alpha_sq
     return resid.square().sum(axis=1, keepdims=True) * weight
-
-
-def _col(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)[:, None]
 
 
 def batch_vloss_graph(

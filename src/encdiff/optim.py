@@ -1,14 +1,17 @@
 """Adaptive-moment optimizer with bias correction.
 
 Moment buffers live in the ParamStore so they serialize with the checkpoint.
-A step with any non-finite gradient is rejected without touching parameters,
-moments or the step counter.
+The update runs on the store's flat buffers as a few whole-array operations,
+in the same order per entry as a per-parameter update.  A step with any
+non-finite gradient is rejected without touching parameters, moments or the
+step counter, and so is a step whose update would be non-finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import all_finite
 from .errors import NumericsError
 from .nets import ParamStore
 
@@ -16,6 +19,13 @@ DEFAULT_LR = 3e-4
 DEFAULT_BETA1 = 0.9
 DEFAULT_BETA2 = 0.999
 DEFAULT_EPS_HAT = 1e-8
+
+
+def _first_nonfinite(store: ParamStore, *flats: np.ndarray) -> str:
+    """Name of the first parameter with a non-finite entry in any of the flat buffers."""
+    views = [store.views(flat) for flat in flats]
+    return next(name for name in store.params
+                if not all(np.isfinite(v[name]).all() for v in views))
 
 
 def optimizer_step(
@@ -29,33 +39,50 @@ def optimizer_step(
     """One adaptive-moment update over every parameter in the store."""
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    for name in store.params:
+    parts = []
+    for name, param in store.params.items():
         if name not in grads:
             raise KeyError(f"missing gradient for parameter '{name}'")
-        if not np.all(np.isfinite(grads[name])):
-            raise NumericsError(f"non-finite gradient for parameter '{name}'; step rejected")
+        g = np.asarray(grads[name], dtype=np.float64)
+        if g.shape != param.shape:
+            raise ValueError(f"gradient for parameter '{name}' has shape {g.shape}, "
+                             f"expected {param.shape}")
+        parts.append(g.ravel())
+    # the whole update is staged in `work`, validated, then committed, so a
+    # rejected step leaves parameters and moments untouched
+    work = np.empty((4, store.n_scalars()))
+    g, m, v, new = work
+    np.concatenate(parts, out=g)
+    if not all_finite(g):
+        name = _first_nonfinite(store, g)
+        raise NumericsError(f"non-finite gradient for parameter '{name}'; step rejected")
     t = store.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    # stage the whole update, validate, then commit, so a rejected step leaves
-    # parameters and moments untouched
-    staged: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, param in store.params.items():
-            g = grads[name]
-            m = beta1 * store.m[name] + (1.0 - beta1) * g
-            v = beta2 * store.v[name] + (1.0 - beta2) * g * g
-            new_param = param.data - lr * ((m / c1) / (np.sqrt(v / c2) + eps_hat))
-            if not (np.all(np.isfinite(new_param)) and np.all(np.isfinite(v))):
-                raise NumericsError(
-                    f"non-finite update for parameter '{name}'; step rejected"
-                )
-            staged[name] = (m, v, new_param)
-    for name, param in store.params.items():
-        m, v, new_param = staged[name]
-        store.m[name] = m
-        store.v[name] = v
-        param.data = new_param
+        # m = β1·m + (1 − β1)·g
+        np.multiply(store.m_flat, beta1, out=m)
+        np.multiply(g, 1.0 - beta1, out=new)
+        np.add(m, new, out=m)
+        # v = β2·v + (1 − β2)·g·g
+        np.multiply(g, 1.0 - beta2, out=new)
+        np.multiply(new, g, out=new)
+        np.multiply(store.v_flat, beta2, out=v)
+        np.add(v, new, out=v)
+        # θ − lr·((m / c1) / (√(v / c2) + ε̂)); g's row now holds the denominator
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        np.add(g, eps_hat, out=g)
+        np.divide(m, c1, out=new)
+        np.divide(new, g, out=new)
+        np.multiply(new, lr, out=new)
+        np.subtract(store.flat, new, out=new)
+    if not (all_finite(new) and all_finite(v)):
+        name = _first_nonfinite(store, new, v)
+        raise NumericsError(f"non-finite update for parameter '{name}'; step rejected")
+    store.flat[...] = new
+    store.m_flat[...] = m
+    store.v_flat[...] = v
     store.step = t
 
 

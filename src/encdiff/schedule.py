@@ -7,6 +7,10 @@ The schedule is linear in t on the log-SNR axis:
 with the variance-preserving convention α_t² = 1 − σ_t² = logistic(λ_t), so that
 SNR(t) = α_t²/σ_t² = exp(λ_t).  t = 0 is (almost) clean data, t = 1 is (almost)
 pure noise.
+
+`LogLinearSchedule.at` evaluates one time as a `SchedulePoint`;
+`LogLinearSchedule.columns` evaluates a batch of times as arrays, entry for
+entry bit-identical to `at`.
 """
 
 from __future__ import annotations
@@ -98,6 +102,29 @@ class LogLinearSchedule:
             sigma=math.sqrt(s2),
             snr=math.exp(lam),
         )
+
+    def columns(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The schedule at every time of a 1-D array ts ⊂ [0, 1], as arrays.
+
+        Returns (lam, alpha, sigma, alpha_sq, sigma_sq): lam is (B,), the rest
+        are (B, 1) columns that broadcast against (B, d) rows.  Row i equals the
+        fields of `at(ts[i])` bit for bit.
+        """
+        ts = np.asarray(ts, dtype=np.float64)
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
+            raise ValueError(f"schedule times must lie in [0, 1], got range "
+                             f"[{ts.min()}, {ts.max()}]")
+        lam = self.lambda_max - (self.lambda_max - self.lambda_min) * ts
+        # logistic(±λ) as `logistic` computes it: both use e = exp(−|λ|), and
+        # math.exp keeps every entry bit-identical to `at` (np.exp may differ
+        # from it in the last bit)
+        e = np.fromiter(map(math.exp, (-np.abs(lam)).tolist()), np.float64, lam.size)
+        one_plus_e = 1.0 + e
+        inv = 1.0 / one_plus_e
+        ratio = e / one_plus_e
+        alpha = np.sqrt(np.where(lam >= 0.0, inv, ratio))[:, None]
+        sigma = np.sqrt(np.where(lam <= 0.0, inv, ratio))[:, None]
+        return lam, alpha, sigma, alpha * alpha, sigma * sigma
 
     def snr_delta(self, s: float, t: float) -> float:
         """SNR(s) − SNR(t) > 0 for s < t, computed stably for s ≈ t."""

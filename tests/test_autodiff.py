@@ -4,7 +4,7 @@ broadcasting, and the unused-parameter report."""
 import numpy as np
 import pytest
 
-from encdiff.autodiff import Tensor, grad
+from encdiff.autodiff import Tensor, all_finite, grad
 from encdiff.errors import NumericsError, UnusedParameterError
 
 
@@ -69,6 +69,17 @@ class TestBroadcasting:
         loss = (3.0 * x).sum()
         (gx,) = grad(loss, [x])
         np.testing.assert_allclose(gx, np.full((2, 2), 3.0))
+
+
+class TestRowSlices:
+    def test_rows_split_gradient(self, rng):
+        x = Tensor(rng.standard_normal((6, 2)), requires_grad=True, name="x")
+        top, bottom = x.rows(0, 2), x.rows(2, 6)
+        np.testing.assert_array_equal(top.data, x.data[:2])
+        loss = (top * 3.0).sum() + bottom.square().sum()
+        (gx,) = grad(loss, [x])
+        np.testing.assert_array_equal(gx[:2], np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(gx[2:], 2.0 * x.data[2:])
 
 
 class TestReductionsAndConcat:
@@ -149,6 +160,32 @@ class TestGradContract:
         with pytest.raises(ValueError):
             (x * 2).backward()
 
+    def test_grad_walks_the_graph_once(self, monkeypatch, rng):
+        walks = []
+        toposort = Tensor._toposort
+
+        def counting(self):
+            walks.append(self)
+            return toposort(self)
+
+        monkeypatch.setattr(Tensor, "_toposort", counting)
+        W = Tensor(rng.standard_normal((4, 3)), requires_grad=True, name="W")
+        b = Tensor(np.zeros(3), requires_grad=True, name="b")
+        loss = (Tensor(rng.standard_normal((5, 4))) @ W + b).tanh().square().sum()
+        grad(loss, [W, b])
+        assert len(walks) == 1
+        walks.clear()
+        unused = Tensor(np.ones(2), requires_grad=True, name="unused")
+        with pytest.raises(UnusedParameterError, match="unused"):
+            grad(loss, [W, unused, b])
+        assert len(walks) == 1
+
+    def test_parameter_without_requires_grad_rejected(self):
+        x = Tensor(np.array(1.0), requires_grad=True, name="x")
+        frozen = Tensor(np.array(2.0), name="frozen")
+        with pytest.raises(ValueError, match="frozen"):
+            grad(x * frozen, [x, frozen])
+
 
 class TestNumericsDiagnostics:
     def test_nonfinite_op_names_the_op(self):
@@ -160,3 +197,35 @@ class TestNumericsDiagnostics:
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NumericsError):
             Tensor(np.array([1.0, np.inf]))
+
+    # ops that overflow warn, and so does the sum of the finite check
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("make, op", [
+        pytest.param(lambda: Tensor(np.array([0.0, 1.0])) / Tensor(np.array([0.0, 2.0])),
+                     "div", id="nan"),
+        pytest.param(lambda: Tensor(np.array([1e200, 1.0])) * Tensor(np.array([1e200, 1.0])),
+                     "mul", id="inf"),
+        pytest.param(lambda: Tensor(np.array([-1e200, 1.0])) * Tensor(np.array([1e200, 1.0])),
+                     "mul", id="minus-inf"),
+        pytest.param(lambda: Tensor(np.array([[1e308], [1e308]])).sum(), "sum",
+                     id="sum-overflow"),
+    ])
+    def test_nonfinite_result_names_the_op(self, make, op):
+        with pytest.raises(NumericsError, match=f"'{op}'"):
+            make()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_leaf_entry_found_behind_overflowing_sum(self, bad):
+        with pytest.raises(NumericsError, match="'leaf'"):
+            Tensor(np.array([1e308, 1e308, bad]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        big = np.array([1e308, 1e308])
+        assert all_finite(big)
+        a = Tensor(big)
+        out = a + Tensor(np.zeros(2))
+        np.testing.assert_array_equal(out.data, big)
+        assert not all_finite(np.array([1e308, np.nan]))

@@ -168,6 +168,7 @@ class TestConfigFile:
                  id="eval-profile-points-negative"),
     pytest.param("sample", ["--steps", "0"], id="sample-steps-0"),
     pytest.param("sample", ["--n-samples", "0"], id="sample-n-samples-0"),
+    pytest.param("sample", ["--trajectory-every", "-4"], id="sample-trajectory-every-negative"),
     pytest.param("heatmap", ["--item", "999999"], id="heatmap-item-out-of-range"),
     pytest.param("heatmap", ["--window", "0"], id="heatmap-window-0"),
     pytest.param("heatmap", ["--t-values", "1.5"], id="heatmap-t-above-1"),

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from encdiff.autodiff import Tensor, grad
 from encdiff.encoder import (
+    FD_REL_STEP,
     NonTrainableEncoder,
     TrainableEncoder,
     change_heatmap,
@@ -123,6 +125,56 @@ class TestEncodeDLambda:
             est = enc.encode_dlambda(x, p)
             rel = np.linalg.norm(fd - est) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-3
+
+
+class TestStackedInnerPass:
+    """The trainable encoder runs y at λ, λ + h and λ − h as one inner-net pass
+    over stacked rows; it must match three separate passes."""
+
+    @staticmethod
+    def _separate_terms(enc, x2, lam, alpha_sq, sigma_sq, lam_prime):
+        h = FD_REL_STEP * abs(lam_prime)
+        y = enc.inner.forward(x2, lam)
+        dy = (enc.inner.forward(x2, lam + h) - enc.inner.forward(x2, lam - h)) * (0.5 / h)
+        x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
+        return y, dy, x_enc, (lambda x_hat: x_hat - x_enc + y - dy)
+
+    @staticmethod
+    def _loss(x_enc, extra, x_hat):
+        return (extra(x_hat).square().sum() + (x_enc * x_hat).sum()) * 0.5
+
+    def test_matches_separate_passes(self, schedule, rng):
+        enc = _randomized_trainable(rng, d=4, width=16)
+        params = enc.inner.store.tensors()
+        x2 = rng.uniform(-1, 1, size=(7, 4))
+        lam, _, _, alpha_sq, sigma_sq = schedule.columns(rng.uniform(0.0, 1.0, size=7))
+        x_hat = Tensor(rng.standard_normal((7, 4)))
+
+        y, dy, x_enc, extra = self._separate_terms(enc, x2, lam, alpha_sq, sigma_sq,
+                                                   schedule.lam_prime)
+        loss = self._loss(x_enc, extra, x_hat)
+        expected_grads = grad(loss, params)
+
+        x_enc_s, extra_s = enc.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+        # extra(x̂) − x̂ + x_enc = y − dy/dλ; x_enc gives y back through its σ² factor
+        np.testing.assert_allclose(x_enc_s.data, x_enc.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose((extra_s(x_hat) - x_hat + x_enc_s).data, (y - dy).data,
+                                   rtol=1e-12, atol=1e-15)
+        loss_s = self._loss(x_enc_s, extra_s, x_hat)
+        np.testing.assert_allclose(float(loss_s.data), float(loss.data), rtol=1e-12)
+        for param, g, g_s in zip(params, expected_grads, grad(loss_s, params)):
+            assert np.any(g != 0.0), param.name
+            np.testing.assert_allclose(g_s, g, rtol=1e-12, atol=1e-12 * np.max(np.abs(g)),
+                                       err_msg=param.name)
+
+    def test_y_and_dy_views_match_separate_passes(self, schedule, rng):
+        enc = _randomized_trainable(rng, d=4, width=16)
+        x2 = rng.uniform(-1, 1, size=(5, 4))
+        p = schedule.at(0.37)
+        y, dy, _, _ = self._separate_terms(enc, x2, p.lam, 0.0, 0.0, p.lam_prime)
+        np.testing.assert_allclose(enc.y_t(x2, p).data, y.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(enc.dy_dlambda_t(x2, p).data, dy.data, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(dy.data)))
 
 
 class TestChangeHeatmap:

@@ -94,6 +94,49 @@ class TestParamStore:
             assert net.store.m[name].shape == t.data.shape
             assert net.store.v[name].shape == t.data.shape
 
+    def test_every_parameter_is_a_view_of_the_one_buffer(self):
+        store = ParamStore()
+        DenoiserNet(d=3, width=8, seed=0, store=store)
+        EncoderInnerNet(d=3, width=8, seed=1, store=store)
+        offset = 0
+        for name, t in store.params.items():
+            for view, flat in ((t.data, store.flat), (store.m[name], store.m_flat),
+                               (store.v[name], store.v_flat)):
+                assert view.base is flat, name
+                assert view.__array_interface__["data"][0] == (
+                    flat.__array_interface__["data"][0] + 8 * offset), name
+            offset += t.data.size
+        assert offset == store.flat.size == store.n_scalars()
+
+    def test_assigning_data_writes_into_the_buffer(self, rng):
+        store = ParamStore()
+        DenoiserNet(d=3, width=8, seed=0, store=store)
+        w = store.params["denoiser.out.w"]
+        values = rng.standard_normal(w.data.shape)
+        w.data = values
+        assert w.data.base is store.flat
+        np.testing.assert_array_equal(store.views(store.flat)["denoiser.out.w"], values)
+        with pytest.raises(ValueError, match="shape"):
+            w.data = np.zeros(3)
+        np.testing.assert_array_equal(w.data, values)
+
+    def test_non_finite_value_rejected_before_the_store_changes(self):
+        store = ParamStore()
+        store.add("w", np.ones(2))
+        with pytest.raises(NumericsError):
+            store.add("bad", np.array([1.0, np.nan]))
+        assert store.names() == ["w"] and store.flat.size == 2
+
+    def test_load_rejects_missing_or_misshapen_arrays(self):
+        store = ParamStore()
+        store.add("w", np.ones((2, 3)))
+        arrays = {k: np.array(a) for k, a in store.state_arrays().items()}
+        with pytest.raises(ConfigError, match="shape"):
+            store.load_state_arrays({**arrays, "adam_v/w": np.ones(6)}, step=1)
+        with pytest.raises(ConfigError, match="adam_m/w"):
+            store.load_state_arrays({k: a for k, a in arrays.items() if k != "adam_m/w"}, 1)
+        assert store.step == 0
+
 
 class TestOptimizer:
     def test_zero_gradient_no_change(self):
@@ -124,6 +167,45 @@ class TestOptimizer:
             optimizer_step(store, {"w": np.array([np.nan])}, lr=0.1)
         np.testing.assert_array_equal(store.params["w"].data, before)
         assert store.step == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [
+        pytest.param({"b": np.array([np.inf, 0.0])}, id="non-finite-gradient"),
+        pytest.param({"b": np.array([1e300, 0.0])}, id="overflowing-second-moment"),
+    ])
+    def test_rejected_step_leaves_the_buffers_untouched(self, bad):
+        store = ParamStore()
+        store.add("a", np.array([[0.5, -1.0], [2.0, 0.25]]))
+        store.add("b", np.array([1.0, -3.0]))
+        adam = Adam(store, lr=0.01)
+        adam.step({"a": np.full((2, 2), 0.1), "b": np.array([0.2, -0.3])})
+        before = [np.array(buf) for buf in (store.flat, store.m_flat, store.v_flat)]
+        with pytest.raises(NumericsError, match="parameter 'b'"):
+            adam.step({"a": np.full((2, 2), 0.1), **bad})
+        for buf, old in zip((store.flat, store.m_flat, store.v_flat), before):
+            assert buf.tobytes() == old.tobytes()
+        assert store.step == 1
+
+    def test_matches_per_parameter_update_bitwise(self, rng):
+        """The flat update does per entry exactly what a per-parameter loop does."""
+        store = ParamStore()
+        DenoiserNet(d=3, width=8, seed=0, store=store)
+        ref = {name: [np.array(t.data), np.zeros(t.data.shape), np.zeros(t.data.shape)]
+               for name, t in store.params.items()}
+        lr, beta1, beta2, eps_hat = 0.01, 0.9, 0.999, 1e-8
+        for step in range(1, 6):
+            grads = {name: rng.standard_normal(t.data.shape) for name, t in store.params.items()}
+            optimizer_step(store, grads, lr, beta1, beta2, eps_hat)
+            c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+            for name, (p, m, v) in ref.items():
+                g = grads[name]
+                m[...] = beta1 * m + (1.0 - beta1) * g
+                v[...] = beta2 * v + (1.0 - beta2) * g * g
+                p[...] = p - lr * ((m / c1) / (np.sqrt(v / c2) + eps_hat))
+        for name, (p, m, v) in ref.items():
+            assert store.params[name].data.tobytes() == p.tobytes()
+            assert store.m[name].tobytes() == m.tobytes()
+            assert store.v[name].tobytes() == v.tobytes()
 
     def test_bad_lr_rejected(self):
         store = ParamStore()
@@ -163,6 +245,30 @@ class TestCheckpoint:
         assert ckpt.config_hash == "abc"
         for name, arr in store.state_arrays().items():
             assert np.array_equal(ckpt.arrays[name], arr)
+
+    def test_restore_into_fresh_store_bit_exact(self, tmp_path, rng):
+        def build():
+            store = ParamStore()
+            DenoiserNet(d=3, width=16, seed=5, store=store)
+            EncoderInnerNet(d=3, width=8, seed=6, store=store)
+            return store
+
+        store = build()
+        _randomize_output_layer(store, rng)
+        adam = Adam(store)
+        for _ in range(3):
+            adam.step({name: rng.standard_normal(t.data.shape)
+                       for name, t in store.params.items()})
+        path = os.path.join(tmp_path, "model.ckpt")
+        save(path, Checkpoint(lambda_max=13.3, lambda_min=-5.0, encoder_kind="trainable",
+                              step=store.step, arrays=store.state_arrays()))
+        fresh = build()
+        fresh.load_state_arrays(load(path).arrays, step=load(path).step)
+        for name in ("flat", "m_flat", "v_flat"):
+            assert getattr(fresh, name).tobytes() == getattr(store, name).tobytes()
+        assert fresh.step == 3
+        for t in fresh.params.values():
+            assert t.data.base is fresh.flat
 
     def test_bad_magic_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bogus.ckpt")

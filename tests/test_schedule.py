@@ -56,6 +56,29 @@ class TestEval:
         assert math.isfinite(p0.log_sigma_sq) and math.isfinite(p1.log_sigma_sq)
 
 
+class TestColumns:
+    """The array-valued schedule equals `at` entry for entry, bit for bit."""
+
+    @pytest.mark.parametrize("endpoints", [(13.3, -5.0), (1.0, -1.0), (600.0, -600.0),
+                                           (5.0, 1.0), (-1.0, -7.0)])
+    def test_columns_equal_at(self, endpoints, rng):
+        sched = LogLinearSchedule(*endpoints)
+        ts = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=300),
+                             np.linspace(0.0, 1.0, 101)])
+        lam, *cols = sched.columns(ts)
+        assert lam.shape == ts.shape
+        assert all(col.shape == (ts.size, 1) for col in cols)
+        for i, t in enumerate(ts):
+            p = sched.at(float(t))
+            got = (lam[i], *(col[i, 0] for col in cols))
+            assert got == (p.lam, p.alpha, p.sigma, p.alpha_sq, p.sigma_sq), t
+
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
+    def test_domain_errors(self, schedule, bad):
+        with pytest.raises(ValueError):
+            schedule.columns(np.array([0.5, bad, 0.2]))
+
+
 class TestInvariants:
     def test_variance_preserving(self, schedule):
         for t in np.linspace(0.0, 1.0, 101):
