@@ -1,16 +1,20 @@
 """Command-line entry point.
 
-Subcommands: train, eval, sample, heatmap, schedule-report, verify.
-Config values come from an INI-style file (--config) with flag overrides
-taking precedence.  Exit codes: 0 success, 1 verification failure, 2 config
-error, 3 numerical abort.
+Subcommands: train, eval, sample, heatmap, schedule-report, verify.  Each
+takes only the flags it reads; any other flag exits 2.  A flag whose dest is a
+RunConfig field overrides the base config: the INI file given by --config (or
+the defaults) for train, schedule-report and verify, the checkpoint's own
+config for eval, sample and heatmap.  Exit codes: 0 success, 1 verification
+failure, 2 config error, 3 numerical abort.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,43 +35,21 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICS = 3
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--seed", type=int, help="base RNG seed")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--steps", type=int, help="training or sampling step count")
-    p.add_argument("--encoder", choices=["identity", "nt", "trainable"],
-                   help="encoder kind")
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, help="log-SNR at t=0")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, help="log-SNR at t=1")
-    p.add_argument("--counterterm", choices=["on", "off", "auto"],
-                   help="generative-mean counterterm at sampling time")
-    p.add_argument("--n-mc", dest="n_mc", type=int, help="Monte-Carlo draws per datapoint")
+def _base_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig.from_file(args.config) if args.config else RunConfig()
 
 
-def _build_config(args: argparse.Namespace, steps_field: str = "steps") -> RunConfig:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out_dir,
-        "encoder": args.encoder,
-        "lambda_max": args.lambda_max,
-        "lambda_min": args.lambda_min,
-        "counterterm": args.counterterm,
-        "n_mc": args.n_mc,
-    }
-    if args.steps is not None:
-        overrides[steps_field] = args.steps
-    for extra in ("dataset", "idx_path", "batch_size", "lr", "denoiser_width",
-                  "encoder_width", "n_points"):
-        if hasattr(args, extra) and getattr(args, extra) is not None:
-            overrides[extra] = getattr(args, extra)
-    config.apply_overrides(overrides)
+def _configure(args: argparse.Namespace, config: RunConfig) -> RunConfig:
+    """Apply every flag whose dest is a RunConfig field to config, then validate it."""
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            setattr(config, f.name, value)
     return config.validate()
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    config = _configure(args, _base_config(args))
 
     def progress(step: int, metrics) -> None:
         print(f"step {step:>7d}  diffusion {metrics.diffusion:10.4f}  "
@@ -89,11 +71,7 @@ def _require_at_least(minimum: int, **counts: int) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     _require_at_least(1, n_items=args.n_items, profile_points=args.profile_points)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
-    if args.n_mc is not None:
-        config.n_mc = args.n_mc
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    dataset = load_dataset(_eval_dataset_config(args, config).validate())
+    dataset = load_dataset(_configure(args, config))
     items = real_items(dataset)
     if items.shape[1] != model.d:
         raise ConfigError(
@@ -101,18 +79,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     rng = np.random.default_rng(config.seed + 777)
     n_items = min(args.n_items, len(dataset))
-    parts = {"diffusion": [], "latent": [], "reconstruction": [], "bpd": [], "stderr": []}
+    parts = {"diffusion": [], "latent": [], "reconstruction": [], "stderr": []}
+    pixels = dataset.kind == PIXELS
     for i in range(n_items):
-        if dataset.kind == PIXELS:
-            bd = elbo_bpd(dataset.items[i], model, encoder, schedule, config.n_mc, rng,
-                          pixel_data=True)
-        else:
-            bd = elbo_bpd(items[i], model, encoder, schedule, config.n_mc, rng,
-                          pixel_data=False)
+        bd = elbo_bpd(dataset.items[i] if pixels else items[i], model, encoder, schedule,
+                      config.n_mc, rng, pixel_data=pixels)
         parts["diffusion"].append(bd.diffusion)
         parts["latent"].append(bd.latent)
         parts["reconstruction"].append(bd.reconstruction)
-        parts["bpd"].append(bd.bpd)
         parts["stderr"].append(bd.diffusion_stderr)
     d = items.shape[1]
     ln2d = d * np.log(2.0)
@@ -145,36 +119,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_dataset_config(args: argparse.Namespace, config: RunConfig) -> RunConfig:
-    if getattr(args, "dataset", None):
-        config.dataset = args.dataset
-    if getattr(args, "idx_path", None):
-        config.idx_path = args.idx_path
-    return config
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     _require_at_least(1, n_samples=args.n_samples)
     _require_at_least(0, trajectory_every=args.trajectory_every)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    if args.seed is not None:
-        config.seed = args.seed
-    steps = args.steps if args.steps is not None else config.sample_steps
-    _require_at_least(1, steps=steps)
-    mode = args.counterterm or config.counterterm
+    _configure(args, config)
+    # the checkpoint does not record an image shape, so a pixel grid needs square images
+    side = math.isqrt(model.d)
+    if args.pixels and side * side != model.d:
+        raise ConfigError(f"--pixels needs square images, but the model's dimension "
+                          f"{model.d} is not a perfect square")
+    mode = config.counterterm
     counterterm = encoder.counterterm if mode == "auto" else (mode == "on")
-    sampler_config = SamplerConfig(steps=steps, counterterm=counterterm,
+    sampler_config = SamplerConfig(steps=config.sample_steps, counterterm=counterterm,
                                    seed=config.seed,
                                    stochastic_decode=args.stochastic_decode)
-    pixel = args.pixels
     result = ancestral_sample(model, schedule, sampler_config, n_chains=args.n_samples,
-                              d=model.d, pixel_decode=pixel,
+                              d=model.d, pixel_decode=args.pixels,
                               trajectory_every=args.trajectory_every)
     os.makedirs(config.out_dir, exist_ok=True)
-    if pixel:
-        side = int(round(model.d ** 0.5))
+    if args.pixels:
         imgs = result.pixels.reshape(-1, side, side)
         grid = tile_grid(imgs, n_cols=max(1, int(np.ceil(np.sqrt(len(imgs))))))
         out = os.path.join(config.out_dir, "samples.pgm")
@@ -190,7 +154,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         latents_path = os.path.join(config.out_dir, "latents.ckpt")
         save_checkpoint(latents_path, Checkpoint(
             lambda_max=config.lambda_max, lambda_min=config.lambda_min,
-            encoder_kind=config.encoder, step=steps,
+            encoder_kind=config.encoder, step=config.sample_steps,
             arrays={"latent_final": result.latent_final, "x_out": result.x_out},
             config_hash=config.hash(),
             meta={"n_chains": args.n_samples, "seed": config.seed},
@@ -206,9 +170,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     model, encoder, _store, config, schedule = restore(args.checkpoint)
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    dataset = load_dataset(_eval_dataset_config(args, config))
+    dataset = load_dataset(_configure(args, config))
     if not 0 <= args.item < len(dataset):
         raise ConfigError(f"--item must be in [0, {len(dataset)}), got {args.item}")
     if not args.window > 0:
@@ -238,7 +200,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_schedule_report(args: argparse.Namespace) -> int:
     _require_at_least(1, points=args.points)
-    config = _build_config(args)
+    config = _configure(args, _base_config(args))
     schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
     ts = np.linspace(0.0, 1.0, args.points)
     rows = []
@@ -254,7 +216,7 @@ def cmd_schedule_report(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _build_config(args)
+    config = _configure(args, _base_config(args))
     schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
     reports = run_all(schedule=schedule, seed=config.seed, quick=args.quick)
     width = max(len(r.name) for r in reports)
@@ -273,6 +235,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if n_failed == 0 else EXIT_VERIFY_FAILED
 
 
+# flags that more than one subcommand reads; each subcommand adds those it reads
+_SHARED_FLAGS = {
+    "--config": dict(help="INI config file; flags override its values"),
+    "--seed": dict(type=int, help="base RNG seed"),
+    "--out-dir": dict(help="output directory"),
+    "--lambda-max": dict(type=float, help="log-SNR at t=0"),
+    "--lambda-min": dict(type=float, help="log-SNR at t=1"),
+    "--counterterm": dict(choices=["on", "off", "auto"],
+                          help="generative-mean counterterm at sampling time"),
+    "--n-mc": dict(type=int, help="Monte-Carlo draws per datapoint"),
+    "--dataset": dict(choices=["gaussian2d", "idx"]),
+    "--idx-path": dict(),
+}
+
+
+def _add_shared(p: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="encdiff",
@@ -281,56 +263,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model")
-    _add_common_flags(p)
-    p.add_argument("--dataset", choices=["gaussian2d", "idx"])
-    p.add_argument("--idx-path", dest="idx_path")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    _add_shared(p, "--config", "--seed", "--out-dir", "--lambda-max", "--lambda-min",
+                "--counterterm", "--n-mc", "--dataset", "--idx-path")
+    p.add_argument("--steps", type=int, help="training step count")
+    p.add_argument("--encoder", choices=["identity", "nt", "trainable"], help="encoder kind")
+    p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--denoiser-width", dest="denoiser_width", type=int)
-    p.add_argument("--encoder-width", dest="encoder_width", type=int)
-    p.add_argument("--n-points", dest="n_points", type=int)
+    p.add_argument("--denoiser-width", type=int)
+    p.add_argument("--encoder-width", type=int)
+    p.add_argument("--n-points", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint: loss decomposition in bpd")
-    _add_common_flags(p)
     p.add_argument("checkpoint")
-    p.add_argument("--dataset", choices=["gaussian2d", "idx"])
-    p.add_argument("--idx-path", dest="idx_path")
-    p.add_argument("--n-items", dest="n_items", type=int, default=16)
-    p.add_argument("--profile-out", dest="profile_out",
-                   help="also write the per-timestep integrand CSV here")
-    p.add_argument("--profile-points", dest="profile_points", type=int, default=25)
+    _add_shared(p, "--out-dir", "--n-mc", "--dataset", "--idx-path")
+    p.add_argument("--n-items", type=int, default=16)
+    p.add_argument("--profile-out", help="also write the per-timestep integrand CSV here")
+    p.add_argument("--profile-points", type=int, default=25)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sample", help="draw samples from a checkpoint")
-    _add_common_flags(p)
     p.add_argument("checkpoint")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=64)
+    _add_shared(p, "--out-dir", "--seed", "--counterterm")
+    p.add_argument("--steps", dest="sample_steps", type=int, help="sampling step count")
+    p.add_argument("--n-samples", type=int, default=64)
     p.add_argument("--pixels", action="store_true", help="decode to a pixel grid (PGM)")
-    p.add_argument("--stochastic-decode", dest="stochastic_decode", action="store_true")
-    p.add_argument("--save-latents", dest="save_latents", action="store_true",
+    p.add_argument("--stochastic-decode", action="store_true")
+    p.add_argument("--save-latents", action="store_true",
                    help="also dump raw latents in the checkpoint container format")
-    p.add_argument("--trajectory-every", dest="trajectory_every", type=int, default=0)
+    p.add_argument("--trajectory-every", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("heatmap", help="encoder change-rate maps (x_t − x_s)/(t − s)")
-    _add_common_flags(p)
     p.add_argument("checkpoint")
-    p.add_argument("--dataset", choices=["gaussian2d", "idx"])
-    p.add_argument("--idx-path", dest="idx_path")
+    _add_shared(p, "--out-dir", "--dataset", "--idx-path")
     p.add_argument("--item", type=int, default=0)
-    p.add_argument("--t-values", dest="t_values", type=float, nargs="+",
-                   default=[0.4, 0.6, 0.8, 1.0])
+    p.add_argument("--t-values", type=float, nargs="+", default=[0.4, 0.6, 0.8, 1.0])
     p.add_argument("--window", type=float, default=0.1)
     p.set_defaults(func=cmd_heatmap)
 
     p = sub.add_parser("schedule-report", help="CSV of (t, λ, α, σ, SNR)")
-    _add_common_flags(p)
+    _add_shared(p, "--config", "--out-dir", "--lambda-max", "--lambda-min")
     p.add_argument("--points", type=int, default=101)
     p.set_defaults(func=cmd_schedule_report)
 
     p = sub.add_parser("verify", help="run the oracle suite; nonzero exit on failure")
-    _add_common_flags(p)
+    _add_shared(p, "--config", "--seed", "--out-dir", "--lambda-max", "--lambda-min")
     p.add_argument("--quick", action="store_true", help="reduced budgets")
     p.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .schedule import DEFAULT_LAMBDA_MAX, DEFAULT_LAMBDA_MIN
@@ -116,7 +116,6 @@ class RunConfig:
     @classmethod
     def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
         kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
         defaults = cls()
         for section in parser.sections():
             if section not in _SECTIONS:
@@ -126,9 +125,7 @@ class RunConfig:
                     raise ConfigError(f"unknown config key '{key}' in section [{section}]")
                 default = getattr(defaults, key)
                 try:
-                    if isinstance(default, bool):
-                        kwargs[key] = value.lower() in ("1", "true", "yes", "on")
-                    elif isinstance(default, int):
+                    if isinstance(default, int):
                         kwargs[key] = int(value)
                     elif isinstance(default, float):
                         kwargs[key] = float(value)
@@ -137,12 +134,3 @@ class RunConfig:
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {section}.{key}: {value!r}") from exc
         return cls(**kwargs)
-
-    def apply_overrides(self, overrides: dict) -> "RunConfig":
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if not hasattr(self, key):
-                raise ConfigError(f"unknown config override '{key}'")
-            setattr(self, key, value)
-        return self

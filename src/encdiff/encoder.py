@@ -223,21 +223,10 @@ def change_heatmap(
     schedule: LogLinearSchedule,
     s: float,
     t: float,
-    channel_shape: tuple | None = None,
-    sum_channels: bool = False,
 ) -> np.ndarray:
-    """Finite-difference rate of change of the encoded data, (x_t − x_s)/(t − s).
-
-    With sum_channels, the flat vector is reshaped to channel_shape (C, ...) and
-    summed over the leading channel axis.
-    """
+    """Finite-difference rate of change of the encoded data, (x_t − x_s)/(t − s)."""
     if not s < t:
         raise ValueError(f"change_heatmap requires s < t, got s={s}, t={t}")
     x_s = encoder.encode(x, schedule.at(s))
     x_t = encoder.encode(x, schedule.at(t))
-    rate = (x_t - x_s) / (t - s)
-    if sum_channels:
-        if channel_shape is None:
-            raise ValueError("sum_channels requires channel_shape=(C, ...)")
-        rate = rate.reshape(channel_shape).sum(axis=0).reshape(-1)
-    return rate
+    return (x_t - x_s) / (t - s)

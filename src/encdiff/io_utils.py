@@ -1,7 +1,7 @@
-"""File output helpers: atomic writes, stamped CSV, and PGM/PPM images.
+"""File output helpers: atomic writes, stamped CSV, and PGM images.
 
 Every artifact carries the run's config hash: CSV files in a leading comment
-line, PGM/PPM files in a format comment after the magic.
+line, PGM files in a format comment after the magic.
 """
 
 from __future__ import annotations
@@ -73,17 +73,6 @@ def write_pgm(path: str, image: np.ndarray, config_hash: str = "") -> None:
     h, w = image.shape
     comment = f"# config_hash={config_hash}\n" if config_hash else ""
     header = f"P5\n{comment}{w} {h}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + image.tobytes())
-
-
-def write_ppm(path: str, image: np.ndarray, config_hash: str = "") -> None:
-    """Binary PPM (P6) writer for an (H, W, 3) uint8 array."""
-    image = np.asarray(image)
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError("write_ppm expects an (H, W, 3) uint8 array")
-    h, w, _ = image.shape
-    comment = f"# config_hash={config_hash}\n" if config_hash else ""
-    header = f"P6\n{comment}{w} {h}\n255\n".encode("ascii")
     atomic_write_bytes(path, header + image.tobytes())
 
 

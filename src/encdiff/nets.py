@@ -176,28 +176,26 @@ def _linear_init(prefix: str, n_in: int, n_out: int, rng: np.random.Generator,
 
 
 class MLP:
-    """tanh MLP with residual hidden blocks and a zero-initializable output layer.
+    """tanh MLP with residual hidden blocks and a zero-initialized output layer.
 
     Input is [x, sinusoidal_embedding(λ)]; hidden layers all share one width so
     residual connections apply between consecutive hidden blocks.
     """
 
     def __init__(self, store: ParamStore, prefix: str, d_in: int, d_out: int,
-                 width: int, n_hidden: int, rng: np.random.Generator,
-                 residual: bool = True, zero_output: bool = True):
+                 width: int, n_hidden: int, rng: np.random.Generator):
         self.store = store
         self.prefix = prefix
         self.d_in = d_in
         self.d_out = d_out
         self.width = width
         self.n_hidden = n_hidden
-        self.residual = residual
         n_feat = d_in + 2 * N_FREQUENCIES
         layers = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
         values = _linear_init(layers[0], n_feat, width, rng)
         for layer in layers[1:]:
             values.update(_linear_init(layer, width, width, rng))
-        values.update(_linear_init(f"{prefix}.out", width, d_out, rng, zero=zero_output))
+        values.update(_linear_init(f"{prefix}.out", width, d_out, rng, zero=True))
         params = store.add_many(values)
         self.layers: list[tuple[Tensor, Tensor]] = [
             (params[f"{layer}.w"], params[f"{layer}.b"]) for layer in layers]
@@ -215,13 +213,9 @@ class MLP:
         w, b = self.layers[0]
         h = (h @ w + b).tanh()
         for w, b in self.layers[1:]:
-            block = (h @ w + b).tanh()
-            h = h + block if self.residual else block
+            h = h + (h @ w + b).tanh()
         w, b = self.out_layer
         return h @ w + b
-
-    def __call__(self, x, lam) -> Tensor:
-        return self.forward(x, lam)
 
 
 class DenoiserNet:
@@ -238,8 +232,7 @@ class DenoiserNet:
         self.n_hidden = n_hidden
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
-        self.net = MLP(self.store, "denoiser", d, d, width, n_hidden, rng,
-                       residual=True, zero_output=True)
+        self.net = MLP(self.store, "denoiser", d, d, width, n_hidden, rng)
         self.calls = 0
 
     def forward(self, z: Tensor | np.ndarray, lam) -> Tensor:
@@ -275,17 +268,10 @@ class EncoderInnerNet:
         self.n_hidden = n_hidden
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
-        self.net = MLP(self.store, "encoder", d, d, width, n_hidden, rng,
-                       residual=True, zero_output=True)
+        self.net = MLP(self.store, "encoder", d, d, width, n_hidden, rng)
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         x = Tensor.as_tensor(x)
         if x.data.ndim == 1:
             raise ValueError("1-D graph inputs are not supported; pass (B, d)")
         return self.net.forward(x, lam)
-
-    def predict(self, x: np.ndarray, lam) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        out = self.forward(x[None, :] if single else x, lam).data
-        return out[0] if single else out

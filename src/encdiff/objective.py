@@ -69,21 +69,18 @@ class LossBreakdown:
     diffusion: float
     latent: float
     reconstruction: float
-    weighting_penalty: float
     total_nats: float
     bpd: float
     diffusion_stderr: float = 0.0
 
     @classmethod
     def from_components(cls, diffusion: float, latent: float, reconstruction: float,
-                        weighting_penalty: float, d: int,
-                        diffusion_stderr: float = 0.0) -> "LossBreakdown":
-        total = diffusion + latent + reconstruction + weighting_penalty
+                        d: int, diffusion_stderr: float = 0.0) -> "LossBreakdown":
+        total = diffusion + latent + reconstruction
         return cls(
             diffusion=diffusion,
             latent=latent,
             reconstruction=reconstruction,
-            weighting_penalty=weighting_penalty,
             total_nats=total,
             bpd=total / (d * LN2),
             diffusion_stderr=diffusion_stderr,
@@ -97,8 +94,6 @@ class LossBreakdown:
 class UnitWeight:
     """σ_P = σ_Q: the standard unweighted objective."""
 
-    kind = "unit"
-
 
 @dataclass(frozen=True)
 class FixedWeight:
@@ -106,24 +101,16 @@ class FixedWeight:
 
     w: float
 
-    kind = "fixed"
-
     def __post_init__(self):
         if self.w <= 0:
             raise ValueError(f"weight must be positive, got {self.w}")
 
 
-@dataclass(frozen=True)
 class OptimalWeight:
-    """σ_P² = σ_Q² + gap/d per layer, with the mean-square gap supplied or exact.
+    """σ_P² = σ_Q² + gap/d per layer, with the step's exact mean-square gap.
 
-    Without a supplied gap function the step's exact gap is used, which
-    requires a prediction model whose output does not depend on z.
+    The exact gap requires a prediction model whose output does not depend on z.
     """
-
-    gap_fn: object = None  # callable (s_point, t_point) -> float, optional
-
-    kind = "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +275,14 @@ def discrete_step_terms(
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
         mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
         gap = float(np.sum((mu_p - q.mean) ** 2))
-        if isinstance(w_policy, UnitWeight) or w_policy is UnitWeight:
+        if isinstance(w_policy, UnitWeight):
             sigma2_p = q.var
         elif isinstance(w_policy, FixedWeight):
             sigma2_p = q.var / w_policy.w
         elif isinstance(w_policy, OptimalWeight):
-            if w_policy.gap_fn is not None:
-                gap_est = float(w_policy.gap_fn(sp, tp))
-            elif z_free:
-                gap_est = gap
-            else:
-                raise ValueError("optimal weighting needs a gap estimate for z-dependent models")
-            sigma2_p = optimal_sigma_p(q.var, gap_est, d)
+            if not z_free:
+                raise ValueError("optimal weighting needs the exact gap of a z-independent model")
+            sigma2_p = optimal_sigma_p(q.var, gap, d)
         else:
             raise TypeError(f"unknown weighting policy {w_policy!r}")
         w = q.var / sigma2_p
@@ -337,17 +320,25 @@ def discrete_diffusion_loss(
 # ---------------------------------------------------------------------------
 
 def latent_loss(x: np.ndarray, encoder: Encoder, schedule: LogLinearSchedule) -> float:
-    """KL(q(z_1|x) ‖ N(0, I)) in closed form, using the encoded data at t = 1."""
+    """KL(q(z_1|x) ‖ N(0, I)) in closed form, using the encoded data at t = 1.
+
+    x is one datapoint (d,) or a batch (B, d), whose items are encoded in one
+    call and whose mean KL is returned.
+    """
     p1 = schedule.at(1.0)
     x1 = encoder.encode(np.asarray(x, dtype=np.float64), p1)
     return latent_loss_from_point(x1, p1)
 
 
 def latent_loss_from_point(x1: np.ndarray, p1: SchedulePoint) -> float:
-    """½ Σ_i (α_1² x_{1,i}² + σ_1² − log σ_1² − 1) for an already-encoded x1."""
-    d = x1.size
+    """½ Σ_i (α_1² x_{1,i}² + σ_1² − log σ_1² − 1) for an already-encoded x1.
+
+    For a batch x1 of shape (B, d), the mean over its rows.
+    """
+    x1 = np.atleast_2d(x1)
     const = p1.sigma_sq - p1.log_sigma_sq - 1.0
-    return float(0.5 * (p1.alpha_sq * np.sum(x1 * x1) + d * const))
+    per_item = 0.5 * (p1.alpha_sq * np.sum(x1 * x1, axis=1) + x1.shape[1] * const)
+    return float(np.mean(per_item))
 
 
 def batch_latent_graph(x: np.ndarray, encoder: Encoder,
@@ -440,7 +431,6 @@ def elbo_bpd(
         diffusion=diff.value,
         latent=latent,
         reconstruction=recon,
-        weighting_penalty=0.0,
         d=d,
         diffusion_stderr=diff.std_error,
     )
@@ -454,12 +444,9 @@ def t_profile(
     t_grid: np.ndarray,
     n_eps: int,
     rng: np.random.Generator,
-    pixel_data: bool = False,
 ) -> list[tuple[float, float, float, float]]:
-    """Rows (t, λ, integrand mean, integrand stderr) of the diffusion integrand."""
-    from .data import scale_pixels
-
-    x_real = scale_pixels(np.asarray(x)) if pixel_data else np.asarray(x, dtype=np.float64)
+    """Rows (t, λ, integrand mean, integrand stderr) of the diffusion integrand of real-valued x."""
+    x_real = np.asarray(x, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
     eps = rng.standard_normal((t_grid.size * n_eps, x_real.size))
     draws = _vloss_draws(x_real, model, encoder, np.repeat(t_grid, n_eps), eps, schedule)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .encoder import Encoder
 from .errors import NumericsError
-from .process import generative_mean, transition_coefficients
+from .process import generative_mean, optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
 
 SIGMA_Q = "sigma_q"
@@ -102,10 +102,9 @@ def ancestral_sample(
         tp = schedule.at(i / T)
         x_hat = model.predict_x(z, tp.lam)
         mu_p = generative_mean(z, x_hat, sp, tp, counterterm=config.counterterm)
-        c = transition_coefficients(sp, tp)
-        sigma2_p = c.sigma2_q
+        sigma2_p = transition_coefficients(sp, tp).sigma2_q
         if config.variance_mode == OPTIMAL:
-            sigma2_p = sigma2_p + float(config.gap_table(sp, tp)) / d
+            sigma2_p = optimal_sigma_p(sigma2_p, float(config.gap_table(sp, tp)), d)
         z = mu_p + np.sqrt(sigma2_p) * rng.standard_normal((n_chains, d))
         if not np.all(np.isfinite(z)):
             raise NumericsError(f"non-finite latent at sampler step i={i} (t={tp.t:.6f})")

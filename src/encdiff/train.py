@@ -73,7 +73,7 @@ def build_model(config: RunConfig, d: int) -> tuple[DenoiserNet, Encoder, ParamS
 def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
                   rng: np.random.Generator) -> LossBreakdown:
     """Batch-mean loss components at the current parameters."""
-    latent = float(np.mean([latent_loss(x, state.encoder, state.schedule) for x in x_batch]))
+    latent = latent_loss(x_batch, state.encoder, state.schedule)
     recon = 0.0
     if state.dataset.kind == PIXELS:
         p0 = state.schedule.at(0.0)
@@ -86,8 +86,7 @@ def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
             recon_vals.append(reconstruction_loss(pixels, z0, state.schedule))
         recon = float(np.mean(recon_vals))
     return LossBreakdown.from_components(diffusion=diffusion, latent=latent,
-                                         reconstruction=recon, weighting_penalty=0.0,
-                                         d=x_batch.shape[1])
+                                         reconstruction=recon, d=x_batch.shape[1])
 
 
 def _write_checkpoint(state: TrainState, path: str) -> None:
@@ -194,6 +193,4 @@ def train(config: RunConfig, progress=None) -> TrainState:
             flush_curve()
         if (step + 1) % config.checkpoint_every == 0 or step == config.steps - 1:
             _write_checkpoint(state, ckpt_path)
-
-    flush_curve()
     return state

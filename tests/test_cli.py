@@ -1,14 +1,18 @@
 """CLI and training-loop tests, run in-process through main()."""
 
+import argparse
 import os
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, main
+from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from encdiff.config import RunConfig
-from encdiff.io_utils import read_csv, read_pgm, write_pgm, write_ppm
+from encdiff.io_utils import read_csv, read_pgm, write_pgm
 from encdiff.train import restore, train
 
 
@@ -169,6 +173,7 @@ class TestConfigFile:
     pytest.param("sample", ["--steps", "0"], id="sample-steps-0"),
     pytest.param("sample", ["--n-samples", "0"], id="sample-n-samples-0"),
     pytest.param("sample", ["--trajectory-every", "-4"], id="sample-trajectory-every-negative"),
+    pytest.param("sample", ["--pixels"], id="sample-pixels-non-square-d"),
     pytest.param("heatmap", ["--item", "999999"], id="heatmap-item-out-of-range"),
     pytest.param("heatmap", ["--window", "0"], id="heatmap-window-0"),
     pytest.param("heatmap", ["--t-values", "1.5"], id="heatmap-t-above-1"),
@@ -180,6 +185,68 @@ def test_bad_value_is_config_error(trained_run, tmp_path, command, flags):
     flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     assert main([command, *checkpoint, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    """Option strings each subcommand's parser accepts, without -h/--help."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {flag for action in p._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, p in sub.choices.items()}
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    assert _subcommand_flags() == {
+        "train": {"--config", "--seed", "--out-dir", "--steps", "--encoder", "--lambda-max",
+                  "--lambda-min", "--counterterm", "--n-mc", "--dataset", "--idx-path",
+                  "--batch-size", "--lr", "--denoiser-width", "--encoder-width",
+                  "--n-points"},
+        "eval": {"--out-dir", "--n-mc", "--dataset", "--idx-path", "--n-items",
+                 "--profile-out", "--profile-points"},
+        "sample": {"--out-dir", "--seed", "--steps", "--counterterm", "--n-samples",
+                   "--pixels", "--stochastic-decode", "--save-latents", "--trajectory-every"},
+        "heatmap": {"--out-dir", "--dataset", "--idx-path", "--item", "--t-values", "--window"},
+        "schedule-report": {"--config", "--out-dir", "--lambda-max", "--lambda-min", "--points"},
+        "verify": {"--config", "--seed", "--out-dir", "--lambda-max", "--lambda-min", "--quick"},
+    }
+
+
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("eval", ["--seed", "5"], id="eval-seed"),
+    pytest.param("sample", ["--config", "x.ini"], id="sample-config"),
+    pytest.param("heatmap", ["--n-mc", "4"], id="heatmap-n-mc"),
+    pytest.param("schedule-report", ["--encoder", "nt"], id="schedule-report-encoder"),
+    pytest.param("verify", ["--steps", "3"], id="verify-steps"),
+])
+def test_unread_flag_rejected(trained_run, tmp_path, command, flags):
+    out = tmp_path / "out"
+    checkpoint = ([os.path.join(trained_run, "model.ckpt")]
+                  if command in ("eval", "sample", "heatmap") else [])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *checkpoint, *flags, "--out-dir", str(out)])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_matches_parser():
+    """The README's CLI examples use only accepted flags, and its per-subcommand
+    flag lines list exactly what each parser accepts."""
+    text = README.read_text()
+    accepted = _subcommand_flags()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("encdiff ")]
+    assert commands
+    for line in commands:
+        tokens = shlex.split(line)
+        flags = {t for t in tokens if t.startswith("--")}
+        assert flags <= accepted[tokens[1]], f"README: {line!r} uses {flags - accepted[tokens[1]]}"
+    listed = {m.group(1): set(re.findall(r"`(--[a-z-]+)`", m.group(2)))
+              for m in re.finditer(r"^- `encdiff ([a-z-]+)`:(.*(?:\n  .*)*)", text, re.M)}
+    assert listed == accepted
 
 
 class TestEvalCommand:
@@ -234,6 +301,16 @@ class TestSampleCommand:
         with open(os.path.join(o1, "samples.csv"), "rb") as f1, \
                 open(os.path.join(o2, "samples.csv"), "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_steps_change_the_config_hash(self, trained_run, tmp_path):
+        stamps = []
+        for steps in ("8", "16"):
+            out = tmp_path / f"steps{steps}"
+            args = ["sample", os.path.join(trained_run, "model.ckpt"), "--n-samples", "4",
+                    "--steps", steps, "--seed", "5", "--out-dir", str(out)]
+            assert main(args) == EXIT_OK
+            stamps.append(read_csv(str(out / "samples.csv"))[2])
+        assert stamps[0] != stamps[1]
 
     def test_trajectory_dump(self, trained_run, tmp_path):
         out = str(tmp_path / "straj")
@@ -382,15 +459,6 @@ class TestPgm:
         back, config_hash = read_pgm(path)
         np.testing.assert_array_equal(back, img)
         assert config_hash == "deadbeef"
-
-    def test_ppm_header(self, tmp_path, rng):
-        img = rng.integers(0, 256, size=(4, 5, 3)).astype(np.uint8)
-        path = str(tmp_path / "img.ppm")
-        write_ppm(path, img, config_hash="cafe")
-        with open(path, "rb") as f:
-            raw = f.read()
-        assert raw.startswith(b"P6\n# config_hash=cafe\n5 4\n255\n")
-        assert raw.endswith(img.tobytes())
 
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):

@@ -199,13 +199,6 @@ class TestChangeHeatmap:
         rate = change_heatmap(NonTrainableEncoder(), x, schedule, t - 1e-6, t)
         np.testing.assert_allclose(rate, expected, rtol=1e-4)
 
-    def test_channel_sum(self, schedule):
-        x = np.arange(12, dtype=np.float64) / 12.0
-        full = change_heatmap(NonTrainableEncoder(), x, schedule, 0.3, 0.5)
-        summed = change_heatmap(NonTrainableEncoder(), x, schedule, 0.3, 0.5,
-                                channel_shape=(3, 4), sum_channels=True)
-        np.testing.assert_allclose(summed, full.reshape(3, 4).sum(axis=0), rtol=1e-14)
-
     def test_ordering_enforced(self, schedule):
         with pytest.raises(ValueError):
             change_heatmap(make_encoder("identity"), np.zeros(2), schedule, 0.6, 0.4)

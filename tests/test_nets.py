@@ -300,4 +300,4 @@ def _randomize_output_layer(store: ParamStore, rng: np.random.Generator) -> None
 def test_inner_net_zero_at_init(rng):
     inner = EncoderInnerNet(d=2, width=8, seed=0)
     x = rng.uniform(-1, 1, size=(5, 2))
-    np.testing.assert_array_equal(inner.predict(x, 3.0), np.zeros((5, 2)))
+    np.testing.assert_array_equal(inner.forward(x, 3.0).data, np.zeros((5, 2)))

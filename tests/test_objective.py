@@ -150,7 +150,8 @@ ENCODER_FACTORIES = [
 
 @pytest.mark.parametrize("make", ENCODER_FACTORIES)
 def test_batch_graphs_match_per_item_losses(make, schedule, rng):
-    """The training graphs are the batch means of the per-item eval losses."""
+    """The training graphs and the batched latent term are the batch means of the
+    per-item eval losses."""
     model, enc = _random_model(), make()
     x = rng.uniform(-1, 1, size=(5, 3))
     ts = rng.uniform(0.0, 1.0, size=5)
@@ -159,9 +160,10 @@ def test_batch_graphs_match_per_item_losses(make, schedule, rng):
                 for i in range(5)]
     batch = float(batch_vloss_graph(x, model, enc, ts, eps, schedule).data)
     assert batch == pytest.approx(np.mean(per_item), rel=1e-12)
+    per_item_latent = np.mean([latent_loss(xi, enc, schedule) for xi in x])
     latent = float(batch_latent_graph(x, enc, schedule).data)
-    assert latent == pytest.approx(np.mean([latent_loss(xi, enc, schedule) for xi in x]),
-                                   rel=1e-12)
+    assert latent == pytest.approx(per_item_latent, rel=1e-12)
+    assert latent_loss(x, enc, schedule) == pytest.approx(per_item_latent, rel=1e-12)
 
 
 class TestAlternativeFormulaRoutes:
@@ -370,7 +372,7 @@ class TestElboBpd:
         pixels = rng.integers(0, 256, size=4)
         bd = elbo_bpd(pixels, model, make_encoder("identity"), schedule, n_mc=8,
                       rng=np.random.default_rng(0))
-        total = bd.diffusion + bd.latent + bd.reconstruction + bd.weighting_penalty
+        total = bd.diffusion + bd.latent + bd.reconstruction
         assert bd.total_nats == pytest.approx(total, abs=1e-12)
         assert bd.bpd == pytest.approx(total / (4 * math.log(2)), rel=1e-12)
 
@@ -416,7 +418,7 @@ def _reference_elbo_bpd(x, model, enc, schedule, n_mc, rng, pixel_data):
         z0 = p0.alpha * enc.encode(x_real, p0) + p0.sigma * rng.standard_normal(d)
         recon = reconstruction_loss(x, z0, schedule)
     return LossBreakdown.from_components(diff.value, latent_loss(x_real, enc, schedule), recon,
-                                         0.0, d, diffusion_stderr=diff.std_error)
+                                         d, diffusion_stderr=diff.std_error)
 
 
 def _reference_t_profile(x, model, enc, schedule, t_grid, n_eps, rng):
@@ -505,8 +507,7 @@ class TestMonteCarloEstimate:
 
 
 def test_loss_breakdown_invariants():
-    bd = LossBreakdown.from_components(diffusion=2.0, latent=0.5, reconstruction=0.25,
-                                       weighting_penalty=0.0, d=4)
+    bd = LossBreakdown.from_components(diffusion=2.0, latent=0.5, reconstruction=0.25, d=4)
     assert bd.total_nats == 2.75
     assert bd.bpd == pytest.approx(2.75 / (4 * math.log(2)))
 
