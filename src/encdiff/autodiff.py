@@ -1,13 +1,19 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor wraps an ndarray and records the op that produced it; backward() walks
-the recorded graph once, in reverse topological order.  grad() relies on that
-single walk for its unused-parameter check as well: a parameter whose gradient
-slot stays empty after the walk was never on the record.  Every parent is made
+the recorded graph once, in reverse topological order.  Every parent is made
 before its children, so sorting the reachable nodes by creation number gives
 a topological order.  Supported ops cover what the training losses need:
 elementwise arithmetic with numpy-style broadcasting, matmul, tanh, sum/mean
-reductions, concatenation and row slices.
+reductions, concatenation and row slices.  A whole network call can also be
+one node with a hand-written backward (nets.MLP records one per call).
+
+grad() returns the gradients of all requested parameters in one flat buffer,
+each parameter's raveled gradient in its span, in the order given; for a
+ParamStore's tensors that is the layout of ParamStore.flat.  backward() writes
+each parameter's first contribution into its span and adds later ones, and
+marks it written; a parameter left unmarked after the walk was never on the
+record, which is how grad() finds unused parameters.
 
 Every op checks its result for NaN/Inf and raises NumericsError naming the op,
 so a numerical blow-up is caught at the first offending node rather than after
@@ -21,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +64,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Shaped float64 array with an optional place in the computation record."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "name", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "node_id", "name", "_parents", "_backward", "_op")
 
     # defer mixed ndarray/Tensor arithmetic to the Tensor operators
     __array_ufunc__ = None
@@ -70,7 +76,6 @@ class Tensor:
             raise NumericsError(f"non-finite values produced by op '{_op}'"
                                 + (f" (tensor '{name}')" if name else ""))
         self.data = data
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node_id = next(_node_ids)
         self.name = name
@@ -231,50 +236,75 @@ class Tensor:
                     stack.append(parent)
         return sorted(seen, key=_by_node_id)
 
-    def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable node."""
+    def backward(self, slots: dict["Tensor", np.ndarray]) -> set["Tensor"]:
+        """Write the gradient of this scalar into slots[node] for each node of slots.
+
+        A slot takes its node's first contribution as is and adds any later
+        ones in place, so its bits are those of the summed contributions (a
+        zero-filled slot would turn a −0.0 gradient into +0.0).  Returns the
+        nodes whose slot was written; the others are not on the record.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
+        written: set[Tensor] = set()
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(self._toposort()):
             g = grads.pop(node, None)
-            if g is None:
-                continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is None:
+            if g is None or node._backward is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
+                    continue
+                slot = slots.get(parent)
+                if slot is not None:
+                    if parent in written:
+                        np.add(slot, pg, out=slot)
+                    else:
+                        slot[...] = pg
+                        written.add(parent)
+                if parent._backward is None:
+                    # a leaf: nothing flows further back
                     continue
                 if parent in grads:
                     grads[parent] = grads[parent] + pg
                 else:
                     grads[parent] = pg
+        if self in slots:
+            slots[self][...] = 1.0
+            written.add(self)
+        return written
 
     def reachable_ids(self) -> set[int]:
         return {node.node_id for node in self._toposort()}
 
 
-def grad(loss: Tensor, params: Iterable[Tensor], allow_unused: bool = False) -> list[np.ndarray]:
-    """Reverse-mode gradients of a scalar loss for each parameter tensor.
+def grad(loss: Tensor, params: Sequence[Tensor], allow_unused: bool = False) -> np.ndarray:
+    """Reverse-mode gradients of a scalar loss, in one flat buffer.
 
-    Parameters that never entered the recorded computation are reported
-    explicitly rather than silently given zero gradients; parameters that are
-    on the record but do not influence the loss get exact zeros.  Every
-    parameter must have requires_grad set: backward() fills the gradient slot
-    of each one on the record, so a slot left empty marks one that is not.
+    The buffer holds each parameter's raveled gradient in turn, in the order
+    of params.  Parameters that never entered the recorded computation are
+    reported explicitly rather than silently given zero gradients; parameters
+    that are on the record but do not influence the loss get exact zeros.
+    Every parameter must have requires_grad set.
     """
     params = list(params)
     for p in params:
         if not p.requires_grad:
             raise ValueError(f"parameter {p.name or f'<node {p.node_id}>'} "
                              "does not have requires_grad set")
-        p.grad = None
-    loss.backward()
-    missing = [p.name or f"<node {p.node_id}>" for p in params if p.grad is None]
+    flat = np.empty(sum(p.data.size for p in params))
+    slots = {}
+    start = 0
+    for p in params:
+        slots[p] = flat[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
+    written = loss.backward(slots)
+    missing = [p for p in params if p not in written]
     if missing and not allow_unused:
         raise UnusedParameterError(
-            "parameters not on the computation record: " + ", ".join(missing)
+            "parameters not on the computation record: "
+            + ", ".join(p.name or f"<node {p.node_id}>" for p in missing)
         )
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    for p in missing:
+        slots[p][...] = 0.0
+    return flat

@@ -68,15 +68,21 @@ def _require_at_least(minimum: int, **counts: int) -> None:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= {minimum}, got {value}")
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    _require_at_least(1, n_items=args.n_items, profile_points=args.profile_points)
-    model, encoder, _store, config, schedule = restore(args.checkpoint)
-    dataset = load_dataset(_configure(args, config))
+def _model_items(dataset, model) -> np.ndarray:
+    """The dataset's items as model inputs; a dimension other than the model's is a ConfigError."""
     items = real_items(dataset)
     if items.shape[1] != model.d:
         raise ConfigError(
             f"dataset dimension {items.shape[1]} does not match checkpoint dimension {model.d}"
         )
+    return items
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    _require_at_least(1, n_items=args.n_items, profile_points=args.profile_points)
+    model, encoder, _store, config, schedule = restore(args.checkpoint)
+    dataset = load_dataset(_configure(args, config))
+    items = _model_items(dataset, model)
     rng = np.random.default_rng(config.seed + 777)
     n_items = min(args.n_items, len(dataset))
     parts = {"diffusion": [], "latent": [], "reconstruction": [], "stderr": []}
@@ -171,6 +177,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     model, encoder, _store, config, schedule = restore(args.checkpoint)
     dataset = load_dataset(_configure(args, config))
+    items = _model_items(dataset, model)
     if not 0 <= args.item < len(dataset):
         raise ConfigError(f"--item must be in [0, {len(dataset)}), got {args.item}")
     if not args.window > 0:
@@ -178,7 +185,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     for t in args.t_values:
         if not args.window <= t <= 1.0:
             raise ConfigError(f"heatmap t={t} must lie in [window, 1] = [{args.window}, 1]")
-    x = real_items(dataset)[args.item]
+    x = items[args.item]
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
     for t in args.t_values:

@@ -5,6 +5,12 @@ embedding of the log-SNR λ (8 frequencies on a geometric ladder).  Output
 layers are zero-initialized, so at initialization the denoiser predicts v̂ = 0
 and the inner encoder network contributes nothing.
 
+Each MLP call is one node on the autodiff record, with a hand-written backward
+that does the arithmetic of the composed matmul/add/tanh graph in the same
+order, so values and gradients are bit-identical to that graph's.  The call
+checks every layer's pre-activation and names the layer when one is
+non-finite.
+
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
 """
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, all_finite
 from .errors import ConfigError, NumericsError
 
 N_FREQUENCIES = 8
@@ -152,7 +158,11 @@ class ParamStore:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int) -> None:
-        """Copy checkpoint arrays into the buffers; a missing or misshapen one is a ConfigError."""
+        """Copy checkpoint arrays into the buffers.
+
+        A missing, misshapen or non-finite array is a ConfigError naming it,
+        raised before anything is copied.
+        """
         targets = self.state_arrays()
         for key, target in targets.items():
             if key not in arrays:
@@ -161,6 +171,8 @@ class ParamStore:
             if source.shape != target.shape:
                 raise ConfigError(f"checkpoint array '{key}' has shape {source.shape}, "
                                   f"the model expects {target.shape}")
+            if not np.isfinite(source).all():
+                raise ConfigError(f"checkpoint array '{key}' has non-finite values")
         for key, target in targets.items():
             target[...] = arrays[key]
         self.step = step
@@ -191,31 +203,65 @@ class MLP:
         self.width = width
         self.n_hidden = n_hidden
         n_feat = d_in + 2 * N_FREQUENCIES
-        layers = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
-        values = _linear_init(layers[0], n_feat, width, rng)
-        for layer in layers[1:]:
+        self.layer_names = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
+        values = _linear_init(self.layer_names[0], n_feat, width, rng)
+        for layer in self.layer_names[1:]:
             values.update(_linear_init(layer, width, width, rng))
         values.update(_linear_init(f"{prefix}.out", width, d_out, rng, zero=True))
         params = store.add_many(values)
-        self.layers: list[tuple[Tensor, Tensor]] = [
-            (params[f"{layer}.w"], params[f"{layer}.b"]) for layer in layers]
-        self.out_layer = (params[f"{prefix}.out.w"], params[f"{prefix}.out.b"])
+        # (W_in, b_in, W_h1, b_h1, ..., W_out, b_out): the order of the node's parents
+        self.params: tuple[Parameter, ...] = tuple(params.values())
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
-        """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,)."""
+        """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,).
+
+        Records one node whose parents are x and every weight and bias.  The
+        gradient for x is computed only when x is on the record (made by an op
+        or requiring a gradient), not for a constant leaf.
+        """
         x = Tensor.as_tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.d_in:
             raise ValueError(f"expected input of shape (B, {self.d_in}), got {x.shape}")
         emb = sinusoidal_embedding(lam)
         if emb.shape[0] == 1 and x.data.shape[0] > 1:
             emb = np.broadcast_to(emb, (x.data.shape[0], emb.shape[1]))
-        h = Tensor.concat([x, Tensor(emb)], axis=1)
-        w, b = self.layers[0]
-        h = (h @ w + b).tanh()
-        for w, b in self.layers[1:]:
-            h = h + (h @ w + b).tanh()
-        w, b = self.out_layer
-        return h @ w + b
+        data = [p.data for p in self.params]
+        # per hidden layer: its input and its tanh output, which backward reads
+        saved: list[tuple[np.ndarray, np.ndarray]] = []
+        h = np.concatenate([x.data, emb], axis=1)
+        for k, name in enumerate(self.layer_names):
+            pre = h @ data[2 * k]
+            np.add(pre, data[2 * k + 1], out=pre)
+            if not all_finite(pre):
+                raise NumericsError(f"non-finite values produced by layer '{name}'")
+            y = np.tanh(pre, out=pre)
+            saved.append((h, y))
+            h = y if k == 0 else h + y
+        out = h @ data[-2]
+        np.add(out, data[-1], out=out)
+        need_gx = x._backward is not None or x.requires_grad
+        d_in = self.d_in
+
+        def backward(g):
+            grads = [None] * (len(data) + 1)
+            # output layer: b gets the rows' sum, W gets hᵀg, h gets g Wᵀ
+            grads[-1] = g.sum(axis=0)
+            grads[-2] = h.T @ g
+            g = g @ data[-2].T
+            for k in range(len(saved) - 1, -1, -1):
+                h_in, y = saved[k]
+                ga = g * (1.0 - y * y)
+                grads[2 * k + 2] = ga.sum(axis=0)
+                grads[2 * k + 1] = h_in.T @ ga
+                if k > 0:
+                    # the residual path's gradient comes first, then the layer's
+                    g = g + ga @ data[2 * k].T
+                elif need_gx:
+                    grads[0] = (ga @ data[0].T)[:, :d_in]
+            return grads
+
+        return Tensor(out, name=f"{self.prefix}.out", _parents=(x, *self.params), _op="mlp",
+                      _backward=backward)
 
 
 class DenoiserNet:

@@ -1,10 +1,12 @@
 """Adaptive-moment optimizer with bias correction.
 
 Moment buffers live in the ParamStore so they serialize with the checkpoint.
-The update runs on the store's flat buffers as a few whole-array operations,
-in the same order per entry as a per-parameter update.  A step with any
-non-finite gradient is rejected without touching parameters, moments or the
-step counter, and so is a step whose update would be non-finite.
+The gradient arrives as one flat buffer laid out like ParamStore.flat (what
+autodiff.grad returns for the store's tensors), and the update runs on the
+flat buffers as a few whole-array operations, in the same order per entry as
+a per-parameter update.  A step with any non-finite gradient is rejected
+without touching parameters, moments or the step counter, and so is a step
+whose update would be non-finite.
 """
 
 from __future__ import annotations
@@ -30,32 +32,30 @@ def _first_nonfinite(store: ParamStore, *flats: np.ndarray) -> str:
 
 def optimizer_step(
     store: ParamStore,
-    grads: dict[str, np.ndarray],
+    g_flat: np.ndarray,
     lr: float = DEFAULT_LR,
     beta1: float = DEFAULT_BETA1,
     beta2: float = DEFAULT_BETA2,
     eps_hat: float = DEFAULT_EPS_HAT,
 ) -> None:
-    """One adaptive-moment update over every parameter in the store."""
+    """One adaptive-moment update over every parameter in the store.
+
+    g_flat holds every parameter's gradient in the layout of store.flat.  The
+    update uses it as scratch space, so its contents are undefined afterwards.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    parts = []
-    for name, param in store.params.items():
-        if name not in grads:
-            raise KeyError(f"missing gradient for parameter '{name}'")
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != param.shape:
-            raise ValueError(f"gradient for parameter '{name}' has shape {g.shape}, "
-                             f"expected {param.shape}")
-        parts.append(g.ravel())
-    # the whole update is staged in `work`, validated, then committed, so a
-    # rejected step leaves parameters and moments untouched
-    work = np.empty((4, store.n_scalars()))
-    g, m, v, new = work
-    np.concatenate(parts, out=g)
+    g = np.asarray(g_flat, dtype=np.float64)
+    if g.shape != store.flat.shape:
+        raise ValueError(f"gradient has shape {g.shape}; the store holds "
+                         f"{store.n_scalars()} scalars")
     if not all_finite(g):
         name = _first_nonfinite(store, g)
         raise NumericsError(f"non-finite gradient for parameter '{name}'; step rejected")
+    # the whole update is staged in `work`, validated, then committed, so a
+    # rejected step leaves parameters and moments untouched
+    work = np.empty((3, store.n_scalars()))
+    m, v, new = work
     t = store.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
@@ -69,7 +69,7 @@ def optimizer_step(
         np.multiply(new, g, out=new)
         np.multiply(store.v_flat, beta2, out=v)
         np.add(v, new, out=v)
-        # θ − lr·((m / c1) / (√(v / c2) + ε̂)); g's row now holds the denominator
+        # θ − lr·((m / c1) / (√(v / c2) + ε̂)); g now holds the denominator
         np.divide(v, c2, out=g)
         np.sqrt(g, out=g)
         np.add(g, eps_hat, out=g)
@@ -98,5 +98,5 @@ class Adam:
         self.beta2 = beta2
         self.eps_hat = eps_hat
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        optimizer_step(self.store, grads, self.lr, self.beta1, self.beta2, self.eps_hat)
+    def step(self, g_flat: np.ndarray) -> None:
+        optimizer_step(self.store, g_flat, self.lr, self.beta1, self.beta2, self.eps_hat)

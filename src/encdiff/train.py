@@ -77,14 +77,13 @@ def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
     recon = 0.0
     if state.dataset.kind == PIXELS:
         p0 = state.schedule.at(0.0)
-        recon_vals = []
         # metrics only: a handful of items keeps logging cheap on image data
-        for x in x_batch[: min(8, len(x_batch))]:
-            x0 = state.encoder.encode(x, p0)
-            z0 = p0.alpha * x0 + p0.sigma * rng.standard_normal(x.size)
-            pixels = np.rint((x + 1.0) * 255.0 / 2.0).astype(np.int64)
-            recon_vals.append(reconstruction_loss(pixels, z0, state.schedule))
-        recon = float(np.mean(recon_vals))
+        x = x_batch[: min(8, len(x_batch))]
+        # one (n, d) draw is the same stream as n draws of d normals
+        z0 = p0.alpha * state.encoder.encode(x, p0) + p0.sigma * rng.standard_normal(x.shape)
+        pixels = np.rint((x + 1.0) * 255.0 / 2.0).astype(np.int64)
+        recon = float(np.mean([reconstruction_loss(pixels[i], z0[i], state.schedule)
+                               for i in range(len(x))]))
     return LossBreakdown.from_components(diffusion=diffusion, latent=latent,
                                          reconstruction=recon, d=x_batch.shape[1])
 
@@ -170,9 +169,7 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # the latent term keeps the encoder's t=1 output anchored near
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
-            grads = dict(zip(store.names(), grad(objective, store.tensors(),
-                                                 allow_unused=True)))
-            adam.step(grads)
+            adam.step(grad(objective, store.tensors(), allow_unused=True))
         except NumericsError:
             # parameters are still finite here: forward ops reject non-finite
             # values before any state is touched, and the optimizer rejects

@@ -369,7 +369,7 @@ def fd_gradient_suite(d: int = 2, width: int = 16, n_coords: int = 200, seed: in
 
     loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
     names = store.names()
-    grads = dict(zip(names, grad(loss, store.tensors(), allow_unused=True)))
+    grads = store.views(grad(loss, store.tensors(), allow_unused=True))
 
     denoiser_coords = []
     encoder_coords = []

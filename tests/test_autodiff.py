@@ -8,6 +8,13 @@ from encdiff.autodiff import Tensor, all_finite, grad
 from encdiff.errors import NumericsError, UnusedParameterError
 
 
+def grads(loss, params, allow_unused=False):
+    """grad()'s flat buffer split back into one array per parameter."""
+    flat = grad(loss, params, allow_unused=allow_unused)
+    bounds = np.cumsum([p.data.size for p in params])[:-1]
+    return [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), params)]
+
+
 class TestHandDerivedGradients:
     def test_quadratic_least_squares(self, rng):
         """d/dW ||Wx - y||^2 = 2 (Wx - y) x^T."""
@@ -16,7 +23,7 @@ class TestHandDerivedGradients:
         y = rng.standard_normal((3, 1))
         r = W @ Tensor(x) - y
         loss = r.square().sum()
-        (gw,) = grad(loss, [W])
+        (gw,) = grads(loss, [W])
         expected = 2.0 * (W.data @ x - y) @ x.T
         np.testing.assert_allclose(gw, expected, rtol=1e-12)
 
@@ -25,27 +32,27 @@ class TestHandDerivedGradients:
         y = x * x
         z = y * y
         t = z * z  # x^8
-        (g,) = grad(t, [x])
+        (g,) = grads(t, [x])
         assert g == pytest.approx(8 * 3.0**7)
 
     def test_shared_subexpression_accumulates(self):
         x = Tensor(np.array(2.0), requires_grad=True)
         y = x * x
         loss = y + y  # dloss/dx = 2 * 2x = 8
-        (g,) = grad(loss, [x])
+        (g,) = grads(loss, [x])
         assert g == pytest.approx(8.0)
 
     def test_division(self):
         a = Tensor(np.array(3.0), requires_grad=True)
         b = Tensor(np.array(4.0), requires_grad=True)
         loss = a / b
-        ga, gb = grad(loss, [a, b])
+        ga, gb = grads(loss, [a, b])
         assert ga == pytest.approx(1 / 4)
         assert gb == pytest.approx(-3 / 16)
 
     def test_tanh(self):
         x = Tensor(np.array(0.7), requires_grad=True)
-        (g,) = grad(x.tanh(), [x])
+        (g,) = grads(x.tanh(), [x])
         assert g == pytest.approx(1.0 - np.tanh(0.7) ** 2, rel=1e-14)
 
 
@@ -54,20 +61,20 @@ class TestBroadcasting:
         h = Tensor(rng.standard_normal((5, 3)))
         b = Tensor(np.zeros(3), requires_grad=True, name="b")
         loss = (h + b).sum()
-        (gb,) = grad(loss, [b])
+        (gb,) = grads(loss, [b])
         np.testing.assert_allclose(gb, np.full(3, 5.0))
 
     def test_column_scale(self, rng):
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         c = rng.standard_normal((4, 1))
         loss = (x * c).sum()
-        (gx,) = grad(loss, [x])
+        (gx,) = grads(loss, [x])
         np.testing.assert_allclose(gx, np.broadcast_to(c, (4, 3)))
 
     def test_scalar_times_matrix(self, rng):
         x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         loss = (3.0 * x).sum()
-        (gx,) = grad(loss, [x])
+        (gx,) = grads(loss, [x])
         np.testing.assert_allclose(gx, np.full((2, 2), 3.0))
 
 
@@ -77,7 +84,7 @@ class TestRowSlices:
         top, bottom = x.rows(0, 2), x.rows(2, 6)
         np.testing.assert_array_equal(top.data, x.data[:2])
         loss = (top * 3.0).sum() + bottom.square().sum()
-        (gx,) = grad(loss, [x])
+        (gx,) = grads(loss, [x])
         np.testing.assert_array_equal(gx[:2], np.full((2, 2), 3.0))
         np.testing.assert_array_equal(gx[2:], 2.0 * x.data[2:])
 
@@ -86,12 +93,12 @@ class TestReductionsAndConcat:
     def test_sum_axis(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         loss = (x.sum(axis=1, keepdims=True) * np.array([[1.0], [2.0], [3.0]])).sum()
-        (gx,) = grad(loss, [x])
+        (gx,) = grads(loss, [x])
         np.testing.assert_allclose(gx, np.repeat(np.array([[1.0], [2.0], [3.0]]), 4, axis=1))
 
     def test_mean(self, rng):
         x = Tensor(rng.standard_normal(8), requires_grad=True)
-        (gx,) = grad(x.mean(), [x])
+        (gx,) = grads(x.mean(), [x])
         np.testing.assert_allclose(gx, np.full(8, 1 / 8))
 
     def test_concat_splits_gradient(self, rng):
@@ -100,7 +107,7 @@ class TestReductionsAndConcat:
         joined = Tensor.concat([a, b], axis=1)
         w = rng.standard_normal((2, 8))
         loss = (joined * w).sum()
-        (ga,) = grad(loss, [a])
+        (ga,) = grads(loss, [a])
         np.testing.assert_allclose(ga, w[:, :3])
 
 
@@ -117,9 +124,9 @@ class TestFiniteDifferenceAgreement:
 
         h = (Tensor(x) @ W1 + b1).tanh()
         loss = (h @ W2).square().sum()
-        grads = grad(loss, [W1, b1, W2])
+        analytic_grads = grads(loss, [W1, b1, W2])
         h_fd = 1e-6
-        for param, analytic in zip((W1, b1, W2), grads):
+        for param, analytic in zip((W1, b1, W2), analytic_grads):
             it = np.nditer(param.data, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -145,20 +152,20 @@ class TestGradContract:
         x = Tensor(np.array(1.5), requires_grad=True, name="x")
         w = Tensor(np.array(2.5), requires_grad=True, name="w")
         loss = x * x + w * 0.0
-        gx, gw = grad(loss, [x, w])
+        gx, gw = grads(loss, [x, w])
         assert gx == pytest.approx(3.0)
         assert gw == 0.0
 
     def test_allow_unused_returns_zeros(self):
         x = Tensor(np.array(1.0), requires_grad=True)
         unused = Tensor(np.ones(3), requires_grad=True)
-        gs = grad(x * x, [x, unused], allow_unused=True)
+        gs = grads(x * x, [x, unused], allow_unused=True)
         np.testing.assert_allclose(gs[1], np.zeros(3))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
-            (x * 2).backward()
+            (x * 2).backward({})
 
     def test_grad_walks_the_graph_once(self, monkeypatch, rng):
         walks = []
@@ -179,6 +186,29 @@ class TestGradContract:
         with pytest.raises(UnusedParameterError, match="unused"):
             grad(loss, [W, unused, b])
         assert len(walks) == 1
+
+    def test_flat_buffer_holds_each_gradient_in_its_span(self, rng):
+        W = Tensor(rng.standard_normal((4, 3)), requires_grad=True, name="W")
+        b = Tensor(rng.standard_normal(3), requires_grad=True, name="b")
+        x = Tensor(rng.standard_normal((5, 4)))
+        flat = grad(((x @ W + b).tanh() * 2.0).sum(), [W, b])
+        assert flat.shape == (15,)
+        y = np.tanh(x.data @ W.data + b.data)
+        ga = 2.0 * (1.0 - y * y)
+        np.testing.assert_allclose(flat[:12].reshape(4, 3), x.data.T @ ga, rtol=1e-12)
+        np.testing.assert_allclose(flat[12:], ga.sum(axis=0), rtol=1e-12)
+
+    def test_first_contribution_is_assigned_and_later_ones_added(self):
+        """A −0.0 gradient stays −0.0, and a parameter used twice gets the sum
+        of its contributions in the walk's order, bit for bit."""
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True, name="x")
+        (gx,) = grads((x * Tensor(np.array([-0.0, 3.0]))).sum(), [x])
+        assert np.signbit(gx[0]) and gx[1] == 3.0
+        a = np.array([0.1, 0.7])
+        c = np.array([0.2, -1e-17])
+        (gx,) = grads((x * Tensor(a)).sum() + (x * Tensor(c)).sum(), [x])
+        # the later use is walked first
+        assert gx.tobytes() == (c + a).tobytes()
 
     def test_parameter_without_requires_grad_rejected(self):
         x = Tensor(np.array(1.0), requires_grad=True, name="x")

@@ -1,6 +1,7 @@
 """CLI and training-loop tests, run in-process through main()."""
 
 import argparse
+import json
 import os
 import re
 import shlex
@@ -40,6 +41,15 @@ def _raw_checkpoint(header: bytes, header_len: int | None = None) -> bytes:
 _FULL_HEADER = (b'{"format_version": 1, "lambda_max": 13.3, "lambda_min": -5.0, '
                 b'"encoder_kind": "nt", "step": 0, '
                 b'"tensors": [{"name": "w", "shape": [2], "offset": 0}]}')
+
+
+def _tiny_idx(tmp_path) -> str:
+    """A 2-item IDX file of 3x3 images, whose dimension 9 fits no 2-D model."""
+    idx_path = str(tmp_path / "tiny.idx")
+    with open(idx_path, "wb") as f:
+        f.write(struct.pack(">IIII", 0x00000803, 2, 3, 3))
+        f.write(bytes(range(18)))
+    return idx_path
 
 
 @pytest.fixture(scope="module")
@@ -278,16 +288,26 @@ class TestEvalCommand:
         assert len(rows) == 5
 
     def test_dimension_mismatch_is_config_error(self, trained_run, tmp_path):
-        idx_path = str(tmp_path / "tiny.idx")
-        import struct
-
-        with open(idx_path, "wb") as f:
-            f.write(struct.pack(">IIII", 0x00000803, 2, 3, 3))
-            f.write(bytes(range(18)))
         args = ["eval", os.path.join(trained_run, "model.ckpt"),
-                "--dataset", "idx", "--idx-path", idx_path,
+                "--dataset", "idx", "--idx-path", _tiny_idx(tmp_path),
                 "--out-dir", str(tmp_path / "evalx")]
         assert main(args) == EXIT_CONFIG_ERROR
+
+    def test_non_finite_checkpoint_array_is_config_error(self, trained_run, tmp_path, capsys):
+        """Setting the exponent bits of one weight makes it non-finite; eval names the array."""
+        raw = bytearray(Path(trained_run, "model.ckpt").read_bytes())
+        (header_len,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + header_len])
+        (entry,) = [e for e in header["tensors"] if e["name"] == "param/denoiser.in.w"]
+        at = 8 + header_len + entry["offset"]
+        (bits,) = struct.unpack("<Q", raw[at:at + 8])
+        raw[at:at + 8] = struct.pack("<Q", bits | 0x7FF0_0000_0000_0000)
+        path = tmp_path / "flipped.ckpt"
+        path.write_bytes(bytes(raw))
+        out = tmp_path / "ev"
+        assert main(["eval", str(path), "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+        assert "param/denoiser.in.w" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSampleCommand:
@@ -348,6 +368,20 @@ class TestHeatmapCommand:
         assert main(args) == EXIT_OK
         _, rows, _ = read_csv(os.path.join(out, "heatmap.csv"))
         assert all(float(r[2]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("encoder", ["trainable", "identity"])
+    def test_dimension_mismatch_is_config_error(self, trained_run, tmp_path, encoder):
+        if encoder == "trainable":
+            checkpoint = os.path.join(trained_run, "model.ckpt")
+        else:
+            run = str(tmp_path / "idrun")
+            assert main(_train_args(run, encoder=encoder, steps=3)) == EXIT_OK
+            checkpoint = os.path.join(run, "model.ckpt")
+        out = tmp_path / "hm"
+        args = ["heatmap", checkpoint, "--dataset", "idx", "--idx-path", _tiny_idx(tmp_path),
+                "--out-dir", str(out)]
+        assert main(args) == EXIT_CONFIG_ERROR
+        assert not out.exists()
 
     def test_window_below_zero_is_config_error(self, trained_run, tmp_path):
         args = ["heatmap", os.path.join(trained_run, "model.ckpt"),
@@ -473,3 +507,63 @@ def test_train_function_initial_total_recorded(tmp_path):
     assert np.isfinite(state.initial_total)
     assert np.isfinite(state.final_total)
     assert state.log_rows[0][0] == 1
+
+
+@pytest.mark.parametrize("encoder, per_step", [
+    ("trainable", 60), ("nt", 27), ("identity", 18)])
+def test_tensors_per_training_step(tmp_path, encoder, per_step):
+    """Each MLP call is one graph node.  Tensors are counted with the node-id
+    counter, as the benchmark's tensor probe counts them; a run of 3 steps makes
+    one step's Tensors more than a run of 2, since both log and save at their
+    first and last steps."""
+    from encdiff.autodiff import Tensor
+
+    def tensors_made(steps: int) -> int:
+        start = Tensor(0.0).node_id
+        train(RunConfig(dataset="gaussian2d", n_points=64, encoder=encoder, steps=steps,
+                        batch_size=16, denoiser_width=8, encoder_width=8, log_every=1000,
+                        out_dir=str(tmp_path / f"steps{steps}")))
+        return Tensor(0.0).node_id - start
+
+    assert tensors_made(3) - tensors_made(2) == per_step
+
+
+@pytest.mark.parametrize("encoder", ["identity", "nt", "trainable"])
+def test_logged_reconstruction_matches_the_per_row_loop(encoder, rng):
+    """The logged rows are encoded in one call and their noise is one (n, d)
+    draw: the same stream, and the same values, as encoding and drawing row by
+    row.  identity and nt encode elementwise, so they agree bit for bit."""
+    from encdiff.data import PIXELS, Dataset, real_items
+    from encdiff.objective import latent_loss, reconstruction_loss
+    from encdiff.schedule import LogLinearSchedule
+    from encdiff.train import TrainState, _loss_metrics, build_model
+
+    config = RunConfig(encoder=encoder, denoiser_width=8, encoder_width=8)
+    dataset = Dataset(items=rng.integers(0, 256, size=(12, 9), dtype=np.uint8), dims=(3, 3),
+                      name="noise", kind=PIXELS)
+    model, enc, store = build_model(config, d=9)
+    for param in store.tensors():
+        param.data = 0.3 * rng.standard_normal(param.data.shape)
+    schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
+    state = TrainState(config=config, schedule=schedule, dataset=dataset, model=model,
+                       encoder=enc, store=store)
+    x_batch = real_items(dataset)[:10]
+    calls = enc.calls
+    latent_loss(x_batch, enc, schedule)
+    latent_calls = enc.calls - calls
+
+    metrics_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    calls = enc.calls
+    recon = _loss_metrics(x_batch, state, 0.0, metrics_rng).reconstruction
+    assert enc.calls - calls == latent_calls + 1
+    p0 = schedule.at(0.0)
+    values = []
+    for x in x_batch[:8]:
+        z0 = p0.alpha * enc.encode(x, p0) + p0.sigma * ref_rng.standard_normal(x.size)
+        pixels = np.rint((x + 1.0) * 255.0 / 2.0).astype(np.int64)
+        values.append(reconstruction_loss(pixels, z0, schedule))
+    if encoder == "trainable":
+        assert recon == pytest.approx(float(np.mean(values)), rel=1e-12)
+    else:
+        assert recon == float(np.mean(values))
+    assert metrics_rng.standard_normal() == ref_rng.standard_normal()

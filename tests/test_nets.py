@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from encdiff.autodiff import Tensor, grad
 from encdiff.checkpoint import Checkpoint, load, save
+from encdiff.config import RunConfig
 from encdiff.errors import ConfigError, NumericsError
-from encdiff.nets import DenoiserNet, EncoderInnerNet, ParamStore, sinusoidal_embedding
+from encdiff.nets import MLP, DenoiserNet, EncoderInnerNet, ParamStore, sinusoidal_embedding
 from encdiff.optim import Adam, optimizer_step
 from encdiff.schedule import logistic
 
@@ -69,6 +71,100 @@ class TestDenoiser:
             np.testing.assert_allclose(batched[i], row, rtol=1e-12, atol=1e-14)
 
 
+def _composed_forward(net: MLP, x: Tensor, lam) -> Tensor:
+    """The MLP as a graph of generic Tensor ops, one node per matmul, add and tanh."""
+    emb = sinusoidal_embedding(lam)
+    if emb.shape[0] == 1 and x.data.shape[0] > 1:
+        emb = np.broadcast_to(emb, (x.data.shape[0], emb.shape[1]))
+    p = net.params
+    h = (Tensor.concat([x, Tensor(emb)], axis=1) @ p[0] + p[1]).tanh()
+    for k in range(1, net.n_hidden):
+        h = h + (h @ p[2 * k] + p[2 * k + 1]).tanh()
+    return h @ p[-2] + p[-1]
+
+
+def _randomized_mlp(kind: str, n_hidden: int, rng) -> MLP:
+    make = DenoiserNet if kind == "denoiser" else EncoderInnerNet
+    net = make(d=3, width=8, n_hidden=n_hidden, seed=4).net
+    for param in net.params:
+        param.data = 0.5 * rng.standard_normal(param.data.shape)
+    return net
+
+
+class TestFusedMLP:
+    """One MLP call is one graph node whose values and gradients equal those of
+    the composed-op graph bit for bit."""
+
+    @staticmethod
+    def _loss(out: Tensor, weights: np.ndarray) -> Tensor:
+        return (out * weights).sum() + out.square().sum()
+
+    @pytest.mark.parametrize("kind", ["denoiser", "encoder"])
+    @pytest.mark.parametrize("n_hidden", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_matches_composed_graph_bitwise(self, kind, n_hidden, rows, rng):
+        net = _randomized_mlp(kind, n_hidden, rng)
+        x = Tensor(rng.standard_normal((rows, 3)), requires_grad=True, name="x")
+        # stacked rows carry one λ each, as in the encoder's stacked pass
+        lam = rng.uniform(-5.0, 13.0, size=rows) if rows > 1 else 2.5
+        weights = rng.standard_normal((rows, 3))
+        fused = net.forward(x, lam)
+        composed = _composed_forward(net, x, lam)
+        assert fused._op == "mlp" and fused._parents == (x, *net.params)
+        assert fused.data.tobytes() == composed.data.tobytes()
+        targets = [x, *net.params]
+        g_fused = grad(self._loss(fused, weights), targets)
+        g_composed = grad(self._loss(composed, weights), targets)
+        assert np.any(g_fused[:x.data.size] != 0.0)
+        assert g_fused.tobytes() == g_composed.tobytes()
+
+    def test_constant_input_gets_no_gradient(self, rng):
+        net = _randomized_mlp("encoder", 2, rng)
+        x = Tensor(rng.standard_normal((4, 3)))
+        out = net.forward(x, 1.0)
+        g = rng.standard_normal(out.shape)
+        fused_grads = out._backward(g)
+        assert fused_grads[0] is None
+        composed = _composed_forward(net, Tensor(x.data, requires_grad=True), 1.0)
+        reference = grad((composed * g).sum(), net.params)
+        assert np.concatenate([pg.ravel() for pg in fused_grads[1:]]).tobytes() == \
+            reference.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_pre_activation_names_the_layer(self, rng):
+        net = DenoiserNet(d=3, width=8, seed=0)
+        w = net.store.params["denoiser.h1.w"]
+        w.data = np.full(w.data.shape, 1e308)
+        with pytest.raises(NumericsError, match="layer 'denoiser.h1'"):
+            net.forward(rng.standard_normal((16, 3)), 0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_train_abort_on_a_layer_leaves_a_loadable_checkpoint(self, tmp_path, monkeypatch):
+        import encdiff.train as train_module
+
+        build_model = train_module.build_model
+
+        def with_huge_layer(config, d):
+            model, encoder, store = build_model(config, d)
+            w = store.params["denoiser.h1.w"]
+            w.data = np.full(w.data.shape, 1e308)
+            return model, encoder, store
+
+        monkeypatch.setattr(train_module, "build_model", with_huge_layer)
+        config = RunConfig(dataset="gaussian2d", n_points=64, encoder="trainable", steps=5,
+                           batch_size=16, denoiser_width=8, encoder_width=8,
+                           out_dir=str(tmp_path / "run"))
+        with pytest.raises(NumericsError, match="layer 'denoiser.h1'"):
+            train_module.train(config)
+        monkeypatch.undo()
+        _model, _encoder, store, _config, _schedule = train_module.restore(
+            str(tmp_path / "run" / "model.ckpt"))
+        assert store.step == 0
+        assert np.all(store.params["denoiser.h1.w"].data == 1e308)
+
+
 class TestEmbedding:
     def test_shape_and_range(self):
         emb = sinusoidal_embedding(np.array([-5.0, 0.0, 13.3]))
@@ -127,6 +223,19 @@ class TestParamStore:
             store.add("bad", np.array([1.0, np.nan]))
         assert store.names() == ["w"] and store.flat.size == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_non_finite_arrays_before_copying(self, bad):
+        store = ParamStore()
+        store.add("w", np.ones(3))
+        arrays = {k: np.array(a) for k, a in store.state_arrays().items()}
+        arrays["param/w"] = np.array([2.0, 3.0, 4.0])
+        arrays["adam_v/w"][1] = bad
+        with pytest.raises(ConfigError, match="'adam_v/w' has non-finite"):
+            store.load_state_arrays(arrays, step=7)
+        # param/w comes first in the checkpoint and was not copied either
+        np.testing.assert_array_equal(store.flat, np.ones(3))
+        assert store.step == 0
+
     def test_load_rejects_missing_or_misshapen_arrays(self):
         store = ParamStore()
         store.add("w", np.ones((2, 3)))
@@ -143,7 +252,7 @@ class TestOptimizer:
         store = ParamStore()
         store.add("w", np.array([1.0, -2.0]))
         before = store.params["w"].data.copy()
-        optimizer_step(store, {"w": np.zeros(2)}, lr=0.1)
+        optimizer_step(store, np.zeros(2), lr=0.1)
         np.testing.assert_array_equal(store.params["w"].data, before)
         assert store.step == 1
 
@@ -153,10 +262,9 @@ class TestOptimizer:
         store = ParamStore()
         store.add("w", np.array([0.5, -0.5, 2.0]))
         g = np.array([0.3, -0.7, 0.0])
-        before = store.params["w"].data.copy()
         lr, eps_hat = 0.01, 1e-8
-        optimizer_step(store, {"w": g}, lr=lr, eps_hat=eps_hat)
-        expected = before - lr * g / (np.abs(g) + eps_hat)
+        expected = store.params["w"].data - lr * g / (np.abs(g) + eps_hat)
+        optimizer_step(store, g, lr=lr, eps_hat=eps_hat)
         np.testing.assert_allclose(store.params["w"].data, expected, rtol=1e-12)
 
     def test_nonfinite_gradient_rejected_without_mutation(self):
@@ -164,24 +272,24 @@ class TestOptimizer:
         store.add("w", np.array([1.0]))
         before = store.params["w"].data.copy()
         with pytest.raises(NumericsError):
-            optimizer_step(store, {"w": np.array([np.nan])}, lr=0.1)
+            optimizer_step(store, np.array([np.nan]), lr=0.1)
         np.testing.assert_array_equal(store.params["w"].data, before)
         assert store.step == 0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [
-        pytest.param({"b": np.array([np.inf, 0.0])}, id="non-finite-gradient"),
-        pytest.param({"b": np.array([1e300, 0.0])}, id="overflowing-second-moment"),
+        pytest.param(np.array([np.inf, 0.0]), id="non-finite-gradient"),
+        pytest.param(np.array([1e300, 0.0]), id="overflowing-second-moment"),
     ])
     def test_rejected_step_leaves_the_buffers_untouched(self, bad):
         store = ParamStore()
         store.add("a", np.array([[0.5, -1.0], [2.0, 0.25]]))
         store.add("b", np.array([1.0, -3.0]))
         adam = Adam(store, lr=0.01)
-        adam.step({"a": np.full((2, 2), 0.1), "b": np.array([0.2, -0.3])})
+        adam.step(np.array([0.1, 0.1, 0.1, 0.1, 0.2, -0.3]))
         before = [np.array(buf) for buf in (store.flat, store.m_flat, store.v_flat)]
         with pytest.raises(NumericsError, match="parameter 'b'"):
-            adam.step({"a": np.full((2, 2), 0.1), **bad})
+            adam.step(np.concatenate([np.full(4, 0.1), bad]))
         for buf, old in zip((store.flat, store.m_flat, store.v_flat), before):
             assert buf.tobytes() == old.tobytes()
         assert store.step == 1
@@ -194,8 +302,9 @@ class TestOptimizer:
                for name, t in store.params.items()}
         lr, beta1, beta2, eps_hat = 0.01, 0.9, 0.999, 1e-8
         for step in range(1, 6):
-            grads = {name: rng.standard_normal(t.data.shape) for name, t in store.params.items()}
-            optimizer_step(store, grads, lr, beta1, beta2, eps_hat)
+            g_flat = rng.standard_normal(store.n_scalars())
+            grads = {name: g.copy() for name, g in store.views(g_flat).items()}
+            optimizer_step(store, g_flat, lr, beta1, beta2, eps_hat)
             c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
             for name, (p, m, v) in ref.items():
                 g = grads[name]
@@ -207,11 +316,20 @@ class TestOptimizer:
             assert store.m[name].tobytes() == m.tobytes()
             assert store.v[name].tobytes() == v.tobytes()
 
+    def test_gradient_of_the_wrong_length_rejected(self):
+        """A gradient missing for some parameter is a buffer of the wrong length."""
+        store = ParamStore()
+        store.add("a", np.ones(3))
+        store.add("b", np.ones(2))
+        with pytest.raises(ValueError, match="5 scalars"):
+            optimizer_step(store, np.zeros(3), lr=0.1)
+        assert store.step == 0
+
     def test_bad_lr_rejected(self):
         store = ParamStore()
         store.add("w", np.array([1.0]))
         with pytest.raises(ValueError):
-            optimizer_step(store, {"w": np.array([0.1])}, lr=0.0)
+            optimizer_step(store, np.array([0.1]), lr=0.0)
 
     def test_deterministic_trajectory(self, rng):
         def run() -> np.ndarray:
@@ -220,7 +338,7 @@ class TestOptimizer:
             adam = Adam(store, lr=0.05)
             local = np.random.default_rng(9)
             for _ in range(25):
-                adam.step({"w": local.standard_normal(2)})
+                adam.step(local.standard_normal(2))
             return store.params["w"].data
 
         np.testing.assert_array_equal(run(), run())
@@ -233,8 +351,7 @@ class TestCheckpoint:
         _randomize_output_layer(store, rng)
         adam = Adam(store)
         for _ in range(3):
-            adam.step({name: rng.standard_normal(t.data.shape)
-                       for name, t in store.params.items()})
+            adam.step(rng.standard_normal(store.n_scalars()))
         path = os.path.join(tmp_path, "model.ckpt")
         save(path, Checkpoint(lambda_max=13.3, lambda_min=-5.0, encoder_kind="nt",
                               step=store.step, arrays=store.state_arrays(),
@@ -257,8 +374,7 @@ class TestCheckpoint:
         _randomize_output_layer(store, rng)
         adam = Adam(store)
         for _ in range(3):
-            adam.step({name: rng.standard_normal(t.data.shape)
-                       for name, t in store.params.items()})
+            adam.step(rng.standard_normal(store.n_scalars()))
         path = os.path.join(tmp_path, "model.ckpt")
         save(path, Checkpoint(lambda_max=13.3, lambda_min=-5.0, encoder_kind="trainable",
                               step=store.step, arrays=store.state_arrays()))

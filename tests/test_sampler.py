@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from encdiff.autodiff import Tensor
 from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.errors import NumericsError
 from encdiff.nets import DenoiserNet
@@ -218,3 +219,15 @@ class TestSde:
         x_out = oracle.predict_x(z, schedule.at(t).lam)
         np.testing.assert_allclose(x_out.mean(axis=0), [0.5, -0.5], atol=0.05)
         np.testing.assert_allclose(x_out.var(axis=0), 0.25, rtol=0.15)
+
+
+def test_two_tensors_per_sampler_step(schedule):
+    """Each step makes the denoiser's input leaf and its one MLP node."""
+    model = DenoiserNet(d=2, width=8, seed=0)
+
+    def tensors_made(steps: int) -> int:
+        start = Tensor(0.0).node_id
+        ancestral_sample(model, schedule, SamplerConfig(steps=steps, seed=0), n_chains=4, d=2)
+        return Tensor(0.0).node_id - start
+
+    assert tensors_made(20) - tensors_made(10) == 2 * 10

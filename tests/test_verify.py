@@ -142,7 +142,7 @@ class TestFdGradientSuite:
         x = rng.uniform(-1, 1, size=(2, 2))
         loss = batch_vloss_graph(x, model, make_encoder("identity"),
                                  np.array([0.3, 0.7]), rng.standard_normal((2, 2)), schedule)
-        grads = dict(zip(store.names(), grad(loss, store.tensors(), allow_unused=True)))
+        grads = store.views(grad(loss, store.tensors(), allow_unused=True))
         enc_names = [n for n in store.names() if n.startswith("encoder")]
         assert enc_names
         for name in enc_names:
