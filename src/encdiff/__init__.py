@@ -9,6 +9,7 @@ oracles for every identity the implementation relies on.
 
 from .schedule import LogLinearSchedule, SchedulePoint
 from .process import (
+    OPTIMAL,
     GaussianParams,
     TransitionCoefficients,
     forward_transition,
@@ -27,11 +28,8 @@ from .encoder import (
     make_encoder,
 )
 from .objective import (
-    FixedWeight,
     LossBreakdown,
     MonteCarloEstimate,
-    OptimalWeight,
-    UnitWeight,
     continuous_vloss,
     continuous_xloss,
     discrete_diffusion_loss,
@@ -49,18 +47,17 @@ from .config import RunConfig
 __version__ = "0.1.0"
 
 __all__ = [
+    "OPTIMAL",
     "Adam",
     "Dataset",
     "DenoiserNet",
     "EncoderInnerNet",
-    "FixedWeight",
     "GaussianParams",
     "IdentityEncoder",
     "LogLinearSchedule",
     "LossBreakdown",
     "MonteCarloEstimate",
     "NonTrainableEncoder",
-    "OptimalWeight",
     "ParamStore",
     "RunConfig",
     "SamplerConfig",
@@ -68,7 +65,6 @@ __all__ = [
     "Tensor",
     "TrainableEncoder",
     "TransitionCoefficients",
-    "UnitWeight",
     "ancestral_sample",
     "change_heatmap",
     "continuous_vloss",

@@ -3,10 +3,12 @@
 A Tensor wraps an ndarray and records the op that produced it; backward() walks
 the recorded graph once, in reverse topological order.  Every parent is made
 before its children, so sorting the reachable nodes by creation number gives
-a topological order.  Supported ops cover what the training losses need:
-elementwise arithmetic with numpy-style broadcasting, matmul, tanh, sum/mean
-reductions, concatenation and row slices.  A whole network call can also be
-one node with a hand-written backward (nets.MLP records one per call).
+a topological order.  The ops are what the training losses need: add,
+subtract and multiply with numpy-style broadcasting, square, sum/mean
+reductions and row slices.  A whole network call is one node with a
+hand-written backward (nets.MLP records one per call); matmul, tanh and
+concatenation remain as the ops that network's composed reference is built
+from.
 
 grad() returns the gradients of all requested parameters in one flat buffer,
 each parameter's raveled gradient in its span, in the order given; for a
@@ -113,12 +115,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(g, a=self):
-            return (-g,)
-
-        return self._make(-self.data, (self,), "neg", backward)
-
     def __sub__(self, other):
         other = Tensor.as_tensor(other)
         out_data = self.data - other.data
@@ -141,22 +137,6 @@ class Tensor:
         return self._make(out_data, (self, other), "mul", backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Tensor.as_tensor(other)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out_data = self.data / other.data
-
-        def backward(g, a=self, b=other):
-            return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-            )
-
-        return self._make(out_data, (self, other), "div", backward)
-
-    def __rtruediv__(self, other):
-        return Tensor.as_tensor(other) / self
 
     def __matmul__(self, other):
         other = Tensor.as_tensor(other)

@@ -10,6 +10,7 @@ save → load round-trip reproduces every array bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -86,6 +87,17 @@ def load(path: str) -> Checkpoint:
         raise ConfigError(f"checkpoint header lacks one of {_REQUIRED_KEYS}: {path}")
     if header["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
+    for key in ("lambda_max", "lambda_min"):
+        # type(), not isinstance: JSON true/false load as bools, which are ints
+        if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
+            raise ConfigError(f"checkpoint header '{key}' is not a finite number: "
+                              f"{header[key]!r}: {path}")
+    if type(header["step"]) is not int or header["step"] < 0:
+        raise ConfigError(f"checkpoint header 'step' is not a non-negative integer: "
+                          f"{header['step']!r}: {path}")
+    if type(header.get("config_text", "")) is not str or type(header.get("meta", {})) is not dict:
+        raise ConfigError(f"checkpoint header 'config_text' is not a string or 'meta' not an "
+                          f"object: {path}")
     arrays: dict[str, np.ndarray] = {}
     size = base
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -70,16 +71,27 @@ class RunConfig:
             raise ConfigError("dataset 'idx' requires idx_path")
         if self.encoder not in ("identity", "nt", "trainable"):
             raise ConfigError(f"unknown encoder '{self.encoder}'")
+        for name in ("lambda_max", "lambda_min", "mean_x", "mean_y", "cov_scale", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_max > self.lambda_min:
             raise ConfigError("lambda_max must exceed lambda_min")
         if self.counterterm not in ("on", "off", "auto"):
             raise ConfigError(f"counterterm must be on/off/auto, got '{self.counterterm}'")
         for name in ("steps", "batch_size", "n_mc", "sample_steps", "log_every",
-                     "checkpoint_every", "n_points"):
+                     "checkpoint_every", "n_points", "denoiser_width", "denoiser_hidden",
+                     "encoder_width", "encoder_hidden"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.cov_scale < 0:
+            raise ConfigError("cov_scale must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.eps_hat > 0:
+            raise ConfigError(f"eps_hat must be positive, got {self.eps_hat}")
         return self
 
     # --- serialization ---------------------------------------------------
@@ -102,13 +114,19 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         parser = configparser.ConfigParser()
-        parser.read_string(text)
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"unparsable config ({exc})") from None
         return cls._from_parser(parser)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unparsable config file ({exc})") from None
         if not read:
             raise ConfigError(f"config file not found: {path}")
         return cls._from_parser(parser)

@@ -55,6 +55,11 @@ def scale_pixels(v):
     return float(out) if np.isscalar(v) or arr.ndim == 0 else out
 
 
+def unscale_pixels(x) -> np.ndarray:
+    """Nearest pixel level {0..255} of each value, clipped to [−1, 1]; inverts scale_pixels."""
+    return np.rint((np.clip(x, -1.0, 1.0) + 1.0) * 255.0 / 2.0).astype(np.uint8)
+
+
 def load_idx(path: str) -> Dataset:
     """Parse a big-endian IDX file holding unsigned-byte rank-3 image data."""
     with open(path, "rb") as f:

@@ -271,6 +271,8 @@ class DenoiserNet:
     x̂ = α z − σ v̂ and ε̂ = σ z + α v̂, so α x̂ + σ ε̂ = z holds exactly.
     """
 
+    z_independent = False
+
     def __init__(self, d: int, width: int = 256, n_hidden: int = 2,
                  seed: int = 0, store: ParamStore | None = None):
         self.d = d
@@ -293,8 +295,6 @@ class DenoiserNet:
         z = np.asarray(z, dtype=np.float64)
         single = z.ndim == 1
         out = self.forward(z[None, :] if single else z, lam).data
-        if not np.all(np.isfinite(out)):
-            raise NumericsError("denoiser produced non-finite output")
         return out[0] if single else out
 
     def predict_x(self, z: np.ndarray, lam) -> np.ndarray:

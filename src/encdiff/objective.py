@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor
+from .data import scale_pixels, unscale_pixels
 from .encoder import Encoder
 from .process import (
+    OPTIMAL,
     GaussianParams,
     generative_mean,
     kl_isotropic,
@@ -88,42 +90,8 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Weighting policies for the discrete loss
-# ---------------------------------------------------------------------------
-
-class UnitWeight:
-    """σ_P = σ_Q: the standard unweighted objective."""
-
-
-@dataclass(frozen=True)
-class FixedWeight:
-    """Constant variance ratio w = σ_Q²/σ_P² across layers."""
-
-    w: float
-
-    def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError(f"weight must be positive, got {self.w}")
-
-
-class OptimalWeight:
-    """σ_P² = σ_Q² + gap/d per layer, with the step's exact mean-square gap.
-
-    The exact gap requires a prediction model whose output does not depend on z.
-    """
-
-
-# ---------------------------------------------------------------------------
 # Continuous-time losses
 # ---------------------------------------------------------------------------
-
-def _model_vhat_graph(model, z: Tensor, lam: np.ndarray) -> Tensor:
-    if hasattr(model, "forward"):
-        return model.forward(z, lam)
-    # analytic models take one scalar λ at a time and enter the graph as constants
-    rows = [model.predict_v(z.data[i], float(lam_i)) for i, lam_i in enumerate(lam)]
-    return Tensor(np.stack(rows))
-
 
 def _vloss_per_item(
     x2: np.ndarray,
@@ -137,7 +105,7 @@ def _vloss_per_item(
     lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(ts)
     x_enc, extra = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
     z = alpha * x_enc + sigma * eps2
-    v_hat = _model_vhat_graph(model, z, lam)
+    v_hat = model.forward(z, lam)
     v = alpha * eps2 - sigma * x_enc
     resid = v - v_hat
     if extra is not None:
@@ -233,8 +201,16 @@ class StepTerm:
     w: float
 
 
-def _resolve_counterterm(encoder: Encoder, counterterm: bool | None) -> bool:
-    return encoder.counterterm if counterterm is None else counterterm
+def _is_optimal(w) -> bool:
+    """True for OPTIMAL, False for a positive finite number; anything else is a ValueError."""
+    if w == OPTIMAL:
+        return True
+    try:
+        if 0.0 < w < math.inf:
+            return False
+    except TypeError:
+        pass
+    raise ValueError(f"w must be a positive number or OPTIMAL, got {w!r}")
 
 
 def discrete_step_terms(
@@ -242,27 +218,29 @@ def discrete_step_terms(
     T: int,
     model,
     encoder: Encoder,
-    w_policy,
     schedule: LogLinearSchedule,
+    w: float | str = 1.0,
     rng: np.random.Generator | None = None,
     counterterm: bool | None = None,
-    exact: bool = False,
 ) -> list[StepTerm]:
     """Per-layer KL terms of the discrete loss with s(i) = (i−1)/T, t(i) = i/T.
 
-    With exact=True (requires a z-independent model) the z-expectation is
-    closed-form and the result is deterministic; otherwise one z-draw per layer.
+    w is the variance ratio σ_Q²/σ_P² of every layer, or OPTIMAL for each
+    layer's optimum σ_P² = σ_Q² + gap/d, which needs the exact gap of a
+    z-independent model.  With rng=None (z-independent models only) the
+    z-expectation is closed-form and the result is deterministic; otherwise
+    one z-draw per layer.  counterterm=None follows the encoder's.
     """
     if T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
+    optimal = _is_optimal(w)
+    if (rng is None or optimal) and not model.z_independent:
+        raise ValueError("the exact sum and the optimal weight need a z-independent "
+                         "prediction model")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
-    counterterm = _resolve_counterterm(encoder, counterterm)
-    z_free = getattr(model, "z_independent", False)
-    if exact and not z_free:
-        raise ValueError("exact discrete loss requires a z-independent prediction model")
-    if not exact and rng is None:
-        raise ValueError("stochastic discrete loss requires an rng")
+    if counterterm is None:
+        counterterm = encoder.counterterm
     terms: list[StepTerm] = []
     for i in range(1, T + 1):
         sp = schedule.at((i - 1) / T)
@@ -270,25 +248,16 @@ def discrete_step_terms(
         x_s = encoder.encode(x, sp)
         x_t = encoder.encode(x, tp)
         mean_t = tp.alpha * x_t
-        z_t = mean_t if exact else mean_t + tp.sigma * rng.standard_normal(d)
+        z_t = mean_t if rng is None else mean_t + tp.sigma * rng.standard_normal(d)
         x_hat = model.predict_x(z_t, tp.lam)
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
         mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
         gap = float(np.sum((mu_p - q.mean) ** 2))
-        if isinstance(w_policy, UnitWeight):
-            sigma2_p = q.var
-        elif isinstance(w_policy, FixedWeight):
-            sigma2_p = q.var / w_policy.w
-        elif isinstance(w_policy, OptimalWeight):
-            if not z_free:
-                raise ValueError("optimal weighting needs the exact gap of a z-independent model")
-            sigma2_p = optimal_sigma_p(q.var, gap, d)
-        else:
-            raise TypeError(f"unknown weighting policy {w_policy!r}")
-        w = q.var / sigma2_p
+        sigma2_p = optimal_sigma_p(q.var, gap, d) if optimal else q.var / w
+        w_layer = q.var / sigma2_p
         kl = kl_isotropic(q, GaussianParams(mean=mu_p, var=sigma2_p), d)
-        terms.append(StepTerm(s=sp.t, t=tp.t, kl=kl, penalty=weighting_penalty(w, d),
-                              mean_sq_gap=gap, sigma2_q=q.var, w=w))
+        terms.append(StepTerm(s=sp.t, t=tp.t, kl=kl, penalty=weighting_penalty(w_layer, d),
+                              mean_sq_gap=gap, sigma2_q=q.var, w=w_layer))
     return terms
 
 
@@ -297,21 +266,20 @@ def discrete_diffusion_loss(
     T: int,
     model,
     encoder: Encoder,
-    w_policy,
-    rng: np.random.Generator | None,
     schedule: LogLinearSchedule,
+    w: float | str = 1.0,
+    rng: np.random.Generator | None = None,
     counterterm: bool | None = None,
     n_passes: int = 1,
-    exact: bool = False,
 ) -> MonteCarloEstimate:
-    """Sum over layers of the per-layer KL, one z-draw per layer per pass."""
+    """Sum over layers of the per-layer KL, one z-draw per layer per pass.
+
+    With rng=None the sum is exact and takes one pass, whatever n_passes.
+    """
     totals = []
-    for _ in range(n_passes):
-        terms = discrete_step_terms(x, T, model, encoder, w_policy, schedule,
-                                    rng=rng, counterterm=counterterm, exact=exact)
+    for _ in range(1 if rng is None else n_passes):
+        terms = discrete_step_terms(x, T, model, encoder, schedule, w, rng, counterterm)
         totals.append(sum(term.kl for term in terms))
-    if exact or n_passes == 1:
-        return MonteCarloEstimate(value=float(totals[0]), std_error=0.0, n_samples=1)
     return mc_estimate(np.array(totals))
 
 
@@ -358,8 +326,6 @@ def batch_latent_graph(x: np.ndarray, encoder: Encoder,
 
 def pixel_categorical_log_probs(z0: np.ndarray, alpha0: float, sigma2: float) -> np.ndarray:
     """Per-pixel 256-way categorical log-probs p(v | z_0) ∝ N(z_0; α_0·scale(v), σ_0²)."""
-    from .data import scale_pixels
-
     levels = scale_pixels(np.arange(256))
     logits = -((np.asarray(z0, dtype=np.float64)[:, None] - alpha0 * levels[None, :]) ** 2) / (2.0 * sigma2)
     # log-sum-exp normalization per pixel
@@ -369,7 +335,10 @@ def pixel_categorical_log_probs(z0: np.ndarray, alpha0: float, sigma2: float) ->
 
 
 def reconstruction_loss(x_pixels: np.ndarray, z0: np.ndarray, schedule: LogLinearSchedule) -> float:
-    """Negative log-likelihood of integer pixels under the per-pixel categorical."""
+    """Negative log-likelihood of integer pixels under the per-pixel categorical.
+
+    x_pixels and z0 are one item (d,) or a batch (B, d), whose mean NLL is returned.
+    """
     x_pixels = np.asarray(x_pixels)
     if not np.issubdtype(x_pixels.dtype, np.integer):
         raise ValueError("reconstruction loss requires integer pixel values")
@@ -379,7 +348,19 @@ def reconstruction_loss(x_pixels: np.ndarray, z0: np.ndarray, schedule: LogLinea
     log_probs = pixel_categorical_log_probs(np.asarray(z0, dtype=np.float64).ravel(),
                                             p0.alpha, p0.sigma_sq)
     picked = log_probs[np.arange(x_pixels.size), x_pixels.ravel()]
-    return float(-picked.sum())
+    # each item's sum runs over its own row, as for that item alone
+    return float(np.mean(-picked.reshape(-1, x_pixels.shape[-1]).sum(axis=1)))
+
+
+def sampled_reconstruction_loss(x_real: np.ndarray, encoder: Encoder,
+                                schedule: LogLinearSchedule, rng: np.random.Generator) -> float:
+    """reconstruction_loss of pixel items x_real, (d,) or (B, d) in model space, at
+    one z_0 ~ q(z_0 | x) draw each.  A (B, d) noise draw is the same stream as B
+    draws of d normals.
+    """
+    p0 = schedule.at(0.0)
+    z0 = p0.alpha * encoder.encode(x_real, p0) + p0.sigma * rng.standard_normal(x_real.shape)
+    return reconstruction_loss(unscale_pixels(x_real), z0, schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +381,9 @@ def elbo_bpd(
     For integer pixel data the reconstruction term uses a single z_0 draw; for
     real-valued data it is zero (no quantized likelihood is defined).
     """
-    from .data import scale_pixels
-
     if n_mc < 1:
         raise ValueError(f"n_mc must be positive, got {n_mc}")
-    if pixel_data:
-        x_pixels = np.asarray(x)
-        x_real = scale_pixels(x_pixels)
-    else:
-        x_pixels = None
-        x_real = np.asarray(x, dtype=np.float64)
+    x_real = scale_pixels(np.asarray(x)) if pixel_data else np.asarray(x, dtype=np.float64)
     d = x_real.size
     ts = np.empty(n_mc)
     eps = np.empty((n_mc, d))
@@ -420,13 +394,7 @@ def elbo_bpd(
     draws = _vloss_draws(x_real, model, encoder, ts, eps, schedule)
     diff = mc_estimate(draws)
     latent = latent_loss(x_real, encoder, schedule)
-    if pixel_data:
-        p0 = schedule.at(0.0)
-        x0 = encoder.encode(x_real, p0)
-        z0 = p0.alpha * x0 + p0.sigma * rng.standard_normal(d)
-        recon = reconstruction_loss(x_pixels, z0, schedule)
-    else:
-        recon = 0.0
+    recon = sampled_reconstruction_loss(x_real, encoder, schedule, rng) if pixel_data else 0.0
     return LossBreakdown.from_components(
         diffusion=diff.value,
         latent=latent,

@@ -148,6 +148,11 @@ def kl_isotropic(q: GaussianParams, p: GaussianParams, d: int) -> float:
     return weighting_penalty(w, d) + w / (2.0 * q.var) * gap
 
 
+# σ_P² from optimal_sigma_p in every layer: a weight w = σ_Q²/σ_P² of the
+# discrete loss, and a variance mode of the sampler
+OPTIMAL = "optimal"
+
+
 def optimal_sigma_p(sigma2_q: float, mean_sq_gap: float, d: int) -> float:
     """Generative variance minimizing the expected KL: σ_Q² + E‖μ_P − μ_Q‖²/d."""
     if sigma2_q <= 0:

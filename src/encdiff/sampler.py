@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import unscale_pixels
 from .encoder import Encoder
 from .errors import NumericsError
-from .process import generative_mean, optimal_sigma_p, transition_coefficients
+from .process import OPTIMAL, generative_mean, optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
 
 SIGMA_Q = "sigma_q"
-OPTIMAL = "optimal"
 
 
 @dataclass
@@ -66,12 +66,10 @@ def decode_pixels(x_out: np.ndarray, rng: np.random.Generator | None = None,
     The argmax of N(z; α_0·scale(v), σ_0²) over v is the nearest quantization
     level; stochastic decoding instead samples the categorical.
     """
-    from .data import scale_pixels
     from .objective import pixel_categorical_log_probs
 
     if not stochastic:
-        v = np.rint((np.clip(x_out, -1.0, 1.0) + 1.0) * 255.0 / 2.0)
-        return v.astype(np.uint8)
+        return unscale_pixels(x_out)
     if rng is None or sigma0_sq is None:
         raise ValueError("stochastic decode requires an rng and sigma0_sq")
     flat = x_out.reshape(-1)

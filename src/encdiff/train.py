@@ -28,7 +28,7 @@ from .objective import (
     batch_latent_graph,
     batch_vloss_graph,
     latent_loss,
-    reconstruction_loss,
+    sampled_reconstruction_loss,
 )
 from .optim import Adam
 from .schedule import LogLinearSchedule
@@ -76,14 +76,8 @@ def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
     latent = latent_loss(x_batch, state.encoder, state.schedule)
     recon = 0.0
     if state.dataset.kind == PIXELS:
-        p0 = state.schedule.at(0.0)
         # metrics only: a handful of items keeps logging cheap on image data
-        x = x_batch[: min(8, len(x_batch))]
-        # one (n, d) draw is the same stream as n draws of d normals
-        z0 = p0.alpha * state.encoder.encode(x, p0) + p0.sigma * rng.standard_normal(x.shape)
-        pixels = np.rint((x + 1.0) * 255.0 / 2.0).astype(np.int64)
-        recon = float(np.mean([reconstruction_loss(pixels[i], z0[i], state.schedule)
-                               for i in range(len(x))]))
+        recon = sampled_reconstruction_loss(x_batch[:8], state.encoder, state.schedule, rng)
     return LossBreakdown.from_components(diffusion=diffusion, latent=latent,
                                          reconstruction=recon, d=x_batch.shape[1])
 
@@ -117,10 +111,11 @@ def restore(path: str) -> tuple[DenoiserNet, Encoder, ParamStore, RunConfig, Log
     config.lambda_max = ckpt.lambda_max
     config.lambda_min = ckpt.lambda_min
     config.encoder = ckpt.encoder_kind
-    if "d" not in ckpt.meta:
-        raise ConfigError(f"not a model checkpoint (its meta has no 'd'): {path}")
-    d = int(ckpt.meta["d"])
-    model, encoder, store = build_model(config, d)
+    d = ckpt.meta.get("d")
+    if type(d) is not int or d < 1:
+        raise ConfigError(f"not a model checkpoint (its meta has no positive integer 'd', "
+                          f"got {d!r}): {path}")
+    model, encoder, store = build_model(config.validate(), d)
     store.load_state_arrays(ckpt.arrays, step=ckpt.step)
     return model, encoder, store, config, LogLinearSchedule(config.lambda_max, config.lambda_min)
 

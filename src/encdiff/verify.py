@@ -14,18 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor
 from .encoder import Encoder, IdentityEncoder, NonTrainableEncoder
 from .nets import DenoiserNet, EncoderInnerNet, ParamStore
-from .objective import (
-    FixedWeight,
-    OptimalWeight,
-    UnitWeight,
-    batch_vloss_graph,
-    continuous_xloss,
-    discrete_step_terms,
-)
-from .process import GaussianParams, kl_isotropic, transition_coefficients
-from .sampler import OPTIMAL, SamplerConfig, ancestral_sample, sde_forward_step
+from .objective import batch_vloss_graph, continuous_xloss, discrete_step_terms
+from .process import OPTIMAL, GaussianParams, kl_isotropic, transition_coefficients
+from .sampler import SamplerConfig, ancestral_sample, sde_forward_step
 from .schedule import LogLinearSchedule, SchedulePoint, logistic
 
 
@@ -59,7 +53,27 @@ def _report(name: str, measured: float, expected: float, tolerance: float,
 # Analytic prediction models (all z-independent unless stated otherwise)
 # ---------------------------------------------------------------------------
 
-class GaussianPosteriorOracle:
+class AnalyticPredictor:
+    """A closed-form x̂(z, λ); subclasses define predict_x.
+
+    It answers the calls the losses make of DenoiserNet: v̂ follows from x̂
+    through x̂ = α z − σ v̂, and the graph-mode forward enters as a constant.
+    """
+
+    z_independent = True
+
+    def predict_v(self, z: np.ndarray, lam: float) -> np.ndarray:
+        a = math.sqrt(logistic(lam))
+        s = math.sqrt(logistic(-lam))
+        return (a * np.asarray(z) - self.predict_x(z, lam)) / s
+
+    def forward(self, z: Tensor, lam: np.ndarray) -> Tensor:
+        # one scalar λ at a time: predict_x takes a scalar
+        return Tensor(np.stack([self.predict_v(z.data[i], float(lam_i))
+                                for i, lam_i in enumerate(lam)]))
+
+
+class GaussianPosteriorOracle(AnalyticPredictor):
     """Exact posterior-mean predictor for data x ~ N(m, c·I) under the
     variance-preserving marginal:
 
@@ -87,11 +101,6 @@ class GaussianPosteriorOracle:
         a, s2, denom = self._coeffs(lam)
         return (a * self.cov_scale * np.asarray(z) + s2 * self.mean) / denom
 
-    def predict_v(self, z: np.ndarray, lam: float) -> np.ndarray:
-        a2 = logistic(lam)
-        s = math.sqrt(logistic(-lam))
-        return (math.sqrt(a2) * np.asarray(z) - self.predict_x(z, lam)) / s
-
     def posterior_var(self, lam: float) -> float:
         """Var(x_i | z_t): coordinatewise posterior variance."""
         _, s2, denom = self._coeffs(lam)
@@ -103,11 +112,9 @@ class GaussianPosteriorOracle:
         return coeff * coeff * self.posterior_var(t_point.lam) * self.mean.size
 
 
-class SmoothVectorPredictor:
+class SmoothVectorPredictor(AnalyticPredictor):
     """Fixed z-free prediction x̂(λ) = scale·tanh(λ/6)·x0 + offset, used as the
     'imperfect smooth model' in convergence demonstrations."""
-
-    z_independent = True
 
     def __init__(self, x0: np.ndarray, scale: float = 0.9, offset: float = 0.05):
         self.x0 = np.asarray(x0, dtype=np.float64)
@@ -119,19 +126,12 @@ class SmoothVectorPredictor:
         self.calls += 1
         return self.scale * math.tanh(lam / 6.0) * self.x0 + self.offset
 
-    def predict_v(self, z: np.ndarray, lam: float) -> np.ndarray:
-        a = math.sqrt(logistic(lam))
-        s = math.sqrt(logistic(-lam))
-        return (a * np.asarray(z) - self.predict_x(z, lam)) / s
 
-
-class ConstantEpsErrorPredictor:
+class ConstantEpsErrorPredictor(AnalyticPredictor):
     """x̂(λ) = x + ε₀ e^{−λ/2} u: a predictor whose noise-space error is the
     constant vector ε₀·u at every λ.  Makes the per-layer optimal-variance
     ratio uniform across layers, the cleanest demonstration of the vanishing
     weighting penalty."""
-
-    z_independent = True
 
     def __init__(self, x: np.ndarray, u: np.ndarray, eps0: float = 0.1):
         self.x = np.asarray(x, dtype=np.float64)
@@ -142,11 +142,6 @@ class ConstantEpsErrorPredictor:
     def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
         self.calls += 1
         return self.x + self.eps0 * math.exp(-lam / 2.0) * self.u
-
-    def predict_v(self, z: np.ndarray, lam: float) -> np.ndarray:
-        a = math.sqrt(logistic(lam))
-        s = math.sqrt(logistic(-lam))
-        return (a * np.asarray(z) - self.predict_x(z, lam)) / s
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
                             details="inconclusive: quadrature unstable under node doubling")
     errs = []
     for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, UnitWeight(), schedule, exact=True)
+        terms = discrete_step_terms(x, T, model, encoder, schedule)
         errs.append(abs(sum(term.kl for term in terms) - l_inf))
     slope = float(np.polyfit(np.log(T_list), np.log(errs), 1)[0])
     report = _report("limit_convergence", slope, -1.0, 0.3,
@@ -254,7 +249,7 @@ def weighted_penalty_growth(x: np.ndarray, model, encoder: Encoder, w: float,
     """Slope of the total weighting penalty vs T at fixed w ≠ 1 (expected +1)."""
     totals = []
     for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, FixedWeight(w), schedule, exact=True)
+        terms = discrete_step_terms(x, T, model, encoder, schedule, w)
         totals.append(sum(term.penalty for term in terms))
     slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
     return _report("weighted_penalty_growth", slope, 1.0, 0.05,
@@ -271,8 +266,8 @@ def optimal_penalty_decay(x: np.ndarray, model, encoder: Encoder,
     """
     totals = []
     for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, OptimalWeight(), schedule,
-                                    exact=True, counterterm=False)
+        terms = discrete_step_terms(x, T, model, encoder, schedule, OPTIMAL,
+                                    counterterm=False)
         totals.append(sum(term.penalty for term in terms))
     slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
     return _report("optimal_penalty_decay", slope, -1.0, 0.3,

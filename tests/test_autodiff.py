@@ -42,14 +42,6 @@ class TestHandDerivedGradients:
         (g,) = grads(loss, [x])
         assert g == pytest.approx(8.0)
 
-    def test_division(self):
-        a = Tensor(np.array(3.0), requires_grad=True)
-        b = Tensor(np.array(4.0), requires_grad=True)
-        loss = a / b
-        ga, gb = grads(loss, [a, b])
-        assert ga == pytest.approx(1 / 4)
-        assert gb == pytest.approx(-3 / 16)
-
     def test_tanh(self):
         x = Tensor(np.array(0.7), requires_grad=True)
         (g,) = grads(x.tanh(), [x])
@@ -218,11 +210,11 @@ class TestGradContract:
 
 
 class TestNumericsDiagnostics:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_op_names_the_op(self):
-        a = Tensor(np.array(1.0))
-        b = Tensor(np.array(0.0))
-        with pytest.raises(NumericsError, match="div"):
-            _ = a / b
+        a = Tensor(np.array(1e200))
+        with pytest.raises(NumericsError, match="square"):
+            _ = a.square()
 
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NumericsError):
@@ -230,9 +222,12 @@ class TestNumericsDiagnostics:
 
     # ops that overflow warn, and so does the sum of the finite check
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("make, op", [
-        pytest.param(lambda: Tensor(np.array([0.0, 1.0])) / Tensor(np.array([0.0, 2.0])),
-                     "div", id="nan"),
+        # numpy's pairwise sum keeps 8 partial sums: the two 1e308 land in one
+        # and the two −1e308 in another, whose total is inf − inf = NaN
+        pytest.param(lambda: Tensor(np.tile([1e308, -1e308, 0, 0, 0, 0, 0, 0], 2)).sum(),
+                     "sum", id="nan"),
         pytest.param(lambda: Tensor(np.array([1e200, 1.0])) * Tensor(np.array([1e200, 1.0])),
                      "mul", id="inf"),
         pytest.param(lambda: Tensor(np.array([-1e200, 1.0])) * Tensor(np.array([1e200, 1.0])),

@@ -43,6 +43,16 @@ _FULL_HEADER = (b'{"format_version": 1, "lambda_max": 13.3, "lambda_min": -5.0, 
                 b'"tensors": [{"name": "w", "shape": [2], "offset": 0}]}')
 
 
+def _edited_header(**fields):
+    """Edit for a real checkpoint's bytes that replaces the given header fields."""
+    def edit(raw: bytes) -> bytes:
+        (header_len,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + header_len])
+        header.update(fields)
+        return _raw_checkpoint(json.dumps(header).encode()) + raw[8 + header_len:]
+    return edit
+
+
 def _tiny_idx(tmp_path) -> str:
     """A 2-item IDX file of 3x3 images, whose dimension 9 fits no 2-D model."""
     idx_path = str(tmp_path / "tiny.idx")
@@ -163,8 +173,19 @@ class TestConfigFile:
         pytest.param(_raw_checkpoint(_FULL_HEADER), id="payload-missing"),
         pytest.param(_raw_checkpoint(_FULL_HEADER) + bytes(17), id="trailing-bytes"),
         pytest.param(_raw_checkpoint(b"{}", header_len=1000), id="header-past-end"),
+        pytest.param(_edited_header(lambda_max="a"), id="lambda-max-not-a-number"),
+        pytest.param(_edited_header(step=-1), id="step-negative"),
+        pytest.param(_edited_header(step=1.5), id="step-not-an-int"),
+        pytest.param(_edited_header(meta={"d": "x"}), id="meta-d-not-an-int"),
+        pytest.param(_edited_header(meta=5), id="meta-not-an-object"),
+        pytest.param(_edited_header(config_text="lr = 1"), id="config-text-without-section"),
+        pytest.param(_edited_header(config_text=5), id="config-text-not-a-string"),
+        pytest.param(_edited_header(config_text="[model]\ndenoiser_width = -3\n"),
+                     id="config-text-width-negative"),
     ])
-    def test_malformed_checkpoint_rejected(self, tmp_path, raw):
+    def test_malformed_checkpoint_rejected(self, trained_run, tmp_path, raw):
+        if callable(raw):
+            raw = raw(Path(trained_run, "model.ckpt").read_bytes())
         path = tmp_path / "bad.ckpt"
         path.write_bytes(raw)
         assert main(["eval", str(path)]) == EXIT_CONFIG_ERROR
@@ -194,6 +215,36 @@ def test_bad_value_is_config_error(trained_run, tmp_path, command, flags):
     checkpoint = [] if command == "schedule-report" else [os.path.join(trained_run, "model.ckpt")]
     flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     assert main([command, *checkpoint, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+    assert not out.exists()
+
+
+_SMALL_TRAIN = ["--steps", "2", "--n-points", "64", "--batch-size", "8"]
+
+
+@pytest.mark.parametrize("command, flags, ini", [
+    pytest.param("train", _SMALL_TRAIN, "cov_scale = 1\n", id="ini-without-section-header"),
+    pytest.param("train", _SMALL_TRAIN, b"[data]\ncov_scale = \xff\n", id="ini-not-utf8"),
+    pytest.param("train", _SMALL_TRAIN, "[data]\ncov_scale = -1\n", id="cov-scale-negative"),
+    pytest.param("train", _SMALL_TRAIN, "[data]\nmean_x = inf\n", id="mean-x-inf"),
+    pytest.param("train", [*_SMALL_TRAIN, "--encoder-width", "-3"], None,
+                 id="encoder-width-negative"),
+    pytest.param("train", [*_SMALL_TRAIN, "--denoiser-width", "0"], None, id="denoiser-width-0"),
+    pytest.param("train", _SMALL_TRAIN, "[model]\ndenoiser_hidden = 0\n", id="denoiser-hidden-0"),
+    pytest.param("train", _SMALL_TRAIN, "[model]\nencoder_hidden = 0\n", id="encoder-hidden-0"),
+    pytest.param("train", [*_SMALL_TRAIN, "--lr", "nan"], None, id="lr-nan"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta1 = 1.0\n", id="beta1-1"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta2 = -0.1\n", id="beta2-negative"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\neps_hat = 0\n", id="eps-hat-0"),
+    pytest.param("schedule-report", ["--lambda-max", "inf"], None, id="lambda-max-inf"),
+    pytest.param("schedule-report", [], "[schedule]\nlambda_min = -inf\n", id="lambda-min-inf"),
+])
+def test_bad_config_value_is_config_error(tmp_path, command, flags, ini):
+    out = tmp_path / "out"
+    config = []
+    if ini is not None:
+        (tmp_path / "run.ini").write_bytes(ini if isinstance(ini, bytes) else ini.encode())
+        config = ["--config", str(tmp_path / "run.ini")]
+    assert main([command, *config, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
     assert not out.exists()
 
 
@@ -257,6 +308,14 @@ def test_readme_cli_matches_parser():
     listed = {m.group(1): set(re.findall(r"`(--[a-z-]+)`", m.group(2)))
               for m in re.finditer(r"^- `encdiff ([a-z-]+)`:(.*(?:\n  .*)*)", text, re.M)}
     assert listed == accepted
+
+
+def test_readme_library_example_runs():
+    """The README's Python example runs as written."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["loss_w2"].value > namespace["loss_opt"].value
 
 
 class TestEvalCommand:

@@ -13,6 +13,7 @@ from encdiff.data import (
     real_items,
     scale_pixels,
     synth_gaussian2d,
+    unscale_pixels,
     write_idx,
 )
 from encdiff.errors import ConfigError
@@ -36,6 +37,13 @@ class TestScalePixels:
             scale_pixels(-1)
         with pytest.raises(ValueError):
             scale_pixels(np.array([0, 256]))
+
+    def test_unscale_inverts_scale_and_clips(self):
+        levels = np.arange(256)
+        back = unscale_pixels(scale_pixels(levels))
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, levels)
+        np.testing.assert_array_equal(unscale_pixels(np.array([-3.0, 2.0])), [0, 255])
 
 
 class TestIdx:

@@ -140,6 +140,15 @@ class TestFusedMLP:
             net.forward(rng.standard_normal((16, 3)), 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(3,), (16, 3)])
+    def test_overflowing_output_layer_names_it_in_predict_v(self, rng, shape):
+        net = DenoiserNet(d=3, width=8, seed=0)
+        w = net.store.params["denoiser.out.w"]
+        w.data = np.full(w.data.shape, 1e308)
+        with pytest.raises(NumericsError, match="op 'mlp' \\(tensor 'denoiser.out'\\)"):
+            net.predict_v(rng.standard_normal(shape), 0.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_train_abort_on_a_layer_leaves_a_loadable_checkpoint(self, tmp_path, monkeypatch):
         import encdiff.train as train_module

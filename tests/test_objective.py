@@ -12,11 +12,8 @@ from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.nets import DenoiserNet, EncoderInnerNet, ParamStore
 from encdiff.objective import (
     EVAL_ROWS,
-    FixedWeight,
     LossBreakdown,
     MonteCarloEstimate,
-    OptimalWeight,
-    UnitWeight,
     batch_latent_graph,
     batch_vloss_graph,
     continuous_vloss,
@@ -31,8 +28,15 @@ from encdiff.objective import (
     reconstruction_loss,
     t_profile,
 )
+from encdiff.process import (
+    OPTIMAL,
+    GaussianParams,
+    generative_mean,
+    kl_isotropic,
+    reverse_posterior,
+)
 from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
-from encdiff.verify import SmoothVectorPredictor
+from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor
 
 
 def _random_model(d=3, width=16, seed=0, scale=0.2) -> DenoiserNet:
@@ -52,21 +56,14 @@ def _random_trainable(d=3, width=16, seed=1, scale=0.1):
     return make_encoder("trainable", inner_net=inner)
 
 
-class _PerfectIdentityModel:
+class _PerfectIdentityModel(AnalyticPredictor):
     """Predicts x̂ = x exactly; the matching v̂ is derived per query."""
-
-    z_independent = True
 
     def __init__(self, x):
         self.x = np.asarray(x, dtype=np.float64)
 
     def predict_x(self, z, lam):
         return self.x.copy()
-
-    def predict_v(self, z, lam):
-        a = math.sqrt(logistic(lam))
-        s = math.sqrt(logistic(-lam))
-        return (a * np.asarray(z) - self.x) / s
 
 
 class TestParameterizationIdentities:
@@ -180,8 +177,7 @@ class TestAlternativeFormulaRoutes:
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
         for T in (4, 16, 64):
-            terms = discrete_step_terms(x, T, model, enc, UnitWeight(), schedule,
-                                        exact=True, counterterm=True)
+            terms = discrete_step_terms(x, T, model, enc, schedule, counterterm=True)
             for term in terms:
                 sp, tp = schedule.at(term.s), schedule.at(term.t)
                 x_s, x_t = enc.encode(x, sp), enc.encode(x, tp)
@@ -220,44 +216,43 @@ class TestDiscreteLoss:
         model = _PerfectIdentityModel(x)
         enc = make_encoder("identity")
         for T in (1, 4, 32):
-            est = discrete_diffusion_loss(x, T, model, enc, UnitWeight(), None,
-                                          schedule, exact=True)
+            est = discrete_diffusion_loss(x, T, model, enc, schedule)
             assert est.value == pytest.approx(0.0, abs=1e-18)
 
     def test_fixed_w1_equals_unit_bitwise(self, schedule, rng):
+        """w = 1.0 is the unweighted KL with σ_P² = σ_Q², bit for bit."""
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
-        unit = discrete_diffusion_loss(x, 16, model, enc, UnitWeight(), None,
-                                       schedule, exact=True)
-        fixed = discrete_diffusion_loss(x, 16, model, enc, FixedWeight(1.0), None,
-                                        schedule, exact=True)
-        assert unit.value == fixed.value
+        for term in discrete_step_terms(x, 16, model, enc, schedule, w=1.0):
+            sp, tp = schedule.at(term.s), schedule.at(term.t)
+            x_s, x_t = enc.encode(x, sp), enc.encode(x, tp)
+            z_t = tp.alpha * x_t
+            q = reverse_posterior(z_t, x_t, x_s, sp, tp)
+            mu_p = generative_mean(z_t, model.predict_x(z_t, tp.lam), sp, tp, counterterm=True)
+            assert term.kl == kl_isotropic(q, GaussianParams(mean=mu_p, var=q.var), 3)
+            assert term.w == 1.0 and term.penalty == 0.0
 
     def test_T_zero_rejected(self, schedule, rng):
         x = np.zeros(2)
         with pytest.raises(ValueError):
             discrete_diffusion_loss(x, 0, _PerfectIdentityModel(x), make_encoder("identity"),
-                                    UnitWeight(), None, schedule, exact=True)
+                                    schedule)
 
     def test_exact_needs_z_free_model(self, schedule):
         x = np.zeros(2)
         model = DenoiserNet(d=2, width=8)
         with pytest.raises(ValueError):
-            discrete_diffusion_loss(x, 4, model, make_encoder("identity"),
-                                    UnitWeight(), None, schedule, exact=True)
+            discrete_diffusion_loss(x, 4, model, make_encoder("identity"), schedule)
 
     def test_counterterm_default_tracks_encoder(self, schedule, rng):
         """Identity runs without the counterterm; the damping encoder with it."""
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
-        default = discrete_diffusion_loss(x, 8, model, enc, UnitWeight(), None,
-                                          schedule, exact=True)
-        explicit_on = discrete_diffusion_loss(x, 8, model, enc, UnitWeight(), None,
-                                              schedule, counterterm=True, exact=True)
-        explicit_off = discrete_diffusion_loss(x, 8, model, enc, UnitWeight(), None,
-                                               schedule, counterterm=False, exact=True)
+        default = discrete_diffusion_loss(x, 8, model, enc, schedule)
+        explicit_on = discrete_diffusion_loss(x, 8, model, enc, schedule, counterterm=True)
+        explicit_off = discrete_diffusion_loss(x, 8, model, enc, schedule, counterterm=False)
         assert default.value == explicit_on.value
         assert default.value != explicit_off.value
 
@@ -266,29 +261,34 @@ class TestDiscreteLoss:
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
-        exact = discrete_diffusion_loss(x, 32, model, enc, UnitWeight(), None,
-                                        schedule, exact=True)
-        mc = discrete_diffusion_loss(x, 32, model, enc, UnitWeight(),
-                                     np.random.default_rng(0), schedule, n_passes=32)
+        exact = discrete_diffusion_loss(x, 32, model, enc, schedule)
+        mc = discrete_diffusion_loss(x, 32, model, enc, schedule,
+                                     rng=np.random.default_rng(0), n_passes=32)
         assert abs(mc.value - exact.value) < 4 * mc.std_error + 1e-9
 
     def test_optimal_weight_needs_gap_for_neural_models(self, schedule, rng):
         x = rng.uniform(-1, 1, size=2)
         model = DenoiserNet(d=2, width=8)
         with pytest.raises(ValueError):
-            discrete_diffusion_loss(x, 4, model, make_encoder("identity"),
-                                    OptimalWeight(), np.random.default_rng(0), schedule)
+            discrete_diffusion_loss(x, 4, model, make_encoder("identity"), schedule,
+                                    OPTIMAL, rng=np.random.default_rng(0))
 
     def test_step_terms_structure(self, schedule, rng):
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
-        terms = discrete_step_terms(x, 8, model, NonTrainableEncoder(), FixedWeight(2.0),
-                                    schedule, exact=True)
+        terms = discrete_step_terms(x, 8, model, NonTrainableEncoder(), schedule, 2.0)
         assert len(terms) == 8
         assert terms[0].s == 0.0 and terms[-1].t == 1.0
         for term in terms:
             assert term.kl >= term.penalty >= 0.0
             assert term.w == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("w", [0, 0.0, -1.0, "unit", None, math.inf, math.nan])
+    def test_weight_must_be_positive_or_optimal(self, schedule, w):
+        x = np.zeros(2)
+        with pytest.raises(ValueError, match="w must be"):
+            discrete_step_terms(x, 4, _PerfectIdentityModel(x), make_encoder("identity"),
+                                schedule, w)
 
 
 class TestLatentLoss:
@@ -364,6 +364,12 @@ class TestReconstructionLoss:
         pixels = rng.integers(0, 256, size=12)
         z0 = rng.standard_normal(12)
         assert reconstruction_loss(pixels, z0, schedule) >= 0.0
+
+    def test_batch_is_the_mean_of_its_items_bitwise(self, schedule, rng):
+        pixels = rng.integers(0, 256, size=(5, 12))
+        z0 = rng.standard_normal((5, 12))
+        per_item = [reconstruction_loss(v, z, schedule) for v, z in zip(pixels, z0)]
+        assert reconstruction_loss(pixels, z0, schedule) == float(np.mean(per_item))
 
 
 class TestElboBpd:
