@@ -39,7 +39,7 @@ from .objective import (
 )
 from .autodiff import Tensor, grad
 from .nets import DenoiserNet, EncoderInnerNet, ParamStore
-from .optim import Adam, optimizer_step
+from .optim import optimizer_step
 from .sampler import SamplerConfig, ancestral_sample, sde_forward_step, sde_step
 from .data import Dataset, load_idx, scale_pixels, synth_gaussian2d, write_idx
 from .config import RunConfig
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OPTIMAL",
-    "Adam",
     "Dataset",
     "DenoiserNet",
     "EncoderInnerNet",

@@ -2,17 +2,18 @@
 
 Layout: 4-byte magic, little-endian uint32 header length, UTF-8 JSON header,
 then the concatenated tensor payload as little-endian float64, row-major.
-The header records the format version, schedule endpoints, encoder kind, step
-counter, config hash/text and one (name, shape, offset) entry per tensor, so a
-save → load round-trip reproduces every array bit-exactly.
+The header records the format version, the step counter, the run's config
+text and its hash, and one (name, shape, offset) entry per tensor, so a
+save → load round-trip reproduces every array bit-exactly.  The config text is
+the only description of the run: schedule endpoints, encoder kind and network
+widths are read from it, and the data dimension from the arrays' shapes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +21,18 @@ from .errors import ConfigError
 from .io_utils import atomic_write_bytes
 
 MAGIC = b"ENC1"
-FORMAT_VERSION = 1
-_REQUIRED_KEYS = ("format_version", "lambda_max", "lambda_min", "encoder_kind", "step",
-                  "tensors")
+FORMAT_VERSION = 2
+_REQUIRED_KEYS = ("format_version", "step", "config_hash", "config_text", "tensors")
 
 
 @dataclass
 class Checkpoint:
     """In-memory image of a checkpoint file."""
 
-    lambda_max: float
-    lambda_min: float
-    encoder_kind: str
     step: int
     arrays: dict[str, np.ndarray]
-    config_hash: str = ""
-    config_text: str = ""
-    meta: dict = field(default_factory=dict)
+    config_text: str
+    config_hash: str
 
 
 def save(path: str, ckpt: Checkpoint) -> None:
@@ -52,13 +48,9 @@ def save(path: str, ckpt: Checkpoint) -> None:
         offset += len(blob)
     header = {
         "format_version": FORMAT_VERSION,
-        "lambda_max": ckpt.lambda_max,
-        "lambda_min": ckpt.lambda_min,
-        "encoder_kind": ckpt.encoder_kind,
         "step": ckpt.step,
         "config_hash": ckpt.config_hash,
         "config_text": ckpt.config_text,
-        "meta": ckpt.meta,
         "tensors": tensors,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -87,17 +79,13 @@ def load(path: str) -> Checkpoint:
         raise ConfigError(f"checkpoint header lacks one of {_REQUIRED_KEYS}: {path}")
     if header["format_version"] != FORMAT_VERSION:
         raise ConfigError(f"unsupported checkpoint format version {header['format_version']}")
-    for key in ("lambda_max", "lambda_min"):
-        # type(), not isinstance: JSON true/false load as bools, which are ints
-        if type(header[key]) not in (int, float) or not math.isfinite(header[key]):
-            raise ConfigError(f"checkpoint header '{key}' is not a finite number: "
-                              f"{header[key]!r}: {path}")
+    # type(), not isinstance: JSON true/false load as bools, which are ints
     if type(header["step"]) is not int or header["step"] < 0:
         raise ConfigError(f"checkpoint header 'step' is not a non-negative integer: "
                           f"{header['step']!r}: {path}")
-    if type(header.get("config_text", "")) is not str or type(header.get("meta", {})) is not dict:
-        raise ConfigError(f"checkpoint header 'config_text' is not a string or 'meta' not an "
-                          f"object: {path}")
+    for key in ("config_hash", "config_text"):
+        if type(header[key]) is not str:
+            raise ConfigError(f"checkpoint header '{key}' is not a string: {path}")
     arrays: dict[str, np.ndarray] = {}
     size = base
     try:
@@ -118,13 +106,5 @@ def load(path: str) -> Checkpoint:
         raise ConfigError(f"malformed tensor entry in checkpoint header ({exc!r}): {path}") from None
     if size != len(raw):
         raise ConfigError(f"checkpoint has {len(raw) - size} bytes after its last tensor: {path}")
-    return Checkpoint(
-        lambda_max=header["lambda_max"],
-        lambda_min=header["lambda_min"],
-        encoder_kind=header["encoder_kind"],
-        step=header["step"],
-        arrays=arrays,
-        config_hash=header.get("config_hash", ""),
-        config_text=header.get("config_text", ""),
-        meta=header.get("meta", {}),
-    )
+    return Checkpoint(step=header["step"], arrays=arrays, config_text=header["config_text"],
+                      config_hash=header["config_hash"])

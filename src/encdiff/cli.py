@@ -25,7 +25,6 @@ from .errors import ConfigError, NumericsError
 from .io_utils import tile_grid, write_csv, write_pgm
 from .objective import elbo_bpd, t_profile
 from .sampler import SamplerConfig, ancestral_sample
-from .schedule import LogLinearSchedule
 from .train import load_dataset, restore, train
 from .verify import run_all
 
@@ -128,7 +127,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     _require_at_least(1, n_samples=args.n_samples)
     _require_at_least(0, trajectory_every=args.trajectory_every)
-    model, encoder, _store, config, schedule = restore(args.checkpoint)
+    model, encoder, store, config, schedule = restore(args.checkpoint)
     _configure(args, config)
     # the checkpoint does not record an image shape, so a pixel grid needs square images
     side = math.isqrt(model.d)
@@ -159,12 +158,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
         latents_path = os.path.join(config.out_dir, "latents.ckpt")
         save_checkpoint(latents_path, Checkpoint(
-            lambda_max=config.lambda_max, lambda_min=config.lambda_min,
-            encoder_kind=config.encoder, step=config.sample_steps,
+            step=store.step,
             arrays={"latent_final": result.latent_final, "x_out": result.x_out},
-            config_hash=config.hash(),
-            meta={"n_chains": args.n_samples, "seed": config.seed},
-        ))
+            config_text=config.to_text(), config_hash=config.hash()))
         print(f"wrote {latents_path}")
     if args.trajectory_every:
         traj_out = os.path.join(config.out_dir, "trajectory.csv")
@@ -208,7 +204,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 def cmd_schedule_report(args: argparse.Namespace) -> int:
     _require_at_least(1, points=args.points)
     config = _configure(args, _base_config(args))
-    schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
+    schedule = config.schedule()
     ts = np.linspace(0.0, 1.0, args.points)
     rows = []
     for t in ts:
@@ -224,7 +220,7 @@ def cmd_schedule_report(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _configure(args, _base_config(args))
-    schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
+    schedule = config.schedule()
     reports = run_all(schedule=schedule, seed=config.seed, quick=args.quick)
     width = max(len(r.name) for r in reports)
     n_failed = 0
@@ -329,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:  # a config can ask for more memory than the machine has
+        print(f"config error: out of memory ({exc})", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except NumericsError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .schedule import DEFAULT_LAMBDA_MAX, DEFAULT_LAMBDA_MIN
+from .schedule import DEFAULT_LAMBDA_MAX, DEFAULT_LAMBDA_MIN, LogLinearSchedule
 
 _SECTIONS = {
     "data": ["dataset", "idx_path", "n_points", "mean_x", "mean_y", "cov_scale"],
@@ -93,6 +93,9 @@ class RunConfig:
         if not self.eps_hat > 0:
             raise ConfigError(f"eps_hat must be positive, got {self.eps_hat}")
         return self
+
+    def schedule(self) -> LogLinearSchedule:
+        return LogLinearSchedule(self.lambda_max, self.lambda_min)
 
     # --- serialization ---------------------------------------------------
 

@@ -13,21 +13,22 @@ import numpy as np
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
+    """Write path through a temporary file and a rename, with the mode open() would give."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(payload)
+            # mkstemp creates the file as 0600 whatever the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(f.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple], config_hash: str = "") -> None:
@@ -37,7 +38,7 @@ def write_csv(path: str, header: list[str], rows: list[tuple], config_hash: str 
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _fmt(v) -> str:

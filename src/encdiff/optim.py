@@ -85,18 +85,3 @@ def optimizer_step(
     store.v_flat[...] = v
     store.step = t
 
-
-class Adam:
-    """Stateful wrapper binding hyperparameters to a ParamStore."""
-
-    def __init__(self, store: ParamStore, lr: float = DEFAULT_LR,
-                 beta1: float = DEFAULT_BETA1, beta2: float = DEFAULT_BETA2,
-                 eps_hat: float = DEFAULT_EPS_HAT):
-        self.store = store
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps_hat = eps_hat
-
-    def step(self, g_flat: np.ndarray) -> None:
-        optimizer_step(self.store, g_flat, self.lr, self.beta1, self.beta2, self.eps_hat)

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import grad
-from .checkpoint import Checkpoint, save as save_checkpoint
+from .checkpoint import Checkpoint, load as load_checkpoint, save as save_checkpoint
 from .config import RunConfig
 from .data import Dataset, PIXELS, batches, load_idx, real_items, synth_gaussian2d
 from .encoder import Encoder, make_encoder
 from .errors import ConfigError, NumericsError
-from .io_utils import write_csv
+from .io_utils import atomic_write_bytes, write_csv
 from .nets import DenoiserNet, EncoderInnerNet, ParamStore
 from .objective import (
     LossBreakdown,
@@ -30,7 +30,7 @@ from .objective import (
     latent_loss,
     sampled_reconstruction_loss,
 )
-from .optim import Adam
+from .optim import optimizer_step
 from .schedule import LogLinearSchedule
 
 
@@ -83,60 +83,41 @@ def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
 
 
 def _write_checkpoint(state: TrainState, path: str) -> None:
-    ckpt = Checkpoint(
-        lambda_max=state.config.lambda_max,
-        lambda_min=state.config.lambda_min,
-        encoder_kind=state.config.encoder,
-        step=state.store.step,
-        arrays=state.store.state_arrays(),
-        config_hash=state.config.hash(),
-        config_text=state.config.to_text(),
-        meta={
-            "d": state.model.d,
-            "denoiser_width": state.config.denoiser_width,
-            "denoiser_hidden": state.config.denoiser_hidden,
-            "encoder_width": state.config.encoder_width,
-            "encoder_hidden": state.config.encoder_hidden,
-        },
-    )
-    save_checkpoint(path, ckpt)
+    save_checkpoint(path, Checkpoint(step=state.store.step, arrays=state.store.state_arrays(),
+                                     config_text=state.config.to_text(),
+                                     config_hash=state.config.hash()))
 
 
 def restore(path: str) -> tuple[DenoiserNet, Encoder, ParamStore, RunConfig, LogLinearSchedule]:
-    """Rebuild model, encoder and optimizer state from a checkpoint file."""
-    from .checkpoint import load as load_checkpoint
+    """Rebuild model, encoder and optimizer state from a checkpoint file.
 
+    The run is described by the checkpoint's config text alone; the data
+    dimension is the size of the denoiser's output bias.
+    """
     ckpt = load_checkpoint(path)
-    config = RunConfig.from_text(ckpt.config_text) if ckpt.config_text else RunConfig()
-    config.lambda_max = ckpt.lambda_max
-    config.lambda_min = ckpt.lambda_min
-    config.encoder = ckpt.encoder_kind
-    d = ckpt.meta.get("d")
-    if type(d) is not int or d < 1:
-        raise ConfigError(f"not a model checkpoint (its meta has no positive integer 'd', "
-                          f"got {d!r}): {path}")
-    model, encoder, store = build_model(config.validate(), d)
+    config = RunConfig.from_text(ckpt.config_text).validate()
+    out_b = ckpt.arrays.get("param/denoiser.out.b")
+    if out_b is None or out_b.ndim != 1 or out_b.size < 1:
+        raise ConfigError(f"not a model checkpoint (no 1-D array 'param/denoiser.out.b' "
+                          f"of size >= 1): {path}")
+    model, encoder, store = build_model(config, out_b.size)
     store.load_state_arrays(ckpt.arrays, step=ckpt.step)
-    return model, encoder, store, config, LogLinearSchedule(config.lambda_max, config.lambda_min)
+    return model, encoder, store, config, config.schedule()
 
 
 def train(config: RunConfig, progress=None) -> TrainState:
     """Run the full training loop; returns the final state with the loss log."""
     config.validate()
-    schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
+    schedule = config.schedule()
     dataset = load_dataset(config)
     items = real_items(dataset)
     d = items.shape[1]
     model, encoder, store = build_model(config, d)
-    adam = Adam(store, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                eps_hat=config.eps_hat)
     state = TrainState(config=config, schedule=schedule, dataset=dataset,
                        model=model, encoder=encoder, store=store)
 
     os.makedirs(config.out_dir, exist_ok=True)
-    from .io_utils import atomic_write_text
-
-    atomic_write_text(os.path.join(config.out_dir, "config.ini"), config.to_text())
+    atomic_write_bytes(os.path.join(config.out_dir, "config.ini"), config.to_text().encode())
     ckpt_path = os.path.join(config.out_dir, "model.ckpt")
     curve_path = os.path.join(config.out_dir, "loss_curve.csv")
     state.checkpoint_path = ckpt_path
@@ -164,7 +145,8 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # the latent term keeps the encoder's t=1 output anchored near
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
-            adam.step(grad(objective, store.tensors(), allow_unused=True))
+            optimizer_step(store, grad(objective, store.tensors(), allow_unused=True),
+                           config.lr, config.beta1, config.beta2, config.eps_hat)
         except NumericsError:
             # parameters are still finite here: forward ops reject non-finite
             # values before any state is touched, and the optimizer rejects

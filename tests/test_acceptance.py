@@ -270,7 +270,7 @@ def test_criterion_7_oracle_sampling():
           f"{oracle.calls} denoiser calls, 0 encoder calls", t0)
 
 
-def test_criterion_8_desk_scale_training():
+def test_criterion_8_desk_scale_training(tmp_path):
     """Three 20k-step runs on a concentrated 2-D Gaussian; paired evaluation."""
     t0 = time.time()
     rng = np.random.default_rng(8)
@@ -280,7 +280,7 @@ def test_criterion_8_desk_scale_training():
     n_eval = 512
     results = {}
     for kind in ("identity", "nt", "trainable"):
-        config = RunConfig(encoder=kind, out_dir=f"/tmp/encdiff_accept_{kind}", **base)
+        config = RunConfig(encoder=kind, out_dir=str(tmp_path / kind), **base)
         state = train(config)
         items = state.dataset.items[:n_eval]
         ts = rng.uniform(0.0, 1.0, size=n_eval)

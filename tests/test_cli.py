@@ -6,11 +6,14 @@ import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import encdiff
 from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from encdiff.config import RunConfig
 from encdiff.io_utils import read_csv, read_pgm, write_pgm
@@ -38,19 +41,32 @@ def _raw_checkpoint(header: bytes, header_len: int | None = None) -> bytes:
     return b"ENC1" + struct.pack("<I", length) + header
 
 
-_FULL_HEADER = (b'{"format_version": 1, "lambda_max": 13.3, "lambda_min": -5.0, '
-                b'"encoder_kind": "nt", "step": 0, '
+_FULL_HEADER = (b'{"format_version": 2, "step": 0, "config_hash": "", '
+                b'"config_text": "[model]\\nencoder = nt\\n", '
                 b'"tensors": [{"name": "w", "shape": [2], "offset": 0}]}')
 
 
-def _edited_header(**fields):
-    """Edit for a real checkpoint's bytes that replaces the given header fields."""
+def _header_edit(change):
+    """Edit for a real checkpoint's bytes that applies change() to its parsed header."""
     def edit(raw: bytes) -> bytes:
         (header_len,) = struct.unpack("<I", raw[4:8])
         header = json.loads(raw[8:8 + header_len])
-        header.update(fields)
+        change(header)
         return _raw_checkpoint(json.dumps(header).encode()) + raw[8 + header_len:]
     return edit
+
+
+def _edited_header(**fields):
+    """Edit that replaces the given header fields."""
+    return _header_edit(lambda header: header.update(fields))
+
+
+def _edited_tensor(tensor, **fields):
+    """Edit that replaces the given fields of the named tensor's entry."""
+    def change(header):
+        (entry,) = [e for e in header["tensors"] if e["name"] == tensor]
+        entry.update(fields)
+    return _header_edit(change)
 
 
 def _tiny_idx(tmp_path) -> str:
@@ -128,6 +144,68 @@ class TestTrainCommand:
         config = RunConfig.from_file(path)
         assert config.encoder == "trainable"
 
+    def test_checkpoint_header_is_the_config_and_the_arrays(self, trained_run):
+        raw = Path(trained_run, "model.ckpt").read_bytes()
+        (header_len,) = struct.unpack("<I", raw[4:8])
+        header = json.loads(raw[8:8 + header_len])
+        assert set(header) == {"format_version", "step", "config_hash", "config_text",
+                               "tensors"}
+        assert header["format_version"] == 2
+        config = RunConfig.from_text(header["config_text"])
+        assert config.encoder == "trainable"
+        assert header["config_hash"] == config.hash()
+
+    @pytest.mark.parametrize("umask, mode", [pytest.param(0o022, 0o644, id="umask-022"),
+                                             pytest.param(0o077, 0o600, id="umask-077")])
+    def test_artifacts_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            assert main(_train_args(str(tmp_path), steps=2)) == EXIT_OK
+        finally:
+            os.umask(old)
+        for name in ("config.ini", "loss_curve.csv", "model.ckpt"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
+
+
+_ALLOCATION_LIMIT = 2_000_000_000  # bytes of address space for the child below
+
+
+def _main_with_memory_limit(args: list[str]) -> subprocess.CompletedProcess:
+    """Run encdiff's main(args) in a child process whose address space is capped."""
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({_ALLOCATION_LIMIT}, {_ALLOCATION_LIMIT}))\n"
+            "from encdiff.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    package_root = str(Path(encdiff.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
+                                                       os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestImpossibleAllocation:
+    """A width the machine cannot allocate is a config error, not a traceback."""
+
+    def test_train(self, tmp_path):
+        out = tmp_path / "out"
+        result = _main_with_memory_limit(
+            _train_args(str(out), steps=2, extra=["--denoiser-width", "3000000"]))
+        assert result.returncode == EXIT_CONFIG_ERROR, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("config error: out of memory")
+        assert not out.exists()
+
+    def test_eval_of_checkpoint_asking_for_it(self, trained_run, tmp_path):
+        edit = _edited_header(config_text="[model]\ndenoiser_width = 3000000\n")
+        path = tmp_path / "wide.ckpt"
+        path.write_bytes(edit(Path(trained_run, "model.ckpt").read_bytes()))
+        out = tmp_path / "out"
+        result = _main_with_memory_limit(["eval", str(path), "--out-dir", str(out)])
+        assert result.returncode == EXIT_CONFIG_ERROR, result.stderr
+        assert "Traceback" not in result.stderr
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_round_trip(self):
@@ -173,11 +251,15 @@ class TestConfigFile:
         pytest.param(_raw_checkpoint(_FULL_HEADER), id="payload-missing"),
         pytest.param(_raw_checkpoint(_FULL_HEADER) + bytes(17), id="trailing-bytes"),
         pytest.param(_raw_checkpoint(b"{}", header_len=1000), id="header-past-end"),
-        pytest.param(_edited_header(lambda_max="a"), id="lambda-max-not-a-number"),
+        pytest.param(_edited_header(format_version=1), id="format-version-1"),
         pytest.param(_edited_header(step=-1), id="step-negative"),
         pytest.param(_edited_header(step=1.5), id="step-not-an-int"),
-        pytest.param(_edited_header(meta={"d": "x"}), id="meta-d-not-an-int"),
-        pytest.param(_edited_header(meta=5), id="meta-not-an-object"),
+        pytest.param(_edited_header(config_text="[schedule]\nlambda_max = inf\n"),
+                     id="config-text-lambda-max-inf"),
+        pytest.param(_edited_tensor("param/denoiser.out.b", name="param/denoiser.out.c"),
+                     id="no-denoiser-out-b"),
+        pytest.param(_edited_tensor("param/denoiser.out.b", shape=[1, 2]),
+                     id="denoiser-out-b-not-1d"),
         pytest.param(_edited_header(config_text="lr = 1"), id="config-text-without-section"),
         pytest.param(_edited_header(config_text=5), id="config-text-not-a-string"),
         pytest.param(_edited_header(config_text="[model]\ndenoiser_width = -3\n"),
@@ -412,7 +494,8 @@ class TestSampleCommand:
         dump = load(os.path.join(out, "latents.ckpt"))
         assert dump.arrays["latent_final"].shape == (6, 2)
         assert dump.arrays["x_out"].shape == (6, 2)
-        assert dump.meta["n_chains"] == 6
+        assert dump.step == 60
+        assert RunConfig.from_text(dump.config_text).sample_steps == 8
         # the latents dump shares the container format but holds no model
         assert main(["eval", os.path.join(out, "latents.ckpt")]) == EXIT_CONFIG_ERROR
 

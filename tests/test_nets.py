@@ -10,7 +10,7 @@ from encdiff.checkpoint import Checkpoint, load, save
 from encdiff.config import RunConfig
 from encdiff.errors import ConfigError, NumericsError
 from encdiff.nets import MLP, DenoiserNet, EncoderInnerNet, ParamStore, sinusoidal_embedding
-from encdiff.optim import Adam, optimizer_step
+from encdiff.optim import optimizer_step
 from encdiff.schedule import logistic
 
 
@@ -294,11 +294,10 @@ class TestOptimizer:
         store = ParamStore()
         store.add("a", np.array([[0.5, -1.0], [2.0, 0.25]]))
         store.add("b", np.array([1.0, -3.0]))
-        adam = Adam(store, lr=0.01)
-        adam.step(np.array([0.1, 0.1, 0.1, 0.1, 0.2, -0.3]))
+        optimizer_step(store, np.array([0.1, 0.1, 0.1, 0.1, 0.2, -0.3]), lr=0.01)
         before = [np.array(buf) for buf in (store.flat, store.m_flat, store.v_flat)]
         with pytest.raises(NumericsError, match="parameter 'b'"):
-            adam.step(np.concatenate([np.full(4, 0.1), bad]))
+            optimizer_step(store, np.concatenate([np.full(4, 0.1), bad]), lr=0.01)
         for buf, old in zip((store.flat, store.m_flat, store.v_flat), before):
             assert buf.tobytes() == old.tobytes()
         assert store.step == 1
@@ -344,10 +343,9 @@ class TestOptimizer:
         def run() -> np.ndarray:
             store = ParamStore()
             store.add("w", np.array([0.2, -0.4]))
-            adam = Adam(store, lr=0.05)
             local = np.random.default_rng(9)
             for _ in range(25):
-                adam.step(local.standard_normal(2))
+                optimizer_step(store, local.standard_normal(2), lr=0.05)
             return store.params["w"].data
 
         np.testing.assert_array_equal(run(), run())
@@ -358,17 +356,16 @@ class TestCheckpoint:
         store = ParamStore()
         net = DenoiserNet(d=3, width=16, seed=5, store=store)
         _randomize_output_layer(store, rng)
-        adam = Adam(store)
         for _ in range(3):
-            adam.step(rng.standard_normal(store.n_scalars()))
+            optimizer_step(store, rng.standard_normal(store.n_scalars()))
         path = os.path.join(tmp_path, "model.ckpt")
-        save(path, Checkpoint(lambda_max=13.3, lambda_min=-5.0, encoder_kind="nt",
-                              step=store.step, arrays=store.state_arrays(),
-                              config_hash="abc", meta={"d": 3}))
+        config = RunConfig(encoder="nt")
+        save(path, Checkpoint(step=store.step, arrays=store.state_arrays(),
+                              config_text=config.to_text(), config_hash=config.hash()))
         ckpt = load(path)
         assert ckpt.step == 3
-        assert ckpt.encoder_kind == "nt"
-        assert ckpt.config_hash == "abc"
+        assert ckpt.config_text == config.to_text()
+        assert ckpt.config_hash == config.hash()
         for name, arr in store.state_arrays().items():
             assert np.array_equal(ckpt.arrays[name], arr)
 
@@ -381,12 +378,11 @@ class TestCheckpoint:
 
         store = build()
         _randomize_output_layer(store, rng)
-        adam = Adam(store)
         for _ in range(3):
-            adam.step(rng.standard_normal(store.n_scalars()))
+            optimizer_step(store, rng.standard_normal(store.n_scalars()))
         path = os.path.join(tmp_path, "model.ckpt")
-        save(path, Checkpoint(lambda_max=13.3, lambda_min=-5.0, encoder_kind="trainable",
-                              step=store.step, arrays=store.state_arrays()))
+        save(path, Checkpoint(step=store.step, arrays=store.state_arrays(), config_text="",
+                              config_hash=""))
         fresh = build()
         fresh.load_state_arrays(load(path).arrays, step=load(path).step)
         for name in ("flat", "m_flat", "v_flat"):
@@ -406,8 +402,8 @@ class TestCheckpoint:
         path = os.path.join(tmp_path, "model.ckpt")
         store = ParamStore()
         store.add("w", np.arange(64, dtype=np.float64))
-        save(path, Checkpoint(lambda_max=1.0, lambda_min=-1.0, encoder_kind="identity",
-                              step=0, arrays=store.state_arrays()))
+        save(path, Checkpoint(step=0, arrays=store.state_arrays(), config_text="",
+                              config_hash=""))
         with open(path, "rb") as f:
             raw = f.read()
         with open(path, "wb") as f:
