@@ -12,6 +12,7 @@ widths are read from it, and the data dimension from the arrays' shapes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -87,24 +88,27 @@ def load(path: str) -> Checkpoint:
         if type(header[key]) is not str:
             raise ConfigError(f"checkpoint header '{key}' is not a string: {path}")
     arrays: dict[str, np.ndarray] = {}
-    size = base
+    end = base
     try:
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            start = base + entry["offset"]
-            end = start + count * 8
-            if start < base or end > len(raw):
-                raise ConfigError(f"truncated checkpoint: tensor '{entry['name']}' spans bytes "
+            name, shape = entry["name"], entry["shape"]
+            # tensors lie back to back: each starts where the one before it ends
+            if entry["offset"] != end - base:
+                raise ConfigError(f"checkpoint tensor '{name}' has offset {entry['offset']!r}, "
+                                  f"expected {end - base}: {path}")
+            if any(type(n) is not int or n < 0 for n in shape):
+                raise ConfigError(f"checkpoint tensor '{name}' has shape {shape!r}, not a "
+                                  f"list of non-negative ints: {path}")
+            start, end = end, end + 8 * math.prod(shape)
+            if end > len(raw):
+                raise ConfigError(f"truncated checkpoint: tensor '{name}' spans bytes "
                                   f"{start}..{end} but file has {len(raw)}: {path}")
-            values = np.frombuffer(raw[start:end], dtype="<f8")
-            arrays[entry["name"]] = values.reshape(shape).copy()
-            size = max(size, end)
+            arrays[name] = np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).copy()
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed tensor entry in checkpoint header ({exc!r}): {path}") from None
-    if size != len(raw):
-        raise ConfigError(f"checkpoint has {len(raw) - size} bytes after its last tensor: {path}")
+    if end != len(raw):
+        raise ConfigError(f"checkpoint has {len(raw) - end} bytes after its last tensor: {path}")
     return Checkpoint(step=header["step"], arrays=arrays, config_text=header["config_text"],
                       config_hash=header["config_hash"])

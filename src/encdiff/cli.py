@@ -107,7 +107,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"{name:>15s} {value:12.6f}")
     print(f"(diffusion MC stderr {stderr:.2e} bpd over {n_items} items, "
           f"n_mc={config.n_mc})")
-    os.makedirs(config.out_dir, exist_ok=True)
     out = os.path.join(config.out_dir, "eval.csv")
     write_csv(out, ["encoder", "total", "latent", "diffusion", "reconstruction",
                     "diffusion_stderr"],
@@ -142,7 +141,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     result = ancestral_sample(model, schedule, sampler_config, n_chains=args.n_samples,
                               d=model.d, pixel_decode=args.pixels,
                               trajectory_every=args.trajectory_every)
-    os.makedirs(config.out_dir, exist_ok=True)
     if args.pixels:
         imgs = result.pixels.reshape(-1, side, side)
         grid = tile_grid(imgs, n_cols=max(1, int(np.ceil(np.sqrt(len(imgs))))))
@@ -182,7 +180,6 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         if not args.window <= t <= 1.0:
             raise ConfigError(f"heatmap t={t} must lie in [window, 1] = [{args.window}, 1]")
     x = items[args.item]
-    os.makedirs(config.out_dir, exist_ok=True)
     rows = []
     for t in args.t_values:
         rate = change_heatmap(encoder, x, schedule, t - args.window, t)
@@ -210,7 +207,6 @@ def cmd_schedule_report(args: argparse.Namespace) -> int:
     for t in ts:
         p = schedule.at(float(t))
         rows.append((p.t, p.lam, p.alpha, p.sigma, p.snr))
-    os.makedirs(config.out_dir, exist_ok=True)
     out = os.path.join(config.out_dir, "schedule.csv")
     write_csv(out, ["t", "lambda", "alpha", "sigma", "snr"], rows,
               config_hash=config.hash())
@@ -229,7 +225,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"{r.name:<{width}s}  {status}  measured={r.measured:.6g} "
               f"expected={r.expected:.6g} tol={r.tolerance:.3g}  {r.details}")
         n_failed += 0 if r.passed else 1
-    os.makedirs(config.out_dir, exist_ok=True)
     out = os.path.join(config.out_dir, "verify.csv")
     write_csv(out, ["name", "measured", "expected", "tolerance", "status", "details"],
               [r.row() for r in reports], config_hash=config.hash())
@@ -323,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except MemoryError as exc:  # a config can ask for more memory than the machine has

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .optim import DEFAULT_BETA1, DEFAULT_BETA2, DEFAULT_EPS_HAT, DEFAULT_LR
 from .schedule import DEFAULT_LAMBDA_MAX, DEFAULT_LAMBDA_MIN, LogLinearSchedule
 
 _SECTIONS = {
@@ -49,10 +50,10 @@ class RunConfig:
     # train
     steps: int = 20000
     batch_size: int = 64
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
+    lr: float = DEFAULT_LR
+    beta1: float = DEFAULT_BETA1
+    beta2: float = DEFAULT_BETA2
+    eps_hat: float = DEFAULT_EPS_HAT
     seed: int = 0
     log_every: int = 200
     checkpoint_every: int = 5000
@@ -100,7 +101,7 @@ class RunConfig:
     # --- serialization ---------------------------------------------------
 
     def to_text(self, include_out: bool = True) -> str:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for section, keys in _SECTIONS.items():
             if section == "out" and not include_out:
@@ -116,7 +117,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
@@ -125,7 +126,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             read = parser.read(path)
         except (configparser.Error, UnicodeDecodeError) as exc:

@@ -47,11 +47,6 @@ from .schedule import LogLinearSchedule, SchedulePoint
 
 FD_REL_STEP = 1e-3
 
-IDENTITY = "identity"
-NON_TRAINABLE = "nt"
-TRAINABLE = "trainable"
-ENCODER_KINDS = (IDENTITY, NON_TRAINABLE, TRAINABLE)
-
 # loss_terms' extra residual: x̂ -> extra, or None when there is no extra term
 Extra = Callable[[Tensor], Tensor] | None
 
@@ -59,7 +54,6 @@ Extra = Callable[[Tensor], Tensor] | None
 class IdentityEncoder:
     """x_t = x for all t; the λ-derivative vanishes."""
 
-    kind = IDENTITY
     trainable = False
     counterterm = False
 
@@ -88,7 +82,6 @@ class IdentityEncoder:
 class NonTrainableEncoder:
     """x_t = α_t² x: damps the data towards zero as t -> 1."""
 
-    kind = NON_TRAINABLE
     trainable = False
     counterterm = True
 
@@ -118,7 +111,6 @@ class NonTrainableEncoder:
 class TrainableEncoder:
     """x_t = α_t² x + σ_t² y(x, λ_t) with a learned inner network y."""
 
-    kind = TRAINABLE
     trainable = True
     counterterm = True
 
@@ -206,15 +198,13 @@ def _central_difference(y_up: Tensor, y_down: Tensor, h: float) -> Tensor:
 
 
 def make_encoder(kind: str, inner_net: EncoderInnerNet | None = None) -> Encoder:
-    if kind == IDENTITY:
+    if kind == "identity":
         return IdentityEncoder()
-    if kind == NON_TRAINABLE:
+    if kind == "nt":
         return NonTrainableEncoder()
-    if kind == TRAINABLE:
-        if inner_net is None:
-            raise ConfigError("encoder kind 'trainable' requires an inner network")
+    if kind == "trainable":
         return TrainableEncoder(inner_net)
-    raise ConfigError(f"unknown encoder kind '{kind}'; expected one of {ENCODER_KINDS}")
+    raise ConfigError(f"unknown encoder kind '{kind}'; expected identity, nt or trainable")
 
 
 def change_heatmap(

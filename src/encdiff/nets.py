@@ -21,6 +21,7 @@ import numpy as np
 
 from .autodiff import Tensor, all_finite
 from .errors import ConfigError, NumericsError
+from .schedule import point_from_lam
 
 N_FREQUENCIES = 8
 # Geometric ladder topping out near omega = 2: the λ-derivative of the
@@ -196,11 +197,8 @@ class MLP:
 
     def __init__(self, store: ParamStore, prefix: str, d_in: int, d_out: int,
                  width: int, n_hidden: int, rng: np.random.Generator):
-        self.store = store
         self.prefix = prefix
         self.d_in = d_in
-        self.d_out = d_out
-        self.width = width
         self.n_hidden = n_hidden
         n_feat = d_in + 2 * N_FREQUENCIES
         self.layer_names = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
@@ -276,8 +274,6 @@ class DenoiserNet:
     def __init__(self, d: int, width: int = 256, n_hidden: int = 2,
                  seed: int = 0, store: ParamStore | None = None):
         self.d = d
-        self.width = width
-        self.n_hidden = n_hidden
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
         self.net = MLP(self.store, "denoiser", d, d, width, n_hidden, rng)
@@ -285,9 +281,6 @@ class DenoiserNet:
 
     def forward(self, z: Tensor | np.ndarray, lam) -> Tensor:
         self.calls += 1
-        z = Tensor.as_tensor(z)
-        if z.data.ndim == 1:
-            raise ValueError("1-D graph inputs are not supported; pass (B, d)")
         return self.net.forward(z, lam)
 
     def predict_v(self, z: np.ndarray, lam) -> np.ndarray:
@@ -298,10 +291,8 @@ class DenoiserNet:
         return out[0] if single else out
 
     def predict_x(self, z: np.ndarray, lam) -> np.ndarray:
-        from .schedule import logistic
-        a = np.sqrt(logistic(float(lam)))
-        s = np.sqrt(logistic(-float(lam)))
-        return a * np.asarray(z) - s * self.predict_v(z, lam)
+        p = point_from_lam(float(lam))
+        return p.alpha * np.asarray(z) - p.sigma * self.predict_v(z, lam)
 
 
 class EncoderInnerNet:
@@ -309,15 +300,9 @@ class EncoderInnerNet:
 
     def __init__(self, d: int, width: int = 128, n_hidden: int = 2,
                  seed: int = 1, store: ParamStore | None = None):
-        self.d = d
-        self.width = width
-        self.n_hidden = n_hidden
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
         self.net = MLP(self.store, "encoder", d, d, width, n_hidden, rng)
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
-        x = Tensor.as_tensor(x)
-        if x.data.ndim == 1:
-            raise ValueError("1-D graph inputs are not supported; pass (B, d)")
         return self.net.forward(x, lam)

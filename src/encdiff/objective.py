@@ -196,8 +196,6 @@ class StepTerm:
     t: float
     kl: float
     penalty: float
-    mean_sq_gap: float
-    sigma2_q: float
     w: float
 
 
@@ -252,12 +250,12 @@ def discrete_step_terms(
         x_hat = model.predict_x(z_t, tp.lam)
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
         mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
-        gap = float(np.sum((mu_p - q.mean) ** 2))
-        sigma2_p = optimal_sigma_p(q.var, gap, d) if optimal else q.var / w
+        sigma2_p = (optimal_sigma_p(q.var, float(np.sum((mu_p - q.mean) ** 2)), d)
+                    if optimal else q.var / w)
         w_layer = q.var / sigma2_p
         kl = kl_isotropic(q, GaussianParams(mean=mu_p, var=sigma2_p), d)
         terms.append(StepTerm(s=sp.t, t=tp.t, kl=kl, penalty=weighting_penalty(w_layer, d),
-                              mean_sq_gap=gap, sigma2_q=q.var, w=w_layer))
+                              w=w_layer))
     return terms
 
 

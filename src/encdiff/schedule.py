@@ -91,17 +91,7 @@ class LogLinearSchedule:
         """Evaluate the schedule at time t ∈ [0, 1]."""
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"schedule time must lie in [0, 1], got {t}")
-        lam = self.lam(t)
-        a2 = logistic(lam)
-        s2 = logistic(-lam)
-        return SchedulePoint(
-            t=float(t),
-            lam=lam,
-            lam_prime=self.lam_prime,
-            alpha=math.sqrt(a2),
-            sigma=math.sqrt(s2),
-            snr=math.exp(lam),
-        )
+        return point_from_lam(self.lam(t), self.lam_prime, float(t))
 
     def columns(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
         """The schedule at every time of a 1-D array ts ⊂ [0, 1], as arrays.
@@ -114,7 +104,7 @@ class LogLinearSchedule:
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
             raise ValueError(f"schedule times must lie in [0, 1], got range "
                              f"[{ts.min()}, {ts.max()}]")
-        lam = self.lambda_max - (self.lambda_max - self.lambda_min) * ts
+        lam = self.lam(ts)
         # logistic(±λ) as `logistic` computes it: both use e = exp(−|λ|), and
         # math.exp keeps every entry bit-identical to `at` (np.exp may differ
         # from it in the last bit)
@@ -138,10 +128,10 @@ class LogLinearSchedule:
 
 
 def point_from_lam(lam: float, lam_prime: float = 0.0, t: float = float("nan")) -> SchedulePoint:
-    """Free-standing point for tests and analysis outside any schedule."""
-    a2 = logistic(lam)
-    s2 = logistic(-lam)
-    return SchedulePoint(
-        t=t, lam=lam, lam_prime=lam_prime,
-        alpha=math.sqrt(a2), sigma=math.sqrt(s2), snr=math.exp(lam),
-    )
+    """The point at log-SNR lam, with α² = logistic(λ) and σ² = logistic(−λ).
+
+    The one place these fields are computed: `LogLinearSchedule.at` builds its
+    points here, and the prediction models take their α and σ from here.
+    """
+    return SchedulePoint(t=t, lam=lam, lam_prime=lam_prime, alpha=math.sqrt(logistic(lam)),
+                         sigma=math.sqrt(logistic(-lam)), snr=math.exp(lam))

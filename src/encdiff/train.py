@@ -44,8 +44,6 @@ class TrainState:
     store: ParamStore
     log_rows: list = field(default_factory=list)
     checkpoint_path: str = ""
-    initial_total: float = float("nan")
-    final_total: float = float("nan")
 
 
 def load_dataset(config: RunConfig) -> Dataset:
@@ -116,7 +114,6 @@ def train(config: RunConfig, progress=None) -> TrainState:
     state = TrainState(config=config, schedule=schedule, dataset=dataset,
                        model=model, encoder=encoder, store=store)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     atomic_write_bytes(os.path.join(config.out_dir, "config.ini"), config.to_text().encode())
     ckpt_path = os.path.join(config.out_dir, "model.ckpt")
     curve_path = os.path.join(config.out_dir, "loss_curve.csv")
@@ -159,9 +156,6 @@ def train(config: RunConfig, progress=None) -> TrainState:
             metrics = _loss_metrics(x_batch, state, diffusion, metrics_rng)
             state.log_rows.append((store.step, metrics.diffusion, metrics.latent,
                                    metrics.reconstruction, metrics.total_nats, metrics.bpd))
-            if step == 0:
-                state.initial_total = metrics.total_nats
-            state.final_total = metrics.total_nats
             if progress is not None:
                 progress(store.step, metrics)
             flush_curve()

@@ -20,7 +20,7 @@ from .nets import DenoiserNet, EncoderInnerNet, ParamStore
 from .objective import batch_vloss_graph, continuous_xloss, discrete_step_terms
 from .process import OPTIMAL, GaussianParams, kl_isotropic, transition_coefficients
 from .sampler import SamplerConfig, ancestral_sample, sde_forward_step
-from .schedule import LogLinearSchedule, SchedulePoint, logistic
+from .schedule import LogLinearSchedule, SchedulePoint, logistic, point_from_lam
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,8 @@ class AnalyticPredictor:
     z_independent = True
 
     def predict_v(self, z: np.ndarray, lam: float) -> np.ndarray:
-        a = math.sqrt(logistic(lam))
-        s = math.sqrt(logistic(-lam))
-        return (a * np.asarray(z) - self.predict_x(z, lam)) / s
+        p = point_from_lam(lam)
+        return (p.alpha * np.asarray(z) - self.predict_x(z, lam)) / p.sigma
 
     def forward(self, z: Tensor, lam: np.ndarray) -> Tensor:
         # one scalar λ at a time: predict_x takes a scalar
@@ -120,10 +119,8 @@ class SmoothVectorPredictor(AnalyticPredictor):
         self.x0 = np.asarray(x0, dtype=np.float64)
         self.scale = scale
         self.offset = offset
-        self.calls = 0
 
     def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
-        self.calls += 1
         return self.scale * math.tanh(lam / 6.0) * self.x0 + self.offset
 
 
@@ -137,10 +134,8 @@ class ConstantEpsErrorPredictor(AnalyticPredictor):
         self.x = np.asarray(x, dtype=np.float64)
         self.u = np.asarray(u, dtype=np.float64)
         self.eps0 = eps0
-        self.calls = 0
 
     def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
-        self.calls += 1
         return self.x + self.eps0 * math.exp(-lam / 2.0) * self.u
 
 

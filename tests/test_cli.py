@@ -12,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import encdiff
 from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from encdiff.config import RunConfig
+from encdiff.errors import ConfigError
 from encdiff.io_utils import read_csv, read_pgm, write_pgm
 from encdiff.train import restore, train
 
@@ -66,6 +68,21 @@ def _edited_tensor(tensor, **fields):
     def change(header):
         (entry,) = [e for e in header["tensors"] if e["name"] == tensor]
         entry.update(fields)
+    return _header_edit(change)
+
+
+def _shared_offset(header):
+    """The second tensor entry points at the first one's bytes."""
+    first, second = header["tensors"][:2]
+    second["offset"] = first["offset"]
+
+
+def _appended_tensor(shape):
+    """Edit that adds a tensor entry of this shape after the last one, with no bytes."""
+    def change(header):
+        last = header["tensors"][-1]
+        offset = last["offset"] + 8 * int(np.prod(last["shape"]))
+        header["tensors"].append({"name": "extra", "shape": shape, "offset": offset})
     return _header_edit(change)
 
 
@@ -214,6 +231,10 @@ class TestConfigFile:
         back = RunConfig.from_text(text)
         assert back == config
 
+    def test_percent_sign_is_literal(self):
+        config = RunConfig(dataset="idx", idx_path="data/50%/train.idx")
+        assert RunConfig.from_text(config.to_text()) == config
+
     def test_flags_override_file(self, tmp_path):
         path = str(tmp_path / "run.ini")
         with open(path, "w") as f:
@@ -264,6 +285,10 @@ class TestConfigFile:
         pytest.param(_edited_header(config_text=5), id="config-text-not-a-string"),
         pytest.param(_edited_header(config_text="[model]\ndenoiser_width = -3\n"),
                      id="config-text-width-negative"),
+        pytest.param(_header_edit(_shared_offset), id="tensors-share-an-offset"),
+        pytest.param(_edited_header(config_text="[schedule]\nlambda_min = -%.0\n"),
+                     id="config-text-percent-sign"),
+        pytest.param(_appended_tensor([-1, 2]), id="shape-negative"),
     ])
     def test_malformed_checkpoint_rejected(self, trained_run, tmp_path, raw):
         if callable(raw):
@@ -275,6 +300,30 @@ class TestConfigFile:
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
         assert RunConfig().hash() != RunConfig(steps=7).hash()
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzzed.ckpt"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_restores_or_is_config_error(trained_run, fuzz_path, data):
+    """A truncated or bit-flipped checkpoint either restores or raises ConfigError
+    (exit 2).  Flips are drawn from the magic, length and header as often as from
+    the whole file, of which the header is a small share."""
+    raw = bytearray(Path(trained_run, "model.ckpt").read_bytes())
+    (header_len,) = struct.unpack("<I", raw[4:8])
+    bit = st.integers(0, 8 * (8 + header_len) - 1) | st.integers(0, 8 * len(raw) - 1)
+    for k in data.draw(st.lists(bit, min_size=1, max_size=3), label="flipped bits"):
+        raw[k // 8] ^= 1 << (k % 8)
+    cut = data.draw(st.none() | st.integers(0, len(raw) - 1), label="truncated to")
+    fuzz_path.write_bytes(raw[:cut])
+    try:
+        restore(str(fuzz_path))
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -291,12 +340,21 @@ class TestConfigFile:
     pytest.param("heatmap", ["--window", "0"], id="heatmap-window-0"),
     pytest.param("heatmap", ["--t-values", "1.5"], id="heatmap-t-above-1"),
     pytest.param("schedule-report", ["--points", "-1"], id="schedule-report-points-negative"),
+    # an_dir is an existing directory and a_file an existing file; eval writes
+    # eval.csv into an_dir, then fails to write its profile over it
+    pytest.param("eval", ["--out-dir", "an_dir", "--profile-out", "an_dir"],
+                 id="eval-profile-out-is-a-directory"),
+    pytest.param("sample", ["--out-dir", "a_file"], id="sample-out-dir-is-a-file"),
 ])
-def test_bad_value_is_config_error(trained_run, tmp_path, command, flags):
+def test_bad_value_is_config_error(trained_run, tmp_path, capsys, command, flags):
     out = tmp_path / "out"
+    (tmp_path / "an_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
     checkpoint = [] if command == "schedule-report" else [os.path.join(trained_run, "model.ckpt")]
-    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
-    assert main([command, *checkpoint, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+    flags = [str(tmp_path / f) if f.endswith((".csv", "an_dir", "a_file")) else f
+             for f in flags]
+    assert main([command, *checkpoint, "--out-dir", str(out), *flags]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
 
 
@@ -646,8 +704,9 @@ def test_train_function_initial_total_recorded(tmp_path):
                        denoiser_width=8, steps=5, batch_size=8, log_every=2,
                        out_dir=str(tmp_path / "t"), checkpoint_every=100)
     state = train(config)
-    assert np.isfinite(state.initial_total)
-    assert np.isfinite(state.final_total)
+    # column 4 of a log row is the total loss in nats
+    assert np.isfinite(state.log_rows[0][4])
+    assert np.isfinite(state.log_rows[-1][4])
     assert state.log_rows[0][0] == 1
 
 
