@@ -92,6 +92,8 @@ def load(path: str) -> Checkpoint:
     try:
         for entry in header["tensors"]:
             name, shape = entry["name"], entry["shape"]
+            if name in arrays:
+                raise ConfigError(f"checkpoint has two tensors named '{name}': {path}")
             # tensors lie back to back: each starts where the one before it ends
             if entry["offset"] != end - base:
                 raise ConfigError(f"checkpoint tensor '{name}' has offset {entry['offset']!r}, "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import PIXELS, real_items
-from .encoder import change_heatmap
+from .encoder import ENCODERS, change_heatmap
 from .errors import ConfigError, NumericsError
 from .io_utils import tile_grid, write_csv, write_pgm
 from .objective import elbo_bpd, t_profile
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared(p, "--config", "--seed", "--out-dir", "--lambda-max", "--lambda-min",
                 "--counterterm", "--n-mc", "--dataset", "--idx-path")
     p.add_argument("--steps", type=int, help="training step count")
-    p.add_argument("--encoder", choices=["identity", "nt", "trainable"], help="encoder kind")
+    p.add_argument("--encoder", choices=list(ENCODERS), help="encoder kind")
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--denoiser-width", type=int)

@@ -13,16 +13,16 @@ import io
 import math
 from dataclasses import dataclass, fields
 
+from .encoder import ENCODERS
 from .errors import ConfigError
-from .optim import DEFAULT_BETA1, DEFAULT_BETA2, DEFAULT_EPS_HAT, DEFAULT_LR
+from .optim import DEFAULT_LR
 from .schedule import DEFAULT_LAMBDA_MAX, DEFAULT_LAMBDA_MIN, LogLinearSchedule
 
 _SECTIONS = {
     "data": ["dataset", "idx_path", "n_points", "mean_x", "mean_y", "cov_scale"],
     "schedule": ["lambda_max", "lambda_min"],
-    "model": ["encoder", "denoiser_width", "denoiser_hidden", "encoder_width", "encoder_hidden"],
-    "train": ["steps", "batch_size", "lr", "beta1", "beta2", "eps_hat", "seed",
-              "log_every", "checkpoint_every"],
+    "model": ["encoder", "denoiser_width", "encoder_width"],
+    "train": ["steps", "batch_size", "lr", "seed", "log_every", "checkpoint_every"],
     "eval": ["n_mc"],
     "sample": ["sample_steps", "counterterm"],
     "out": ["out_dir"],
@@ -42,18 +42,13 @@ class RunConfig:
     lambda_max: float = DEFAULT_LAMBDA_MAX
     lambda_min: float = DEFAULT_LAMBDA_MIN
     # model
-    encoder: str = "trainable"  # identity | nt | trainable
+    encoder: str = "trainable"  # a key of encoder.ENCODERS
     denoiser_width: int = 256
-    denoiser_hidden: int = 2
     encoder_width: int = 128
-    encoder_hidden: int = 2
     # train
     steps: int = 20000
     batch_size: int = 64
     lr: float = DEFAULT_LR
-    beta1: float = DEFAULT_BETA1
-    beta2: float = DEFAULT_BETA2
-    eps_hat: float = DEFAULT_EPS_HAT
     seed: int = 0
     log_every: int = 200
     checkpoint_every: int = 5000
@@ -70,29 +65,22 @@ class RunConfig:
             raise ConfigError(f"unknown dataset '{self.dataset}' (expected gaussian2d or idx)")
         if self.dataset == "idx" and not self.idx_path:
             raise ConfigError("dataset 'idx' requires idx_path")
-        if self.encoder not in ("identity", "nt", "trainable"):
+        if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder '{self.encoder}'")
-        for name in ("lambda_max", "lambda_min", "mean_x", "mean_y", "cov_scale", "lr"):
+        for name in ("mean_x", "mean_y", "cov_scale", "lr"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.lambda_max > self.lambda_min:
-            raise ConfigError("lambda_max must exceed lambda_min")
+        self.schedule()  # the schedule checks its endpoints
         if self.counterterm not in ("on", "off", "auto"):
             raise ConfigError(f"counterterm must be on/off/auto, got '{self.counterterm}'")
         for name in ("steps", "batch_size", "n_mc", "sample_steps", "log_every",
-                     "checkpoint_every", "n_points", "denoiser_width", "denoiser_hidden",
-                     "encoder_width", "encoder_hidden"):
+                     "checkpoint_every", "n_points", "denoiser_width", "encoder_width"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.cov_scale < 0:
             raise ConfigError("cov_scale must be >= 0")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.eps_hat > 0:
-            raise ConfigError(f"eps_hat must be positive, got {self.eps_hat}")
         return self
 
     def schedule(self) -> LogLinearSchedule:

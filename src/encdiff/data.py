@@ -75,6 +75,8 @@ def load_idx(path: str) -> Dataset:
     if len(raw) < header_end:
         raise ConfigError(f"truncated IDX header at byte {len(raw)}: {path}")
     n, rows, cols = struct.unpack(">III", raw[4:header_end])
+    if not n * rows * cols:
+        raise ConfigError(f"empty IDX file ({n} images of {rows}x{cols} pixels): {path}")
     expected = header_end + n * rows * cols
     if len(raw) < expected:
         raise ConfigError(

@@ -197,14 +197,16 @@ def _central_difference(y_up: Tensor, y_down: Tensor, h: float) -> Tensor:
     return (y_up - y_down) * (0.5 / h)
 
 
+# the one list of encoder kinds, read by RunConfig.validate, the --encoder
+# choices, make_encoder and train.build_model
+ENCODERS = {"identity": IdentityEncoder, "nt": NonTrainableEncoder, "trainable": TrainableEncoder}
+
+
 def make_encoder(kind: str, inner_net: EncoderInnerNet | None = None) -> Encoder:
-    if kind == "identity":
-        return IdentityEncoder()
-    if kind == "nt":
-        return NonTrainableEncoder()
-    if kind == "trainable":
-        return TrainableEncoder(inner_net)
-    raise ConfigError(f"unknown encoder kind '{kind}'; expected identity, nt or trainable")
+    if kind not in ENCODERS:
+        raise ConfigError(f"unknown encoder kind '{kind}'; expected one of {', '.join(ENCODERS)}")
+    cls = ENCODERS[kind]
+    return cls(inner_net) if cls.trainable else cls()
 
 
 def change_heatmap(

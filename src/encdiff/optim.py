@@ -18,9 +18,9 @@ from .errors import NumericsError
 from .nets import ParamStore
 
 DEFAULT_LR = 3e-4
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS_HAT = 1e-8
+BETA1 = 0.9
+BETA2 = 0.999
+EPS_HAT = 1e-8
 
 
 def _first_nonfinite(store: ParamStore, *flats: np.ndarray) -> str:
@@ -30,18 +30,12 @@ def _first_nonfinite(store: ParamStore, *flats: np.ndarray) -> str:
                 if not all(np.isfinite(v[name]).all() for v in views))
 
 
-def optimizer_step(
-    store: ParamStore,
-    g_flat: np.ndarray,
-    lr: float = DEFAULT_LR,
-    beta1: float = DEFAULT_BETA1,
-    beta2: float = DEFAULT_BETA2,
-    eps_hat: float = DEFAULT_EPS_HAT,
-) -> None:
+def optimizer_step(store: ParamStore, g_flat: np.ndarray, lr: float = DEFAULT_LR) -> None:
     """One adaptive-moment update over every parameter in the store.
 
-    g_flat holds every parameter's gradient in the layout of store.flat.  The
-    update uses it as scratch space, so its contents are undefined afterwards.
+    β1, β2 and ε̂ are the module constants BETA1, BETA2 and EPS_HAT.  g_flat
+    holds every parameter's gradient in the layout of store.flat.  The update
+    uses it as scratch space, so its contents are undefined afterwards.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -57,22 +51,22 @@ def optimizer_step(
     work = np.empty((3, store.n_scalars()))
     m, v, new = work
     t = store.step + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     with np.errstate(over="ignore", invalid="ignore"):
         # m = β1·m + (1 − β1)·g
-        np.multiply(store.m_flat, beta1, out=m)
-        np.multiply(g, 1.0 - beta1, out=new)
+        np.multiply(store.m_flat, BETA1, out=m)
+        np.multiply(g, 1.0 - BETA1, out=new)
         np.add(m, new, out=m)
         # v = β2·v + (1 − β2)·g·g
-        np.multiply(g, 1.0 - beta2, out=new)
+        np.multiply(g, 1.0 - BETA2, out=new)
         np.multiply(new, g, out=new)
-        np.multiply(store.v_flat, beta2, out=v)
+        np.multiply(store.v_flat, BETA2, out=v)
         np.add(v, new, out=v)
         # θ − lr·((m / c1) / (√(v / c2) + ε̂)); g now holds the denominator
         np.divide(v, c2, out=g)
         np.sqrt(g, out=g)
-        np.add(g, eps_hat, out=g)
+        np.add(g, EPS_HAT, out=g)
         np.divide(m, c1, out=new)
         np.divide(new, g, out=new)
         np.multiply(new, lr, out=new)

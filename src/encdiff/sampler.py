@@ -25,17 +25,16 @@ import numpy as np
 from .data import unscale_pixels
 from .encoder import Encoder
 from .errors import NumericsError
-from .process import OPTIMAL, generative_mean, optimal_sigma_p, transition_coefficients
+from .process import generative_mean, optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
-
-SIGMA_Q = "sigma_q"
 
 
 @dataclass
 class SamplerConfig:
     steps: int = 256
-    variance_mode: str = SIGMA_Q  # SIGMA_Q, or OPTIMAL with a gap table
-    gap_table: object = None  # callable (s_point, t_point) -> E‖μ_P − μ_Q‖², for OPTIMAL
+    # callable (s_point, t_point) -> E‖μ_P − μ_Q‖²: the chain steps with the
+    # optimal σ_P² for that gap; None steps with σ_Q²
+    gap_table: object = None
     counterterm: bool = False
     seed: int = 0
     stochastic_decode: bool = False
@@ -43,10 +42,6 @@ class SamplerConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.variance_mode not in (SIGMA_Q, OPTIMAL):
-            raise ValueError(f"unknown variance mode '{self.variance_mode}'")
-        if self.variance_mode == OPTIMAL and self.gap_table is None:
-            raise ValueError("optimal variance mode requires a gap table")
 
 
 @dataclass
@@ -101,7 +96,7 @@ def ancestral_sample(
         x_hat = model.predict_x(z, tp.lam)
         mu_p = generative_mean(z, x_hat, sp, tp, counterterm=config.counterterm)
         sigma2_p = transition_coefficients(sp, tp).sigma2_q
-        if config.variance_mode == OPTIMAL:
+        if config.gap_table is not None:
             sigma2_p = optimal_sigma_p(sigma2_p, float(config.gap_table(sp, tp)), d)
         z = mu_p + np.sqrt(sigma2_p) * rng.standard_normal((n_chains, d))
         if not np.all(np.isfinite(z)):

@@ -79,6 +79,14 @@ class LogLinearSchedule:
                 f"schedule endpoints must satisfy lambda_max > lambda_min, "
                 f"got {self.lambda_max} <= {self.lambda_min}"
             )
+        if not math.isfinite(self.lambda_max - self.lambda_min):
+            raise ConfigError(f"schedule span lambda_max - lambda_min must be finite, got "
+                              f"{self.lambda_max} - ({self.lambda_min})")
+        try:
+            math.exp(self.lambda_max)  # the SNR at t = 0
+        except OverflowError:
+            raise ConfigError(f"lambda_max = {self.lambda_max} is too large: its SNR "
+                              f"exp(lambda_max) overflows") from None
 
     @property
     def lam_prime(self) -> float:

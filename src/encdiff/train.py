@@ -19,7 +19,7 @@ from .autodiff import grad
 from .checkpoint import Checkpoint, load as load_checkpoint, save as save_checkpoint
 from .config import RunConfig
 from .data import Dataset, PIXELS, batches, load_idx, real_items, synth_gaussian2d
-from .encoder import Encoder, make_encoder
+from .encoder import ENCODERS, Encoder, make_encoder
 from .errors import ConfigError, NumericsError
 from .io_utils import atomic_write_bytes, write_csv
 from .nets import DenoiserNet, EncoderInnerNet, ParamStore
@@ -57,15 +57,12 @@ def load_dataset(config: RunConfig) -> Dataset:
 
 def build_model(config: RunConfig, d: int) -> tuple[DenoiserNet, Encoder, ParamStore]:
     store = ParamStore()
-    model = DenoiserNet(d=d, width=config.denoiser_width, n_hidden=config.denoiser_hidden,
-                        seed=config.seed, store=store)
+    model = DenoiserNet(d=d, width=config.denoiser_width, seed=config.seed, store=store)
     inner = None
-    if config.encoder == "trainable":
-        inner = EncoderInnerNet(d=d, width=config.encoder_width,
-                                n_hidden=config.encoder_hidden,
-                                seed=config.seed + 1, store=store)
-    encoder = make_encoder(config.encoder, inner_net=inner)
-    return model, encoder, store
+    if ENCODERS[config.encoder].trainable:
+        inner = EncoderInnerNet(d=d, width=config.encoder_width, seed=config.seed + 1,
+                                store=store)
+    return model, make_encoder(config.encoder, inner_net=inner), store
 
 
 def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
@@ -142,8 +139,7 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # the latent term keeps the encoder's t=1 output anchored near
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
-            optimizer_step(store, grad(objective, store.tensors(), allow_unused=True),
-                           config.lr, config.beta1, config.beta2, config.eps_hat)
+            optimizer_step(store, grad(objective, store.tensors(), allow_unused=True), config.lr)
         except NumericsError:
             # parameters are still finite here: forward ops reject non-finite
             # values before any state is touched, and the optimizer rejects

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, grad
+from .config import RunConfig
 from .encoder import Encoder, IdentityEncoder, NonTrainableEncoder
-from .nets import DenoiserNet, EncoderInnerNet, ParamStore
 from .objective import batch_vloss_graph, continuous_xloss, discrete_step_terms
 from .process import OPTIMAL, GaussianParams, kl_isotropic, transition_coefficients
 from .sampler import SamplerConfig, ancestral_sample, sde_forward_step
 from .schedule import LogLinearSchedule, SchedulePoint, logistic, point_from_lam
+from .train import build_model
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,7 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
     mean = np.asarray(mean, dtype=np.float64)
     d = mean.size
     oracle = GaussianPosteriorOracle(mean, cov_scale)
-    config = SamplerConfig(steps=T, variance_mode=OPTIMAL, gap_table=oracle.gap_table,
-                           counterterm=False, seed=seed)
+    config = SamplerConfig(steps=T, gap_table=oracle.gap_table, counterterm=False, seed=seed)
     result = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d)
     out = result.x_out
     reports = []
@@ -335,15 +335,10 @@ def fd_gradient_suite(d: int = 2, width: int = 16, n_coords: int = 200, seed: in
     path through the finite-difference dy/dλ estimator.  Coordinates below
     1e-6 in magnitude are compared against that floor.
     """
-    from .autodiff import grad
-    from .encoder import make_encoder
-
     schedule = schedule or LogLinearSchedule()
     rng = np.random.default_rng(seed)
-    store = ParamStore()
-    model = DenoiserNet(d=d, width=width, n_hidden=2, seed=seed, store=store)
-    inner = EncoderInnerNet(d=d, width=width, n_hidden=2, seed=seed + 1, store=store)
-    encoder = make_encoder(encoder_kind, inner_net=inner if encoder_kind == "trainable" else None)
+    model, encoder, store = build_model(
+        RunConfig(encoder=encoder_kind, denoiser_width=width, encoder_width=width, seed=seed), d)
     # zero-initialized output layers would zero out most gradients; randomize them
     for name, tensor in store.params.items():
         if name.endswith("out.w") or name.endswith("out.b"):

@@ -31,7 +31,7 @@ from encdiff.process import (
     transition_coefficients,
     weighting_penalty,
 )
-from encdiff.sampler import OPTIMAL, SamplerConfig, ancestral_sample
+from encdiff.sampler import SamplerConfig, ancestral_sample
 from encdiff.schedule import LogLinearSchedule, logistic
 from encdiff.train import build_model, train
 from encdiff.verify import (
@@ -254,8 +254,7 @@ def test_criterion_7_oracle_sampling():
     T, n_chains = 256, 100_000
     oracle = GaussianPosteriorOracle(mean, cov_scale)
     watched_encoder = NonTrainableEncoder()  # must stay untouched by sampling
-    config = SamplerConfig(steps=T, variance_mode=OPTIMAL, gap_table=oracle.gap_table,
-                           counterterm=False, seed=7)
+    config = SamplerConfig(steps=T, gap_table=oracle.gap_table, counterterm=False, seed=7)
     result = ancestral_sample(oracle, SCHEDULE, config, n_chains=n_chains, d=2)
     out = result.x_out
     se_mean = math.sqrt(cov_scale / n_chains)

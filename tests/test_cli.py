@@ -8,6 +8,7 @@ import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import encdiff
 from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
-from encdiff.config import RunConfig
+from encdiff.config import _SECTIONS, RunConfig
 from encdiff.errors import ConfigError
 from encdiff.io_utils import read_csv, read_pgm, write_pgm
 from encdiff.train import restore, train
@@ -84,6 +85,13 @@ def _appended_tensor(shape):
         offset = last["offset"] + 8 * int(np.prod(last["shape"]))
         header["tensors"].append({"name": "extra", "shape": shape, "offset": offset})
     return _header_edit(change)
+
+
+def _removed_config_key(header):
+    """Make the config text one written while β1 was a config key: it lists beta1."""
+    if "\nbeta1 = " not in header["config_text"]:
+        header["config_text"] = header["config_text"].replace("[train]\n",
+                                                              "[train]\nbeta1 = 0.9\n")
 
 
 def _tiny_idx(tmp_path) -> str:
@@ -231,6 +239,12 @@ class TestConfigFile:
         back = RunConfig.from_text(text)
         assert back == config
 
+    def test_sections_list_every_field_once(self):
+        """A field missing from _SECTIONS would be dropped from to_text(), and so
+        from every checkpoint."""
+        listed = [key for keys in _SECTIONS.values() for key in keys]
+        assert sorted(listed) == sorted(f.name for f in dataclass_fields(RunConfig))
+
     def test_percent_sign_is_literal(self):
         config = RunConfig(dataset="idx", idx_path="data/50%/train.idx")
         assert RunConfig.from_text(config.to_text()) == config
@@ -289,6 +303,7 @@ class TestConfigFile:
         pytest.param(_edited_header(config_text="[schedule]\nlambda_min = -%.0\n"),
                      id="config-text-percent-sign"),
         pytest.param(_appended_tensor([-1, 2]), id="shape-negative"),
+        pytest.param(_header_edit(_removed_config_key), id="removed-config-key"),
     ])
     def test_malformed_checkpoint_rejected(self, trained_run, tmp_path, raw):
         if callable(raw):
@@ -361,30 +376,50 @@ def test_bad_value_is_config_error(trained_run, tmp_path, capsys, command, flags
 _SMALL_TRAIN = ["--steps", "2", "--n-points", "64", "--batch-size", "8"]
 
 
-@pytest.mark.parametrize("command, flags, ini", [
-    pytest.param("train", _SMALL_TRAIN, "cov_scale = 1\n", id="ini-without-section-header"),
-    pytest.param("train", _SMALL_TRAIN, b"[data]\ncov_scale = \xff\n", id="ini-not-utf8"),
-    pytest.param("train", _SMALL_TRAIN, "[data]\ncov_scale = -1\n", id="cov-scale-negative"),
-    pytest.param("train", _SMALL_TRAIN, "[data]\nmean_x = inf\n", id="mean-x-inf"),
+@pytest.mark.parametrize("command, flags, ini, error", [
+    pytest.param("train", _SMALL_TRAIN, "cov_scale = 1\n", "unparsable config file",
+                 id="ini-without-section-header"),
+    pytest.param("train", _SMALL_TRAIN, b"[data]\ncov_scale = \xff\n", "unparsable config file",
+                 id="ini-not-utf8"),
+    pytest.param("train", _SMALL_TRAIN, "[data]\ncov_scale = -1\n", "cov_scale must be >= 0",
+                 id="cov-scale-negative"),
+    pytest.param("train", _SMALL_TRAIN, "[data]\nmean_x = inf\n", "mean_x must be finite",
+                 id="mean-x-inf"),
     pytest.param("train", [*_SMALL_TRAIN, "--encoder-width", "-3"], None,
-                 id="encoder-width-negative"),
-    pytest.param("train", [*_SMALL_TRAIN, "--denoiser-width", "0"], None, id="denoiser-width-0"),
-    pytest.param("train", _SMALL_TRAIN, "[model]\ndenoiser_hidden = 0\n", id="denoiser-hidden-0"),
-    pytest.param("train", _SMALL_TRAIN, "[model]\nencoder_hidden = 0\n", id="encoder-hidden-0"),
-    pytest.param("train", [*_SMALL_TRAIN, "--lr", "nan"], None, id="lr-nan"),
-    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta1 = 1.0\n", id="beta1-1"),
-    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta2 = -0.1\n", id="beta2-negative"),
-    pytest.param("train", _SMALL_TRAIN, "[train]\neps_hat = 0\n", id="eps-hat-0"),
-    pytest.param("schedule-report", ["--lambda-max", "inf"], None, id="lambda-max-inf"),
-    pytest.param("schedule-report", [], "[schedule]\nlambda_min = -inf\n", id="lambda-min-inf"),
+                 "encoder_width must be >= 1", id="encoder-width-negative"),
+    pytest.param("train", [*_SMALL_TRAIN, "--denoiser-width", "0"], None,
+                 "denoiser_width must be >= 1", id="denoiser-width-0"),
+    # the hidden-layer counts and the optimizer's β1, β2 and ε̂ are no config keys
+    pytest.param("train", _SMALL_TRAIN, "[model]\ndenoiser_hidden = 0\n",
+                 "unknown config key 'denoiser_hidden'", id="denoiser-hidden-0"),
+    pytest.param("train", _SMALL_TRAIN, "[model]\nencoder_hidden = 0\n",
+                 "unknown config key 'encoder_hidden'", id="encoder-hidden-0"),
+    pytest.param("train", [*_SMALL_TRAIN, "--lr", "nan"], None, "lr must be finite",
+                 id="lr-nan"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta1 = 1.0\n", "unknown config key 'beta1'",
+                 id="beta1-1"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\nbeta2 = -0.1\n", "unknown config key 'beta2'",
+                 id="beta2-negative"),
+    pytest.param("train", _SMALL_TRAIN, "[train]\neps_hat = 0\n", "unknown config key 'eps_hat'",
+                 id="eps-hat-0"),
+    pytest.param("schedule-report", ["--lambda-max", "inf"], None, "span", id="lambda-max-inf"),
+    pytest.param("schedule-report", [], "[schedule]\nlambda_min = -inf\n", "span",
+                 id="lambda-min-inf"),
+    # the `=` form: argparse would read a bare -1e308 as a flag
+    pytest.param("schedule-report", ["--lambda-max=800"], None, "exp(lambda_max) overflows",
+                 id="lambda-max-snr-overflows"),
+    pytest.param("schedule-report", ["--lambda-max=1e308", "--lambda-min=-1e308"], None, "span",
+                 id="lambda-span-overflows"),
 ])
-def test_bad_config_value_is_config_error(tmp_path, command, flags, ini):
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, ini, error):
     out = tmp_path / "out"
     config = []
     if ini is not None:
         (tmp_path / "run.ini").write_bytes(ini if isinstance(ini, bytes) else ini.encode())
         config = ["--config", str(tmp_path / "run.ini")]
     assert main([command, *config, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and error in err
     assert not out.exists()
 
 

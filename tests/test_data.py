@@ -1,10 +1,12 @@
 """Dataset tests: pixel scaling, IDX container, synthetic Gaussians, batching."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from encdiff.cli import EXIT_CONFIG_ERROR, main
 from encdiff.data import (
     Dataset,
     PIXELS,
@@ -87,14 +89,28 @@ class TestIdx:
             load_idx(path)
 
     def test_header_payload_mismatch(self, tmp_path):
-        import struct
-
         path = os.path.join(tmp_path, "short.idx")
         with open(path, "wb") as f:
             f.write(struct.pack(">IIII", 0x00000803, 60000, 28, 28))
             f.write(b"\x00" * 100)
         with pytest.raises(ConfigError, match="truncated"):
             load_idx(path)
+
+    @pytest.mark.parametrize("n, rows, cols", [
+        pytest.param(0, 8, 8, id="no-images"),
+        pytest.param(5, 0, 8, id="no-rows"),
+        pytest.param(5, 8, 0, id="no-columns"),
+    ])
+    def test_empty_file_rejected(self, tmp_path, n, rows, cols):
+        path = os.path.join(tmp_path, "empty.idx")
+        with open(path, "wb") as f:
+            f.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
+        with pytest.raises(ConfigError, match="empty IDX file"):
+            load_idx(path)
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", "idx", "--idx-path", path, "--steps", "1",
+                     "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
 
 
 class TestSynthGaussian:

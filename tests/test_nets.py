@@ -10,7 +10,7 @@ from encdiff.checkpoint import Checkpoint, load, save
 from encdiff.config import RunConfig
 from encdiff.errors import ConfigError, NumericsError
 from encdiff.nets import MLP, DenoiserNet, EncoderInnerNet, ParamStore, sinusoidal_embedding
-from encdiff.optim import optimizer_step
+from encdiff.optim import BETA1, BETA2, EPS_HAT, optimizer_step
 from encdiff.schedule import logistic
 
 
@@ -271,9 +271,9 @@ class TestOptimizer:
         store = ParamStore()
         store.add("w", np.array([0.5, -0.5, 2.0]))
         g = np.array([0.3, -0.7, 0.0])
-        lr, eps_hat = 0.01, 1e-8
-        expected = store.params["w"].data - lr * g / (np.abs(g) + eps_hat)
-        optimizer_step(store, g, lr=lr, eps_hat=eps_hat)
+        lr = 0.01
+        expected = store.params["w"].data - lr * g / (np.abs(g) + EPS_HAT)
+        optimizer_step(store, g, lr=lr)
         np.testing.assert_allclose(store.params["w"].data, expected, rtol=1e-12)
 
     def test_nonfinite_gradient_rejected_without_mutation(self):
@@ -308,17 +308,17 @@ class TestOptimizer:
         DenoiserNet(d=3, width=8, seed=0, store=store)
         ref = {name: [np.array(t.data), np.zeros(t.data.shape), np.zeros(t.data.shape)]
                for name, t in store.params.items()}
-        lr, beta1, beta2, eps_hat = 0.01, 0.9, 0.999, 1e-8
+        lr = 0.01
         for step in range(1, 6):
             g_flat = rng.standard_normal(store.n_scalars())
             grads = {name: g.copy() for name, g in store.views(g_flat).items()}
-            optimizer_step(store, g_flat, lr, beta1, beta2, eps_hat)
-            c1, c2 = 1.0 - beta1**step, 1.0 - beta2**step
+            optimizer_step(store, g_flat, lr)
+            c1, c2 = 1.0 - BETA1**step, 1.0 - BETA2**step
             for name, (p, m, v) in ref.items():
                 g = grads[name]
-                m[...] = beta1 * m + (1.0 - beta1) * g
-                v[...] = beta2 * v + (1.0 - beta2) * g * g
-                p[...] = p - lr * ((m / c1) / (np.sqrt(v / c2) + eps_hat))
+                m[...] = BETA1 * m + (1.0 - BETA1) * g
+                v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+                p[...] = p - lr * ((m / c1) / (np.sqrt(v / c2) + EPS_HAT))
         for name, (p, m, v) in ref.items():
             assert store.params[name].data.tobytes() == p.tobytes()
             assert store.m[name].tobytes() == m.tobytes()
@@ -409,6 +409,18 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             f.write(raw[:-16])
         with pytest.raises(ConfigError, match="truncated"):
+            load(path)
+
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        """A second entry named like the first would silently replace its array."""
+        path = os.path.join(tmp_path, "model.ckpt")
+        save(path, Checkpoint(step=0, arrays={"a": np.arange(3.0), "b": np.arange(10.0, 13.0)},
+                              config_text="", config_hash=""))
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw.replace(b'"name": "b"', b'"name": "a"', 1))
+        with pytest.raises(ConfigError, match="two tensors named 'a'"):
             load(path)
 
 

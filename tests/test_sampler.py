@@ -10,7 +10,6 @@ from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.errors import NumericsError
 from encdiff.nets import DenoiserNet
 from encdiff.sampler import (
-    OPTIMAL,
     SamplerConfig,
     ancestral_sample,
     decode_pixels,
@@ -118,8 +117,7 @@ class TestAncestral:
         mean, c = np.array([0.3, -0.2]), 1.0
         n = 20_000
         oracle = GaussianPosteriorOracle(mean, c)
-        config = SamplerConfig(steps=128, variance_mode=OPTIMAL,
-                               gap_table=oracle.gap_table, seed=2)
+        config = SamplerConfig(steps=128, gap_table=oracle.gap_table, seed=2)
         result = ancestral_sample(oracle, schedule, config, n_chains=n, d=2,
                                   trajectory_every=16)
         assert len(result.moment_snapshots) >= 5
@@ -130,10 +128,6 @@ class TestAncestral:
             se_var = marg_var * math.sqrt(2.0 / n)
             np.testing.assert_allclose(z_mean, p.alpha * mean, atol=4 * se_mean)
             np.testing.assert_allclose(z_var, marg_var, atol=4 * se_var)
-
-    def test_optimal_variance_requires_gap_table(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(steps=8, variance_mode=OPTIMAL)
 
     def test_counterterm_changes_samples(self, schedule):
         oracle = GaussianPosteriorOracle([0.4, 0.1], 0.5)

@@ -47,6 +47,11 @@ class TestEval:
     def test_bad_endpoints_rejected(self):
         with pytest.raises(ConfigError):
             LogLinearSchedule(lambda_max=-5.0, lambda_min=13.3)
+        with pytest.raises(ConfigError, match="overflows"):
+            LogLinearSchedule(lambda_max=710.0, lambda_min=0.0)
+        with pytest.raises(ConfigError, match="span"):
+            LogLinearSchedule(lambda_max=1e308, lambda_min=-1e308)
+        assert LogLinearSchedule(lambda_max=709.0, lambda_min=-1e300).at(0.0).snr > 1e307
 
     def test_extreme_endpoints_no_overflow(self):
         sched = LogLinearSchedule(lambda_max=600.0, lambda_min=-600.0)

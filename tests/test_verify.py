@@ -127,6 +127,12 @@ class TestFdGradientSuite:
         assert report.passed, report.details
         assert report.measured < 1e-4
 
+    def test_nt_probes_only_parameters_in_the_loss(self, schedule):
+        """The nt model has no inner net, so no probe lands on an encoder coordinate."""
+        report = fd_gradient_suite(n_coords=40, seed=1, schedule=schedule, encoder_kind="nt")
+        assert report.passed, report.details
+        assert "coords=40 encoder_coords=0 " in report.details
+
     def test_identity_unused_encoder_params(self, schedule):
         """With the identity encoder the inner-net parameters never enter the
         loss: both the reverse-mode and FD gradients must be exactly zero."""
