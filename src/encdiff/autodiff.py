@@ -258,14 +258,14 @@ class Tensor:
         return {node.node_id for node in self._toposort()}
 
 
-def grad(loss: Tensor, params: Sequence[Tensor], allow_unused: bool = False) -> np.ndarray:
+def grad(loss: Tensor, params: Sequence[Tensor]) -> np.ndarray:
     """Reverse-mode gradients of a scalar loss, in one flat buffer.
 
     The buffer holds each parameter's raveled gradient in turn, in the order
-    of params.  Parameters that never entered the recorded computation are
-    reported explicitly rather than silently given zero gradients; parameters
-    that are on the record but do not influence the loss get exact zeros.
-    Every parameter must have requires_grad set.
+    of params.  A parameter that never entered the recorded computation is an
+    UnusedParameterError, never a silent zero gradient; a parameter that is on
+    the record but does not influence the loss gets exact zeros.  Every
+    parameter must have requires_grad set.
     """
     params = list(params)
     for p in params:
@@ -280,11 +280,9 @@ def grad(loss: Tensor, params: Sequence[Tensor], allow_unused: bool = False) -> 
         start += p.data.size
     written = loss.backward(slots)
     missing = [p for p in params if p not in written]
-    if missing and not allow_unused:
+    if missing:
         raise UnusedParameterError(
             "parameters not on the computation record: "
             + ", ".join(p.name or f"<node {p.node_id}>" for p in missing)
         )
-    for p in missing:
-        slots[p][...] = 0.0
     return flat

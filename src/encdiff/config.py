@@ -79,6 +79,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.cov_scale < 0:
             raise ConfigError("cov_scale must be >= 0")
+        if self.seed < 0:
+            # numpy's generators take only non-negative seeds
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         return self

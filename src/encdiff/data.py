@@ -46,13 +46,12 @@ class Dataset:
         return int(np.prod(self.dims))
 
 
-def scale_pixels(v):
-    """Map integer pixel values {0..255} to the symmetric range [−1, 1]."""
+def scale_pixels(v) -> np.ndarray:
+    """Map an array of integer pixel values {0..255} to the symmetric range [−1, 1]."""
     arr = np.asarray(v)
     if arr.min() < 0 or arr.max() > 255:
         raise ValueError("pixel values must lie in {0..255}")
-    out = 2.0 * arr.astype(np.float64) / 255.0 - 1.0
-    return float(out) if np.isscalar(v) or arr.ndim == 0 else out
+    return 2.0 * arr.astype(np.float64) / 255.0 - 1.0
 
 
 def unscale_pixels(x) -> np.ndarray:
@@ -117,12 +116,8 @@ def synth_gaussian2d(n: int, mean, cov_scale: float, seed: int) -> Dataset:
     )
 
 
-def batches(data, batch_size: int, rng: np.random.Generator):
-    """Yield index-permuted batches covering every item exactly once per epoch.
-
-    Accepts a Dataset or a bare (N, d) array.
-    """
-    items = data.items if isinstance(data, Dataset) else np.asarray(data)
+def batches(items: np.ndarray, batch_size: int, rng: np.random.Generator):
+    """Yield index-permuted batches of an (N, d) array, every item exactly once per epoch."""
     order = rng.permutation(items.shape[0])
     for start in range(0, items.shape[0], batch_size):
         idx = order[start : start + batch_size]

@@ -24,6 +24,8 @@ from .errors import ConfigError, NumericsError
 from .schedule import point_from_lam
 
 N_FREQUENCIES = 8
+# hidden tanh layers per MLP: the input layer and one residual block
+N_HIDDEN = 2
 # Geometric ladder topping out near omega = 2: the λ-derivative of the
 # trainable encoder is estimated with a finite-difference step h = 1e-3 times
 # the λ span (~0.018), and the ladder cap keeps that step's truncation error
@@ -191,21 +193,21 @@ def _linear_init(prefix: str, n_in: int, n_out: int, rng: np.random.Generator,
 class MLP:
     """tanh MLP with residual hidden blocks and a zero-initialized output layer.
 
-    Input is [x, sinusoidal_embedding(λ)]; hidden layers all share one width so
+    Input is [x, sinusoidal_embedding(λ)] with x of size d_in, and the output
+    has size d_in too; the N_HIDDEN hidden layers all share one width so
     residual connections apply between consecutive hidden blocks.
     """
 
-    def __init__(self, store: ParamStore, prefix: str, d_in: int, d_out: int,
-                 width: int, n_hidden: int, rng: np.random.Generator):
+    def __init__(self, store: ParamStore, prefix: str, d_in: int, width: int,
+                 rng: np.random.Generator):
         self.prefix = prefix
         self.d_in = d_in
-        self.n_hidden = n_hidden
         n_feat = d_in + 2 * N_FREQUENCIES
-        self.layer_names = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, n_hidden)]
+        self.layer_names = [f"{prefix}.in"] + [f"{prefix}.h{i}" for i in range(1, N_HIDDEN)]
         values = _linear_init(self.layer_names[0], n_feat, width, rng)
         for layer in self.layer_names[1:]:
             values.update(_linear_init(layer, width, width, rng))
-        values.update(_linear_init(f"{prefix}.out", width, d_out, rng, zero=True))
+        values.update(_linear_init(f"{prefix}.out", width, d_in, rng, zero=True))
         params = store.add_many(values)
         # (W_in, b_in, W_h1, b_h1, ..., W_out, b_out): the order of the node's parents
         self.params: tuple[Parameter, ...] = tuple(params.values())
@@ -271,12 +273,11 @@ class DenoiserNet:
 
     z_independent = False
 
-    def __init__(self, d: int, width: int = 256, n_hidden: int = 2,
-                 seed: int = 0, store: ParamStore | None = None):
+    def __init__(self, d: int, width: int, seed: int = 0, store: ParamStore | None = None):
         self.d = d
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
-        self.net = MLP(self.store, "denoiser", d, d, width, n_hidden, rng)
+        self.net = MLP(self.store, "denoiser", d, width, rng)
         self.calls = 0
 
     def forward(self, z: Tensor | np.ndarray, lam) -> Tensor:
@@ -298,11 +299,10 @@ class DenoiserNet:
 class EncoderInnerNet:
     """Inner network y(x, λ) of the trainable encoder; zero at initialization."""
 
-    def __init__(self, d: int, width: int = 128, n_hidden: int = 2,
-                 seed: int = 1, store: ParamStore | None = None):
+    def __init__(self, d: int, width: int, seed: int = 1, store: ParamStore | None = None):
         self.store = store if store is not None else ParamStore()
         rng = np.random.default_rng(seed)
-        self.net = MLP(self.store, "encoder", d, d, width, n_hidden, rng)
+        self.net = MLP(self.store, "encoder", d, width, rng)
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         return self.net.forward(x, lam)

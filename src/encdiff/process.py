@@ -148,8 +148,8 @@ def kl_isotropic(q: GaussianParams, p: GaussianParams, d: int) -> float:
     return weighting_penalty(w, d) + w / (2.0 * q.var) * gap
 
 
-# σ_P² from optimal_sigma_p in every layer: a weight w = σ_Q²/σ_P² of the
-# discrete loss, and a variance mode of the sampler
+# the discrete loss's weight w = σ_Q²/σ_P² with σ_P² from optimal_sigma_p in
+# every layer (the sampler steps with that σ_P² when given a gap_table)
 OPTIMAL = "optimal"
 
 

@@ -12,13 +12,16 @@ categorical decode (argmax per pixel unless stochastic decoding is requested),
 which avoids the degenerate last ancestral step.
 
 The reverse SDE uses drift f − g²∇log p with f = (d log α/dt)·z,
-g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE (with
-the encoder's drift contribution α_t dx_t/dt) is available for analysis only.
+g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE has
+drift f + α_t dx_t/dt, the second term being the encoder's; the mean of
+q(z_t | z_s, x) solves dm/dt = drift(m, t).  sde_forward_step takes one
+noise-free Euler step of that equation, which the sde_richardson oracle checks
+against the closed-form mean.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,8 +52,7 @@ class SampleResult:
     x_out: np.ndarray  # (n, d) model-space outputs in (−1, 1) convention
     pixels: np.ndarray | None  # (n, d) uint8 when pixel decoding was requested
     latent_final: np.ndarray  # (n, d) latents right before the readout
-    trajectory: list = field(default_factory=list)  # (t, mean latent norm) rows
-    moment_snapshots: list = field(default_factory=list)  # (t, mean vec, var vec)
+    trajectory: list  # (t, mean latent norm) rows
 
 
 def decode_pixels(x_out: np.ndarray, rng: np.random.Generator | None = None,
@@ -89,7 +91,6 @@ def ancestral_sample(
     T = config.steps
     z = rng.standard_normal((n_chains, d))
     trajectory = []
-    snapshots = []
     for i in range(T, 1, -1):
         sp = schedule.at((i - 1) / T)
         tp = schedule.at(i / T)
@@ -103,7 +104,6 @@ def ancestral_sample(
             raise NumericsError(f"non-finite latent at sampler step i={i} (t={tp.t:.6f})")
         if trajectory_every and (i % trajectory_every == 0):
             trajectory.append((sp.t, float(np.linalg.norm(z, axis=1).mean())))
-            snapshots.append((sp.t, z.mean(axis=0), z.var(axis=0)))
     # final layer: direct x̂ readout at t(1) = 1/T, then decode
     p1 = schedule.at(1.0 / T)
     x_out = model.predict_x(z, p1.lam)
@@ -112,8 +112,7 @@ def ancestral_sample(
         p0 = schedule.at(0.0)
         pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,
                                sigma0_sq=p0.sigma_sq, alpha0=p0.alpha)
-    return SampleResult(x_out=x_out, pixels=pixels, latent_final=z,
-                        trajectory=trajectory, moment_snapshots=snapshots)
+    return SampleResult(x_out=x_out, pixels=pixels, latent_final=z, trajectory=trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +162,17 @@ def sde_forward_step(
     encoder: Encoder,
     x: np.ndarray,
     schedule: LogLinearSchedule,
-    rng: np.random.Generator | None,
 ) -> tuple[np.ndarray, float]:
-    """Analysis-mode forward Euler–Maruyama step (dt > 0) with encoder drift.
+    """One noise-free Euler step (dt > 0) along the forward SDE's drift.
 
-    Pass rng=None for the deterministic (mean) part only.
+    The drift is (d log α/dt)·z + α_t dx_t/dt, encoder term included.  Started
+    from z = z_s, the step lands within O(dt²) of the mean of q(z_{s+dt} | z_s, x).
+    Returns (z_new, t_new).
     """
     if dt <= 0:
         raise ValueError(f"forward SDE step requires dt > 0, got {dt}")
     point = schedule.at(t)
-    dlog_alpha_dt, g_sq = sde_coefficients(point)
+    dlog_alpha_dt, _ = sde_coefficients(point)
     dx_dt = point.lam_prime * encoder.encode_dlambda(x, point)
     drift = dlog_alpha_dt * z + point.alpha * dx_dt
-    z_new = z + drift * dt
-    if rng is not None:
-        z_new = z_new + np.sqrt(g_sq * dt) * rng.standard_normal(np.shape(z))
-    return z_new, t + dt
+    return z + drift * dt, t + dt

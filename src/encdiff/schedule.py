@@ -124,16 +124,6 @@ class LogLinearSchedule:
         sigma = np.sqrt(np.where(lam <= 0.0, inv, ratio))[:, None]
         return lam, alpha, sigma, alpha * alpha, sigma * sigma
 
-    def snr_delta(self, s: float, t: float) -> float:
-        """SNR(s) − SNR(t) > 0 for s < t, computed stably for s ≈ t."""
-        if not s < t:
-            raise ValueError(f"snr_delta requires s < t, got s={s}, t={t}")
-        if not (0.0 <= s and t <= 1.0):
-            raise ValueError(f"snr_delta requires 0 <= s < t <= 1, got s={s}, t={t}")
-        lam_s, lam_t = self.lam(s), self.lam(t)
-        # exp(lam_s) - exp(lam_t) = exp(lam_t) * expm1(lam_s - lam_t)
-        return math.exp(lam_t) * math.expm1(lam_s - lam_t)
-
 
 def point_from_lam(lam: float, lam_prime: float = 0.0, t: float = float("nan")) -> SchedulePoint:
     """The point at log-SNR lam, with α² = logistic(λ) and σ² = logistic(−λ).

@@ -139,7 +139,7 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # the latent term keeps the encoder's t=1 output anchored near
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
-            optimizer_step(store, grad(objective, store.tensors(), allow_unused=True), config.lr)
+            optimizer_step(store, grad(objective, store.tensors()), config.lr)
         except NumericsError:
             # parameters are still finite here: forward ops reject non-finite
             # values before any state is touched, and the optimizer rejects

@@ -113,16 +113,14 @@ class GaussianPosteriorOracle(AnalyticPredictor):
 
 
 class SmoothVectorPredictor(AnalyticPredictor):
-    """Fixed z-free prediction x̂(λ) = scale·tanh(λ/6)·x0 + offset, used as the
+    """Fixed z-free prediction x̂(λ) = 0.9·tanh(λ/6)·x0 + 0.05, used as the
     'imperfect smooth model' in convergence demonstrations."""
 
-    def __init__(self, x0: np.ndarray, scale: float = 0.9, offset: float = 0.05):
+    def __init__(self, x0: np.ndarray):
         self.x0 = np.asarray(x0, dtype=np.float64)
-        self.scale = scale
-        self.offset = offset
 
     def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
-        return self.scale * math.tanh(lam / 6.0) * self.x0 + self.offset
+        return 0.9 * math.tanh(lam / 6.0) * self.x0 + 0.05
 
 
 class ConstantEpsErrorPredictor(AnalyticPredictor):
@@ -163,8 +161,7 @@ def mc_kl_oracle(q: GaussianParams, p: GaussianParams, n: int, seed: int) -> Ora
     return _report("mc_kl", mc, closed, 4.0 * se, details=f"se={se:.3e} n={n}")
 
 
-def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int,
-                                 n_grid: int = 100) -> OracleReport:
+def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int) -> OracleReport:
     """Grid-search check that the closed-form σ_P² minimizes the expected KL."""
     from .process import optimal_sigma_p, weighting_penalty
 
@@ -174,7 +171,7 @@ def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int,
 
     best = optimal_sigma_p(sigma2_q, mean_sq_gap, d)
     kl_best = expected_kl(best)
-    grid = np.linspace(0.5 * sigma2_q, 4.0 * best, n_grid)
+    grid = np.linspace(0.5 * sigma2_q, 4.0 * best, 100)
     kl_grid = np.array([expected_kl(s) for s in grid])
     beats_grid = bool(np.all(kl_best <= kl_grid + 1e-15))
     # central-difference stationarity at the optimum
@@ -192,8 +189,9 @@ def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int,
     )
 
 
-def _composite_gauss_legendre(f, n_panels: int, nodes_per_panel: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(nodes_per_panel)
+def _composite_gauss_legendre(f, n_panels: int) -> float:
+    """∫₀¹ f by Gauss–Legendre quadrature with 64 nodes on each of n_panels equal panels."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     total = 0.0
     width = 1.0 / n_panels
     for k in range(n_panels):
@@ -204,15 +202,14 @@ def _composite_gauss_legendre(f, n_panels: int, nodes_per_panel: int) -> float:
 
 
 def continuous_loss_quadrature(model, encoder: Encoder, x: np.ndarray,
-                               schedule: LogLinearSchedule,
-                               n_panels: int = 8, nodes_per_panel: int = 64) -> float:
+                               schedule: LogLinearSchedule, n_panels: int) -> float:
     """Continuous-time diffusion loss of a z-free model by composite quadrature."""
     zero_eps = np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def integrand(t: float) -> float:
         return continuous_xloss(x, model, encoder, t, zero_eps, schedule)
 
-    return _composite_gauss_legendre(integrand, n_panels, nodes_per_panel)
+    return _composite_gauss_legendre(integrand, n_panels)
 
 
 def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
@@ -225,8 +222,8 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
     """
     if len(T_list) < 4 or list(T_list) != sorted(T_list):
         raise ValueError("T_list must be ascending with at least 4 entries")
-    l_inf = continuous_loss_quadrature(model, encoder, x, schedule, 8, 64)
-    l_inf_2 = continuous_loss_quadrature(model, encoder, x, schedule, 16, 64)
+    l_inf = continuous_loss_quadrature(model, encoder, x, schedule, 8)
+    l_inf_2 = continuous_loss_quadrature(model, encoder, x, schedule, 16)
     if abs(l_inf_2 - l_inf) > 1e-8 * abs(l_inf):
         return OracleReport("limit_convergence", float("nan"), -1.0, 0.3, False,
                             details="inconclusive: quadrature unstable under node doubling")
@@ -317,7 +314,7 @@ def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
     for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
         sp, tp = schedule.at(s), schedule.at(s + dt)
         exact = forward_transition(z, encoder.encode(x, tp), encoder.encode(x, sp), sp, tp).mean
-        stepped, _ = sde_forward_step(z, s, dt, encoder, x, schedule, rng=None)
+        stepped, _ = sde_forward_step(z, s, dt, encoder, x, schedule)
         errs.append(float(np.linalg.norm(stepped - exact)))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     measured = float(np.mean(ratios))
@@ -325,17 +322,17 @@ def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
                    details=f"ratios={['%.3f' % r for r in ratios]}")
 
 
-def fd_gradient_suite(d: int = 2, width: int = 16, n_coords: int = 200, seed: int = 0,
-                      schedule: LogLinearSchedule | None = None,
-                      encoder_kind: str = "trainable", h: float = 1e-5) -> OracleReport:
+def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: int, seed: int,
+                      d: int = 2, width: int = 16) -> OracleReport:
     """Central-difference check of reverse-mode gradients of the training loss.
 
     Probes >= n_coords randomly chosen parameter coordinates of a small model
     with randomly initialized (non-zero) output layers, including the encoder
-    path through the finite-difference dy/dλ estimator.  Coordinates below
-    1e-6 in magnitude are compared against that floor.
+    path through the finite-difference dy/dλ estimator.  Each probe's central
+    difference steps the coordinate by ±1e-5.  Coordinates below 1e-6 in
+    magnitude are compared against that floor.
     """
-    schedule = schedule or LogLinearSchedule()
+    h = 1e-5
     rng = np.random.default_rng(seed)
     model, encoder, store = build_model(
         RunConfig(encoder=encoder_kind, denoiser_width=width, encoder_width=width, seed=seed), d)
@@ -354,7 +351,7 @@ def fd_gradient_suite(d: int = 2, width: int = 16, n_coords: int = 200, seed: in
 
     loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
     names = store.names()
-    grads = store.views(grad(loss, store.tensors(), allow_unused=True))
+    grads = store.views(grad(loss, store.tensors()))
 
     denoiser_coords = []
     encoder_coords = []

@@ -8,9 +8,9 @@ from encdiff.autodiff import Tensor, all_finite, grad
 from encdiff.errors import NumericsError, UnusedParameterError
 
 
-def grads(loss, params, allow_unused=False):
+def grads(loss, params):
     """grad()'s flat buffer split back into one array per parameter."""
-    flat = grad(loss, params, allow_unused=allow_unused)
+    flat = grad(loss, params)
     bounds = np.cumsum([p.data.size for p in params])[:-1]
     return [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), params)]
 
@@ -147,12 +147,6 @@ class TestGradContract:
         gx, gw = grads(loss, [x, w])
         assert gx == pytest.approx(3.0)
         assert gw == 0.0
-
-    def test_allow_unused_returns_zeros(self):
-        x = Tensor(np.array(1.0), requires_grad=True)
-        unused = Tensor(np.ones(3), requires_grad=True)
-        gs = grads(x * x, [x, unused], allow_unused=True)
-        np.testing.assert_allclose(gs[1], np.zeros(3))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -19,8 +19,61 @@ import encdiff
 from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
 from encdiff.config import _SECTIONS, RunConfig
 from encdiff.errors import ConfigError
-from encdiff.io_utils import read_csv, read_pgm, write_pgm
+from encdiff.io_utils import write_pgm
 from encdiff.train import restore, train
+
+
+# --- readers for the stamped artifacts; the program itself reads neither format
+
+def read_csv(path: str) -> tuple[list[str], list[list[str]], str]:
+    """Read back a stamped CSV; returns (header, rows, config_hash)."""
+    config_hash = ""
+    header: list[str] = []
+    rows: list[list[str]] = []
+    with open(path) as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                if "config_hash=" in line:
+                    config_hash = line.split("config_hash=", 1)[1].strip()
+                continue
+            if not header:
+                header = line.split(",")
+            elif line:
+                rows.append(line.split(","))
+    return header, rows, config_hash
+
+
+def read_pgm(path: str) -> tuple[np.ndarray, str]:
+    """Read back a P5 file written by write_pgm; returns (image, config_hash)."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if not raw.startswith(b"P5"):
+        raise ValueError(f"not a binary PGM file: {path}")
+    config_hash = ""
+    pos = 2
+    tokens: list[bytes] = []
+    while len(tokens) < 3:
+        while pos < len(raw) and raw[pos : pos + 1].isspace():
+            pos += 1
+        if raw[pos : pos + 1] == b"#":
+            end = raw.index(b"\n", pos)
+            comment = raw[pos:end].decode("ascii")
+            if "config_hash=" in comment:
+                config_hash = comment.split("config_hash=", 1)[1].strip()
+            pos = end + 1
+            continue
+        end = pos
+        while end < len(raw) and not raw[end : end + 1].isspace():
+            end += 1
+        tokens.append(raw[pos:end])
+        pos = end
+    pos += 1  # single whitespace after maxval
+    w, h, maxval = (int(t) for t in tokens)
+    if maxval != 255:
+        raise ValueError("only 8-bit PGM supported")
+    image = np.frombuffer(raw[pos : pos + w * h], dtype=np.uint8).reshape(h, w).copy()
+    return image, config_hash
 
 
 def _train_args(out_dir, encoder="identity", steps=40, extra=()):
@@ -410,6 +463,10 @@ _SMALL_TRAIN = ["--steps", "2", "--n-points", "64", "--batch-size", "8"]
                  id="lambda-max-snr-overflows"),
     pytest.param("schedule-report", ["--lambda-max=1e308", "--lambda-min=-1e308"], None, "span",
                  id="lambda-span-overflows"),
+    pytest.param("train", [*_SMALL_TRAIN, "--seed=-1"], None, "seed must be >= 0",
+                 id="train-seed-negative"),
+    pytest.param("verify", ["--quick", "--seed=-1"], None, "seed must be >= 0",
+                 id="verify-seed-negative"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, ini, error):
     out = tmp_path / "out"
@@ -731,7 +788,7 @@ class TestPgm:
 
     def test_shape_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            write_pgm(str(tmp_path / "bad.pgm"), np.zeros((2, 2)))  # not uint8
+            write_pgm(str(tmp_path / "bad.pgm"), np.zeros((2, 2)), "deadbeef")  # not uint8
 
 
 def test_train_function_initial_total_recorded(tmp_path):

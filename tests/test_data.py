@@ -23,11 +23,10 @@ from encdiff.errors import ConfigError
 
 class TestScalePixels:
     def test_endpoints(self):
-        assert scale_pixels(0) == -1.0
-        assert scale_pixels(255) == 1.0
+        np.testing.assert_array_equal(scale_pixels(np.array([0, 255])), [-1.0, 1.0])
 
     def test_midpoint(self):
-        assert scale_pixels(128) == pytest.approx(1.0 / 255.0, rel=1e-15)
+        assert scale_pixels(np.array([128]))[0] == pytest.approx(1.0 / 255.0, rel=1e-15)
 
     def test_strictly_increasing_distinct(self):
         vals = scale_pixels(np.arange(256))
@@ -36,7 +35,7 @@ class TestScalePixels:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            scale_pixels(-1)
+            scale_pixels(np.array([-1]))
         with pytest.raises(ValueError):
             scale_pixels(np.array([0, 256]))
 
@@ -148,7 +147,7 @@ class TestBatches:
     def test_epoch_covers_every_item_once(self, rng):
         ds = synth_gaussian2d(97, [0.0, 0.0], 1.0, seed=0)
         seen = []
-        for batch in batches(ds, 16, rng):
+        for batch in batches(ds.items, 16, rng):
             seen.extend(batch[:, 0].tolist())
         assert len(seen) == 97
         assert sorted(seen) == sorted(ds.items[:, 0].tolist())
@@ -156,8 +155,8 @@ class TestBatches:
     def test_permutation_changes_between_epochs(self):
         ds = synth_gaussian2d(64, [0.0, 0.0], 1.0, seed=0)
         r = np.random.default_rng(5)
-        first = np.concatenate([b for b in batches(ds, 16, r)])
-        second = np.concatenate([b for b in batches(ds, 16, r)])
+        first = np.concatenate([b for b in batches(ds.items, 16, r)])
+        second = np.concatenate([b for b in batches(ds.items, 16, r)])
         assert not np.array_equal(first, second)
 
 

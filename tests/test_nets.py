@@ -9,7 +9,8 @@ from encdiff.autodiff import Tensor, grad
 from encdiff.checkpoint import Checkpoint, load, save
 from encdiff.config import RunConfig
 from encdiff.errors import ConfigError, NumericsError
-from encdiff.nets import MLP, DenoiserNet, EncoderInnerNet, ParamStore, sinusoidal_embedding
+from encdiff.nets import (MLP, N_HIDDEN, DenoiserNet, EncoderInnerNet, ParamStore,
+                          sinusoidal_embedding)
 from encdiff.optim import BETA1, BETA2, EPS_HAT, optimizer_step
 from encdiff.schedule import logistic
 
@@ -78,14 +79,14 @@ def _composed_forward(net: MLP, x: Tensor, lam) -> Tensor:
         emb = np.broadcast_to(emb, (x.data.shape[0], emb.shape[1]))
     p = net.params
     h = (Tensor.concat([x, Tensor(emb)], axis=1) @ p[0] + p[1]).tanh()
-    for k in range(1, net.n_hidden):
+    for k in range(1, N_HIDDEN):
         h = h + (h @ p[2 * k] + p[2 * k + 1]).tanh()
     return h @ p[-2] + p[-1]
 
 
-def _randomized_mlp(kind: str, n_hidden: int, rng) -> MLP:
+def _randomized_mlp(kind: str, rng) -> MLP:
     make = DenoiserNet if kind == "denoiser" else EncoderInnerNet
-    net = make(d=3, width=8, n_hidden=n_hidden, seed=4).net
+    net = make(d=3, width=8, seed=4).net
     for param in net.params:
         param.data = 0.5 * rng.standard_normal(param.data.shape)
     return net
@@ -100,10 +101,9 @@ class TestFusedMLP:
         return (out * weights).sum() + out.square().sum()
 
     @pytest.mark.parametrize("kind", ["denoiser", "encoder"])
-    @pytest.mark.parametrize("n_hidden", [1, 3])
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_matches_composed_graph_bitwise(self, kind, n_hidden, rows, rng):
-        net = _randomized_mlp(kind, n_hidden, rng)
+    def test_matches_composed_graph_bitwise(self, kind, rows, rng):
+        net = _randomized_mlp(kind, rng)
         x = Tensor(rng.standard_normal((rows, 3)), requires_grad=True, name="x")
         # stacked rows carry one λ each, as in the encoder's stacked pass
         lam = rng.uniform(-5.0, 13.0, size=rows) if rows > 1 else 2.5
@@ -119,7 +119,7 @@ class TestFusedMLP:
         assert g_fused.tobytes() == g_composed.tobytes()
 
     def test_constant_input_gets_no_gradient(self, rng):
-        net = _randomized_mlp("encoder", 2, rng)
+        net = _randomized_mlp("encoder", rng)
         x = Tensor(rng.standard_normal((4, 3)))
         out = net.forward(x, 1.0)
         g = rng.standard_normal(out.shape)

@@ -11,7 +11,6 @@ from encdiff.schedule import LogLinearSchedule, logistic
 # independently evaluated logistic values (40-digit arithmetic), frozen
 LOGISTIC_M13_3 = 1.6744904055114538875e-6
 LOGISTIC_5 = 0.99330714907571514444
-SNR_SPAN_DEFAULT = 597195.60705486925193  # exp(13.3) - exp(-5)
 
 
 class TestEval:
@@ -106,34 +105,6 @@ class TestInvariants:
         ts = np.linspace(0.0, 1.0, 64)
         snrs = [schedule.at(float(t)).snr for t in ts]
         assert np.all(np.diff(snrs) < 0)
-
-
-class TestSnrDelta:
-    def test_full_span(self, schedule):
-        assert schedule.snr_delta(0.0, 1.0) == pytest.approx(SNR_SPAN_DEFAULT, rel=1e-12)
-
-    def test_first_order_taylor(self, schedule):
-        t = 0.6
-        dt = 1e-9
-        p = schedule.at(t)
-        expected = -p.lam_prime * math.exp(p.lam) * dt
-        assert schedule.snr_delta(t - dt, t) == pytest.approx(expected, rel=1e-5)
-
-    def test_matches_direct_eval(self, schedule):
-        direct = math.exp(schedule.at(0.4).lam) - math.exp(schedule.at(0.6).lam)
-        assert schedule.snr_delta(0.4, 0.6) == pytest.approx(direct, rel=1e-12)
-
-    def test_positive_for_all_ordered_pairs(self, schedule, rng):
-        for _ in range(200):
-            s, t = sorted(rng.uniform(0.0, 1.0, size=2))
-            if s < t:
-                assert schedule.snr_delta(s, t) > 0
-
-    def test_domain_errors(self, schedule):
-        with pytest.raises(ValueError):
-            schedule.snr_delta(0.6, 0.4)
-        with pytest.raises(ValueError):
-            schedule.snr_delta(0.5, 0.5)
 
 
 def test_logistic_matches_naive():
