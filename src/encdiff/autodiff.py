@@ -3,12 +3,15 @@
 A Tensor wraps an ndarray and records the op that produced it; backward() walks
 the recorded graph once, in reverse topological order.  Every parent is made
 before its children, so sorting the reachable nodes by creation number gives
-a topological order.  The ops are what the training losses need: add,
-subtract and multiply with numpy-style broadcasting, square, sum/mean
-reductions and row slices.  A whole network call is one node with a
-hand-written backward (nets.MLP records one per call); matmul, tanh and
-concatenation remain as the ops that network's composed reference is built
-from.
+a topological order.  There are no elementwise ops: each step of a loss is
+one node with a hand-written backward, made by the code that owns the step.
+A network call is one node (nets.MLP), the v-loss and the latent term are one
+node each (objective.py), and the trainable encoder's graph-mode views are
+one node each (encoder.py).  The one op left is `+` of two Tensors of one
+shape, which adds the latent term to the v-loss.  A node none of whose
+parents is on the record (requires a gradient, or was made by a node that
+keeps its backward) is a constant: it drops its backward, so no consumer
+computes a gradient for it.
 
 grad() returns the gradients of all requested parameters in one flat buffer,
 each parameter's raveled gradient in its span, in the order given; for a
@@ -17,11 +20,12 @@ each parameter's first contribution into its span and adds later ones, and
 marks it written; a parameter left unmarked after the walk was never on the
 record, which is how grad() finds unused parameters.
 
-Every op checks its result for NaN/Inf and raises NumericsError naming the op,
-so a numerical blow-up is caught at the first offending node rather than after
-it has propagated through the whole loss.  The check sums the result: a finite
-sum proves every entry finite, and only a non-finite sum (a NaN or Inf entry,
-or finite entries whose sum overflows) falls back to the exact elementwise test.
+Every Tensor checks its data for NaN/Inf when it is made and raises
+NumericsError naming the op that made it, so a numerical blow-up is caught at
+the first offending node rather than after it has propagated through the
+whole loss.  The check sums the data: a finite sum proves every entry finite,
+and only a non-finite sum (a NaN or Inf entry, or finite entries whose sum
+overflows) falls back to the exact elementwise test.
 """
 
 from __future__ import annotations
@@ -49,26 +53,12 @@ def all_finite(data: np.ndarray) -> bool:
     return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient over the axes that numpy broadcasting expanded."""
-    if grad.shape == shape:
-        return grad
-    # leading axes added by broadcasting
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # axes of size 1 that were stretched
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 class Tensor:
     """Shaped float64 array with an optional place in the computation record."""
 
     __slots__ = ("data", "requires_grad", "node_id", "name", "_parents", "_backward", "_op")
 
-    # defer mixed ndarray/Tensor arithmetic to the Tensor operators
+    # numpy raises on mixed ndarray/Tensor arithmetic instead of making object arrays
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
@@ -82,7 +72,9 @@ class Tensor:
         self.node_id = next(_node_ids)
         self.name = name
         self._parents = _parents
-        self._backward = _backward
+        # a node with no parent on the record is a constant
+        self._backward = _backward if any(
+            p._backward is not None or p.requires_grad for p in _parents) else None
         self._op = _op
 
     @property
@@ -93,115 +85,16 @@ class Tensor:
         tag = f" '{self.name}'" if self.name else ""
         return f"Tensor{tag}(shape={self.shape}, op={self._op})"
 
-    # --- graph construction helpers ------------------------------------
-
     @staticmethod
     def as_tensor(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _make(self, data, parents, op, backward) -> "Tensor":
-        return Tensor(data, _parents=parents, _op=op, _backward=backward)
-
-    # --- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        other = Tensor.as_tensor(other)
-        out_data = self.data + other.data
-
-        def backward(g, a=self, b=other):
-            return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
-
-        return self._make(out_data, (self, other), "add", backward)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Tensor.as_tensor(other)
-        out_data = self.data - other.data
-
-        def backward(g, a=self, b=other):
-            return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
-
-        return self._make(out_data, (self, other), "sub", backward)
-
-    def __rsub__(self, other):
-        return Tensor.as_tensor(other) - self
-
-    def __mul__(self, other):
-        other = Tensor.as_tensor(other)
-        out_data = self.data * other.data
-
-        def backward(g, a=self, b=other):
-            return (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape))
-
-        return self._make(out_data, (self, other), "mul", backward)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        other = Tensor.as_tensor(other)
-        out_data = self.data @ other.data
-
-        def backward(g, a=self, b=other):
-            return (g @ b.data.T, a.data.T @ g)
-
-        return self._make(out_data, (self, other), "matmul", backward)
-
-    # --- nonlinearities and reductions -----------------------------------
-
-    def tanh(self):
-        y = np.tanh(self.data)
-
-        def backward(g, y=y):
-            return (g * (1.0 - y * y),)
-
-        return self._make(y, (self,), "tanh", backward)
-
-    def square(self):
-        def backward(g, a=self):
-            return (2.0 * g * a.data,)
-
-        return self._make(self.data * self.data, (self,), "square", backward)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g, a=self, axis=axis, keepdims=keepdims):
-            full = np.empty(a.shape)
-            full[...] = g if axis is None or keepdims else np.expand_dims(g, axis)
-            return (full,)
-
-        return self._make(out_data, (self,), "sum", backward)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    @staticmethod
-    def concat(parts: Sequence["Tensor | np.ndarray"], axis: int = -1) -> "Tensor":
-        parts = [Tensor.as_tensor(p) for p in parts]
-        out_data = np.concatenate([p.data for p in parts], axis=axis)
-        spans = []
-        start = 0
-        for p in parts:
-            index = [slice(None)] * out_data.ndim
-            index[axis] = slice(start, start + p.data.shape[axis])
-            spans.append(tuple(index))
-            start += p.data.shape[axis]
-
-        def backward(g, spans=spans):
-            return tuple(g[span] for span in spans)
-
-        return Tensor(out_data, _parents=tuple(parts), _op="concat", _backward=backward)
-
-    def rows(self, start: int, stop: int) -> "Tensor":
-        """Rows start:stop along the first axis; the gradient lands in those rows."""
-        def backward(g, a=self, start=start, stop=stop):
-            full = np.zeros_like(a.data)
-            full[start:stop] = g
-            return (full,)
-
-        return self._make(self.data[start:stop], (self,), "rows", backward)
+    def __add__(self, other: "Tensor") -> "Tensor":
+        """Sum of two Tensors of one shape, such as two scalar losses."""
+        if self.shape != other.shape:
+            raise ValueError(f"add needs equal shapes, got {self.shape} and {other.shape}")
+        return Tensor(self.data + other.data, _parents=(self, other), _op="add",
+                      _backward=lambda g: (g, g))
 
     # --- backward pass ----------------------------------------------------
 

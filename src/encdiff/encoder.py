@@ -22,13 +22,19 @@ latent term's rows at t = 1 are a separate pass: batch_latent_graph
 (objective.py) is its own loss function, evaluated only in training, while
 loss_terms also serves evaluation, which has no latent term.
 
-Each encoder also carries its role in the continuous-time v-loss (see
-objective.py).  `loss_terms` returns the encoded data x_enc as a graph node
-and the encoder's extra residual as a function of the x-prediction x̂:
+Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
+which `loss_terms` returns: the encoded data x_enc as a node, the extra
+residual as a function of the x-prediction x̂, and the encoder's own
+vector-Jacobian rule for the extra, which the v-loss node's hand-written
+backward calls:
 
     identity     None  (no extra term)
     nt           x̂ − x_enc
     trainable    x̂ − x_enc + y − dy/dλ
+
+Only the trainable encoder's x_enc and extra depend on nodes (its inner net's
+stacked pass); the others' x_enc is a constant.  The latent term reads the
+encoded data at t = 1 from `encode_t`, one node over the inner net's node.
 
 `counterterm` says whether the generative mean carries the counterterm by
 default: off for identity, on for the encoders that move x_t.
@@ -36,7 +42,7 @@ default: off for identity, on for the encoders that move x_t.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,8 +53,21 @@ from .schedule import LogLinearSchedule, SchedulePoint
 
 FD_REL_STEP = 1e-3
 
-# loss_terms' extra residual: x̂ -> extra, or None when there is no extra term
-Extra = Callable[[Tensor], Tensor] | None
+
+class Terms(NamedTuple):
+    """An encoder's part in the v-loss.
+
+    x_enc is the encoded data, (B, d), as a node: a constant for the encoders
+    without parameters.  extra maps the x-prediction x̂ (an array) to the
+    encoder's extra residual, x̂ − x_enc plus terms of the encoder's own (None:
+    no extra term).  Those own terms depend on the nodes in parents, and
+    backward(g) returns the parents' gradients from the gradient g on the extra.
+    """
+
+    x_enc: Tensor
+    extra: Callable[[np.ndarray], np.ndarray] | None = None
+    parents: tuple[Tensor, ...] = ()
+    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] = lambda g: ()
 
 
 class IdentityEncoder:
@@ -61,8 +80,8 @@ class IdentityEncoder:
         self.calls = 0
 
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
-        return Tensor(x2), None
+                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
+        return Terms(Tensor(x2))
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -89,9 +108,9 @@ class NonTrainableEncoder:
         self.calls = 0
 
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
-        x_enc = Tensor(alpha_sq * x2)
-        return x_enc, lambda x_hat: x_hat - x_enc
+                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
+        x_enc = alpha_sq * x2
+        return Terms(Tensor(x_enc), lambda x_hat: x_hat - x_enc)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -121,23 +140,37 @@ class TrainableEncoder:
         self.calls = 0
 
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> tuple[Tensor, Extra]:
+                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
         h = _fd_step(lam_prime)
-        y, y_up, y_down = self._inner_at(x2, (lam, lam + h, lam - h))
+        stacked, (y, y_up, y_down) = self._inner_at(x2, (lam, lam + h, lam - h))
         dy = _central_difference(y_up, y_down, h)
-        x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
-        return x_enc, lambda x_hat: x_hat - x_enc + y - dy
+        n = len(x2)
+
+        def x_enc_backward(g):
+            g_stacked = np.zeros_like(stacked.data)
+            g_stacked[:n] = g * sigma_sq
+            return (g_stacked,)
+
+        def extra_backward(g):
+            # the encoder's own terms of the extra: y − dy/dλ
+            g_up = (-g) * (0.5 / h)
+            return (np.concatenate([g, g_up, -g_up]),)
+
+        x_enc = x2 * alpha_sq + y * sigma_sq
+        return Terms(Tensor(x_enc, _parents=(stacked,), _op="encode", _backward=x_enc_backward),
+                     lambda x_hat: x_hat - x_enc + y - dy, (stacked,), extra_backward)
 
     # --- inner-network views -------------------------------------------
 
-    def _inner_at(self, x2: np.ndarray, lams) -> list[Tensor]:
-        """y(x2, λ) for each λ (scalar or per row) of lams, from one pass over stacked rows."""
+    def _inner_at(self, x2: np.ndarray, lams) -> tuple[Tensor, list[np.ndarray]]:
+        """The inner net's node over x2 stacked once per λ (scalar or per row) of
+        lams, from one pass, and its output's row block for each λ."""
         n = len(x2)
         lam_rows = np.empty(len(lams) * n)
         for k, lam in enumerate(lams):
             lam_rows[k * n:(k + 1) * n] = lam
-        y = self.inner.forward(np.concatenate([x2] * len(lams)), lam_rows)
-        return [y.rows(k * n, (k + 1) * n) for k in range(len(lams))]
+        stacked = self.inner.forward(np.concatenate([x2] * len(lams)), lam_rows)
+        return stacked, [stacked.data[k * n:(k + 1) * n] for k in range(len(lams))]
 
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return self.inner.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), point.lam)
@@ -145,7 +178,14 @@ class TrainableEncoder:
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
         h = _fd_step(point.lam_prime)
-        return _central_difference(*self._inner_at(x2, (point.lam + h, point.lam - h)), h)
+        stacked, (y_up, y_down) = self._inner_at(x2, (point.lam + h, point.lam - h))
+
+        def backward(g):
+            g_up = g * (0.5 / h)
+            return (np.concatenate([g_up, -g_up]),)
+
+        return Tensor(_central_difference(y_up, y_down, h), _parents=(stacked,),
+                      _op="dy_dlambda", _backward=backward)
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         out = self.y_t(x, point).data
@@ -171,16 +211,19 @@ class TrainableEncoder:
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         self.calls += 1
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = point.alpha_sq * Tensor(x2) + point.sigma_sq * self.y_t(x2, point)
-        return out
+        y = self.y_t(x2, point)
+        return Tensor(x2 * point.alpha_sq + y.data * point.sigma_sq, _parents=(y,), _op="encode",
+                      _backward=lambda g: (g * point.sigma_sq,))
 
     def encode_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         self.calls += 1
         x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
         a2s2 = point.alpha_sq * point.sigma_sq
-        return (a2s2 * Tensor(x2)
-                + point.sigma_sq * self.dy_dlambda_t(x2, point)
-                - a2s2 * self.y_t(x2, point))
+        dy = self.dy_dlambda_t(x2, point)
+        y = self.y_t(x2, point)
+        return Tensor(a2s2 * x2 + point.sigma_sq * dy.data - a2s2 * y.data, _parents=(dy, y),
+                      _op="encode_dlambda",
+                      _backward=lambda g: (g * point.sigma_sq, -(g * a2s2)))
 
 
 Encoder = IdentityEncoder | NonTrainableEncoder | TrainableEncoder
@@ -192,7 +235,7 @@ def _fd_step(lam_prime: float) -> float:
     return h if h > 0 else FD_REL_STEP
 
 
-def _central_difference(y_up: Tensor, y_down: Tensor, h: float) -> Tensor:
+def _central_difference(y_up: np.ndarray, y_down: np.ndarray, h: float) -> np.ndarray:
     """dy/dλ ≈ (y(λ + h) − y(λ − h)) / 2h."""
     return (y_up - y_down) * (0.5 / h)
 

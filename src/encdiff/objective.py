@@ -11,6 +11,17 @@ The x-parameterized form −½ λ' e^λ ‖x̂ − x_enc + σ² x̂ − dx_enc/d
 algebraically identical (for the identity encoder, −½ λ' e^λ ‖x̂ − x‖²); both
 are implemented and tested against each other.
 
+For training, the v-loss of a batch is one node on the autodiff record, and
+the latent term one more; neither builds elementwise ops.  Each computes its
+value in numpy and has a hand-written backward that repeats the composed
+elementwise graph's arithmetic in its order, so values and gradients are the
+same bits as that graph's (kept as a reference in the tests).  The v-loss
+node's parents are the denoiser's node, the z it was fed, and the encoder's
+x_enc and extra-term nodes; the encoder answers for its own part through
+`loss_terms` (arrays, nodes and a vector-Jacobian rule; see encoder.Terms),
+so nothing here depends on the encoder's kind.  Evaluation reads the
+per-item values of the same computation.
+
 The discrete-T loss sums per-layer KL divergences between the reverse
 posterior and the generative transition, with an optional unequal-variance
 weighting: a variance ratio w = σ_Q²/σ_P² contributes (d/2)(w − 1 − log w) per
@@ -34,7 +45,6 @@ from .process import (
     kl_isotropic,
     optimal_sigma_p,
     reverse_posterior,
-    transition_coefficients,
     weighting_penalty,
 )
 from .schedule import LogLinearSchedule, SchedulePoint
@@ -100,18 +110,45 @@ def _vloss_per_item(
     ts: np.ndarray,
     eps2: np.ndarray,
     schedule: LogLinearSchedule,
-) -> Tensor:
-    """Per-item diffusion integrand, shape (B, 1), for x2, eps2 of shape (B, d)."""
+) -> tuple[np.ndarray, Tensor]:
+    """Per-item diffusion integrand, shape (B, 1), for x2, eps2 of shape (B, d),
+    and one node whose value is the batch mean of the integrand.
+
+    The node's parents are the denoiser's node, z, the encoder's x_enc and the
+    nodes of the encoder's own extra terms (see encoder.Terms).  z is a node on
+    x_enc, so the denoiser's input gradient reaches the encoder and adds to
+    x_enc's gradient before x_enc's backward runs, as in the composed
+    elementwise graph, whose arithmetic the value and the backward repeat in
+    its order.
+    """
     lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(ts)
-    x_enc, extra = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
-    z = alpha * x_enc + sigma * eps2
-    v_hat = model.forward(z, lam)
-    v = alpha * eps2 - sigma * x_enc
-    resid = v - v_hat
-    if extra is not None:
-        resid = resid + sigma * extra(alpha * z - sigma * v_hat)
+    terms = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+    x_enc = terms.x_enc.data
+    z = x_enc * alpha + sigma * eps2
+    z_node = Tensor(z, _parents=(terms.x_enc,), _op="z", _backward=lambda g: (g * alpha,))
+    v_hat_node = model.forward(z_node, lam)
+    v_hat = v_hat_node.data
+    resid = (alpha * eps2 - x_enc * sigma) - v_hat
+    if terms.extra is not None:
+        resid = resid + terms.extra(z * alpha - v_hat * sigma) * sigma
     weight = -0.5 * schedule.lam_prime * alpha_sq
-    return resid.square().sum(axis=1, keepdims=True) * weight
+    per_item = (resid * resid).sum(axis=1, keepdims=True) * weight
+    n = len(per_item)
+
+    def backward(g):
+        g_resid = (2.0 * (g * (1.0 / n) * weight)) * resid
+        # resid = α ε − σ x_enc − v̂ [+ σ·extra]
+        g_v = -g_resid
+        if terms.extra is None:
+            return (g_v, None, g_v * sigma)
+        # the extra is x̂ − x_enc plus the encoder's own terms, and x̂ = α z − σ v̂
+        g_extra = g_resid * sigma
+        return ((-g_extra) * sigma + g_v, g_extra * alpha, (-g_extra) + g_v * sigma,
+                *terms.backward(g_extra))
+
+    return per_item, Tensor(per_item.sum() * (1.0 / n),
+                            _parents=(v_hat_node, z_node, terms.x_enc, *terms.parents),
+                            _op="vloss", _backward=backward)
 
 
 def batch_vloss_graph(
@@ -124,7 +161,7 @@ def batch_vloss_graph(
 ) -> Tensor:
     """Mean single-sample diffusion loss over a batch; differentiable. x is (B, d)."""
     return _vloss_per_item(np.asarray(x, dtype=np.float64), model, encoder, np.asarray(ts),
-                           np.asarray(eps, dtype=np.float64), schedule).mean()
+                           np.asarray(eps, dtype=np.float64), schedule)[1]
 
 
 def continuous_vloss(
@@ -136,10 +173,10 @@ def continuous_vloss(
     schedule: LogLinearSchedule,
 ) -> float:
     """Single-draw v-parameterized diffusion integrand at time t (nonnegative)."""
-    per_item = _vloss_per_item(np.asarray(x, dtype=np.float64)[None, :], model, encoder,
-                               np.array([t]), np.asarray(eps, dtype=np.float64)[None, :],
-                               schedule)
-    return float(per_item.data[0, 0])
+    per_item, _ = _vloss_per_item(np.asarray(x, dtype=np.float64)[None, :], model, encoder,
+                                  np.array([t]), np.asarray(eps, dtype=np.float64)[None, :],
+                                  schedule)
+    return float(per_item[0, 0])
 
 
 # (t, ε) draws evaluated per _vloss_per_item call, so eval memory stays bounded for any n_mc
@@ -159,7 +196,7 @@ def _vloss_draws(
     for start in range(0, len(ts), EVAL_ROWS):
         rows = slice(start, start + EVAL_ROWS)
         x2 = np.broadcast_to(x, eps[rows].shape)
-        out[rows] = _vloss_per_item(x2, model, encoder, ts[rows], eps[rows], schedule).data[:, 0]
+        out[rows] = _vloss_per_item(x2, model, encoder, ts[rows], eps[rows], schedule)[0][:, 0]
     return out
 
 
@@ -311,15 +348,20 @@ def batch_latent_graph(x: np.ndarray, encoder: Encoder,
                        schedule: LogLinearSchedule) -> Tensor:
     """Differentiable batch-mean latent term; trains the encoder's t=1 output.
 
-    Constant for non-trainable encoders, whose encode_t builds no graph.
+    One node on the encoder's encode_t node at t = 1, whose value and backward
+    do the arithmetic of the composed elementwise graph in its order.  A
+    constant for the encoders without parameters.
     """
     p1 = schedule.at(1.0)
     x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d = x2.shape[1]
+    n, d = x2.shape
     const = d * (p1.sigma_sq - p1.log_sigma_sq - 1.0)
-    x1 = encoder.encode_t(x2, p1)
-    sq = x1.square().sum(axis=1, keepdims=True)
-    return (0.5 * p1.alpha_sq) * sq.mean() + 0.5 * const
+    x1_node = encoder.encode_t(x2, p1)
+    x1 = x1_node.data
+    scale = 0.5 * p1.alpha_sq
+    value = (x1 * x1).sum(axis=1, keepdims=True).sum() * (1.0 / n) * scale + 0.5 * const
+    return Tensor(value, _parents=(x1_node,), _op="latent",
+                  _backward=lambda g: ((2.0 * (g * scale * (1.0 / n))) * x1,))
 
 
 def pixel_categorical_log_probs(z0: np.ndarray, alpha0: float, sigma2: float) -> np.ndarray:

@@ -803,9 +803,13 @@ def test_train_function_initial_total_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("encoder, per_step", [
-    ("trainable", 60), ("nt", 27), ("identity", 18)])
+    ("trainable", 11), ("nt", 4), ("identity", 4)])
 def test_tensors_per_training_step(tmp_path, encoder, per_step):
-    """Each MLP call is one graph node.  Tensors are counted with the node-id
+    """Each MLP call is one graph node, and so are the v-loss and the latent
+    term.  A step makes x_enc, z, the denoiser's node and the v-loss node; the
+    trainable encoder adds its stacked inner pass with its input leaf, and the
+    latent term's inner pass with its input leaf, encode_t node and latent
+    node, and the sum of the two losses.  Tensors are counted with the node-id
     counter, as the benchmark's tensor probe counts them; a run of 3 steps makes
     one step's Tensors more than a run of 2, since both log and save at their
     first and last steps."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from composed import Ref, ref
 from encdiff.autodiff import Tensor, grad
 from encdiff.encoder import (
     FD_REL_STEP,
@@ -129,38 +130,49 @@ class TestEncodeDLambda:
 
 class TestStackedInnerPass:
     """The trainable encoder runs y at λ, λ + h and λ − h as one inner-net pass
-    over stacked rows; it must match three separate passes."""
+    over stacked rows; its terms, and their backward, must match three separate
+    passes built from the composed reference's ops."""
 
     @staticmethod
     def _separate_terms(enc, x2, lam, alpha_sq, sigma_sq, lam_prime):
         h = FD_REL_STEP * abs(lam_prime)
-        y = enc.inner.forward(x2, lam)
-        dy = (enc.inner.forward(x2, lam + h) - enc.inner.forward(x2, lam - h)) * (0.5 / h)
-        x_enc = alpha_sq * Tensor(x2) + sigma_sq * y
+        y = ref(enc.inner.forward(x2, lam))
+        dy = (ref(enc.inner.forward(x2, lam + h)) - enc.inner.forward(x2, lam - h)) * (0.5 / h)
+        x_enc = alpha_sq * Ref(x2) + sigma_sq * y
         return y, dy, x_enc, (lambda x_hat: x_hat - x_enc + y - dy)
 
     @staticmethod
     def _loss(x_enc, extra, x_hat):
         return (extra(x_hat).square().sum() + (x_enc * x_hat).sum()) * 0.5
 
+    @staticmethod
+    def _terms_loss(terms, x_hat):
+        """_loss of the encoder's terms as one node: the extra is x̂ − x_enc plus
+        the encoder's own terms, whose rule is terms.backward."""
+        x_enc = terms.x_enc.data
+        e = terms.extra(x_hat)
+        value = ((e * e).sum() + (x_enc * x_hat).sum()) * 0.5
+        return Tensor(value, _parents=(terms.x_enc, *terms.parents),
+                      _backward=lambda g: ((g * 0.5) * x_hat - g * e, *terms.backward(g * e)))
+
     def test_matches_separate_passes(self, schedule, rng):
         enc = _randomized_trainable(rng, d=4, width=16)
         params = enc.inner.store.tensors()
         x2 = rng.uniform(-1, 1, size=(7, 4))
         lam, _, _, alpha_sq, sigma_sq = schedule.columns(rng.uniform(0.0, 1.0, size=7))
-        x_hat = Tensor(rng.standard_normal((7, 4)))
+        x_hat = rng.standard_normal((7, 4))
 
         y, dy, x_enc, extra = self._separate_terms(enc, x2, lam, alpha_sq, sigma_sq,
                                                    schedule.lam_prime)
-        loss = self._loss(x_enc, extra, x_hat)
+        loss = self._loss(x_enc, extra, Ref(x_hat))
         expected_grads = enc.inner.store.views(grad(loss, params)).values()
 
-        x_enc_s, extra_s = enc.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+        terms = enc.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
         # extra(x̂) − x̂ + x_enc = y − dy/dλ; x_enc gives y back through its σ² factor
-        np.testing.assert_allclose(x_enc_s.data, x_enc.data, rtol=1e-12, atol=0)
-        np.testing.assert_allclose((extra_s(x_hat) - x_hat + x_enc_s).data, (y - dy).data,
+        np.testing.assert_allclose(terms.x_enc.data, x_enc.data, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(terms.extra(x_hat) - x_hat + terms.x_enc.data, (y - dy).data,
                                    rtol=1e-12, atol=1e-15)
-        loss_s = self._loss(x_enc_s, extra_s, x_hat)
+        loss_s = self._terms_loss(terms, x_hat)
         np.testing.assert_allclose(float(loss_s.data), float(loss.data), rtol=1e-12)
         for param, g, g_s in zip(params, expected_grads,
                                  enc.inner.store.views(grad(loss_s, params)).values()):
@@ -176,6 +188,46 @@ class TestStackedInnerPass:
         np.testing.assert_allclose(enc.y_t(x2, p).data, y.data, rtol=1e-12, atol=0)
         np.testing.assert_allclose(enc.dy_dlambda_t(x2, p).data, dy.data, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(dy.data)))
+
+
+class TestGraphViews:
+    """encode_t, dy_dlambda_t and encode_dlambda_t are one node each over the
+    inner net's nodes; values and gradients equal those of the composed graph
+    that the same inner passes make."""
+
+    @staticmethod
+    def _composed_dy(enc, x2, p):
+        n = len(x2)
+        h = FD_REL_STEP * abs(p.lam_prime)
+        stacked = ref(enc.inner.forward(np.concatenate([x2, x2]),
+                                        np.repeat([p.lam + h, p.lam - h], n)))
+        return (stacked.rows(0, n) - stacked.rows(n, 2 * n)) * (0.5 / h)
+
+    @staticmethod
+    def _composed(view, enc, x2, p):
+        y = lambda: ref(enc.inner.forward(x2, p.lam))  # noqa: E731
+        if view == "encode_t":
+            return p.alpha_sq * Ref(x2) + p.sigma_sq * y()
+        if view == "dy_dlambda_t":
+            return TestGraphViews._composed_dy(enc, x2, p)
+        a2s2 = p.alpha_sq * p.sigma_sq
+        return (a2s2 * Ref(x2) + p.sigma_sq * TestGraphViews._composed_dy(enc, x2, p)
+                - a2s2 * y())
+
+    @pytest.mark.parametrize("view", ["encode_t", "dy_dlambda_t", "encode_dlambda_t"])
+    def test_matches_composed_graph(self, view, schedule, rng):
+        enc = _randomized_trainable(rng, d=3, width=8)
+        params = enc.inner.store.tensors()
+        x2 = rng.uniform(-1, 1, size=(5, 3))
+        p = schedule.at(0.45)
+        weights = rng.standard_normal((5, 3))
+        fused = getattr(enc, view)(x2, p)
+        composed = self._composed(view, enc, x2, p)
+        assert fused.data.tobytes() == composed.data.tobytes()
+        g_fused = grad((ref(fused) * weights).sum(), params)
+        g_composed = grad((composed * weights).sum(), params)
+        assert np.any(g_fused != 0.0)
+        np.testing.assert_array_equal(g_fused, g_composed)
 
 
 class TestChangeHeatmap:

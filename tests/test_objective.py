@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from encdiff.autodiff import Tensor
+import composed
+from encdiff.autodiff import Tensor, grad
+from encdiff.config import RunConfig
 from encdiff.data import scale_pixels
 from encdiff.encoder import NonTrainableEncoder, make_encoder
+from encdiff.errors import NumericsError
 from encdiff.nets import DenoiserNet, EncoderInnerNet, ParamStore
 from encdiff.objective import (
     EVAL_ROWS,
     LossBreakdown,
+    _vloss_draws,
     MonteCarloEstimate,
     batch_latent_graph,
     batch_vloss_graph,
@@ -36,6 +40,7 @@ from encdiff.process import (
     reverse_posterior,
 )
 from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
+from encdiff.train import build_model
 from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor
 
 
@@ -161,6 +166,60 @@ def test_batch_graphs_match_per_item_losses(make, schedule, rng):
     latent = float(batch_latent_graph(x, enc, schedule).data)
     assert latent == pytest.approx(per_item_latent, rel=1e-12)
     assert latent_loss(x, enc, schedule) == pytest.approx(per_item_latent, rel=1e-12)
+
+
+class TestFusedLossNodes:
+    """The v-loss and the latent term are one node each, and their values,
+    grad()'s flat buffer and the eval draws equal those of the composed
+    elementwise graph (composed.py) bit for bit, for every encoder."""
+
+    @staticmethod
+    def _model(kind, rng):
+        model, enc, store = build_model(RunConfig(encoder=kind, denoiser_width=8,
+                                                  encoder_width=8), 3)
+        for param in store.tensors():
+            param.data = 0.4 * rng.standard_normal(param.data.shape)
+        return model, enc, store
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_matches_composed_graph_bitwise(self, kind, schedule, rng):
+        model, enc, store = self._model(kind, rng)
+        x = rng.uniform(-1, 1, size=(16, 3))
+        ts = rng.uniform(0.0, 1.0, size=16)
+        eps = rng.standard_normal((16, 3))
+        loss = batch_vloss_graph(x, model, enc, ts, eps, schedule)
+        latent = batch_latent_graph(x, enc, schedule)
+        assert (loss._op, latent._op) == ("vloss", "latent")
+        fused = loss + latent
+        reference = (composed.vloss_per_item(x, model, enc, ts, eps, schedule).mean()
+                     + composed.latent(x, enc, schedule))
+        assert fused.data.tobytes() == reference.data.tobytes()
+        g_fused = grad(fused, store.tensors())
+        assert np.count_nonzero(g_fused) > 0.9 * g_fused.size
+        assert g_fused.tobytes() == grad(reference, store.tensors()).tobytes()
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_eval_draws_match_composed_graph_bitwise(self, kind, schedule, rng):
+        model, enc, _ = self._model(kind, rng)
+        x = rng.uniform(-1, 1, size=3)
+        ts = rng.uniform(0.0, 1.0, size=EVAL_ROWS + 9)
+        eps = rng.standard_normal((EVAL_ROWS + 9, 3))
+        reference = composed.vloss_per_item(np.broadcast_to(x, eps.shape), model, enc, ts, eps,
+                                            schedule).data[:, 0]
+        assert _vloss_draws(x, model, enc, ts, eps, schedule).tobytes() == reference.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_value_names_the_node(self, schedule, rng):
+        class Huge(AnalyticPredictor):
+            def predict_x(self, z, lam):
+                return np.full_like(np.asarray(z), 1e200)
+
+        x = rng.uniform(-1, 1, size=(4, 3))
+        with pytest.raises(NumericsError, match="op 'vloss'"):
+            batch_vloss_graph(x, Huge(), make_encoder("identity"), rng.uniform(0.0, 1.0, 4),
+                              rng.standard_normal((4, 3)), schedule)
+        with pytest.raises(NumericsError, match="op 'latent'"):
+            batch_latent_graph(np.full((4, 3), 1e200), NonTrainableEncoder(), schedule)
 
 
 class TestAlternativeFormulaRoutes:
