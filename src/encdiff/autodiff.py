@@ -5,13 +5,13 @@ the recorded graph once, in reverse topological order.  Every parent is made
 before its children, so sorting the reachable nodes by creation number gives
 a topological order.  There are no elementwise ops: each step of a loss is
 one node with a hand-written backward, made by the code that owns the step.
-A network call is one node (nets.MLP), the v-loss and the latent term are one
-node each (objective.py), and the trainable encoder's graph-mode views are
-one node each (encoder.py).  The one op left is `+` of two Tensors of one
-shape, which adds the latent term to the v-loss.  A node none of whose
-parents is on the record (requires a gradient, or was made by a node that
-keeps its backward) is a constant: it drops its backward, so no consumer
-computes a gradient for it.
+A network call is one node (nets.MLP), whose array input is a constant
+rather than a parent; the v-loss and the latent term are one node each
+(objective.py), and so is the trainable encoder's x_t (encoder.py).  The one
+op left is `+` of two Tensors of one shape, which adds the latent term to the
+v-loss.  A node none of whose parents is on the record (requires a gradient,
+or was made by a node that keeps its backward) is a constant: it drops its
+backward, so no consumer computes a gradient for it.
 
 grad() returns the gradients of all requested parameters in one flat buffer,
 each parameter's raveled gradient in its span, in the order given; for a
@@ -84,10 +84,6 @@ class Tensor:
     def __repr__(self):
         tag = f" '{self.name}'" if self.name else ""
         return f"Tensor{tag}(shape={self.shape}, op={self._op})"
-
-    @staticmethod
-    def as_tensor(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         """Sum of two Tensors of one shape, such as two scalar losses."""

@@ -179,9 +179,13 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     for t in args.t_values:
         if not args.window <= t <= 1.0:
             raise ConfigError(f"heatmap t={t} must lie in [window, 1] = [{args.window}, 1]")
+    pgm_names = [f"heatmap_t{t:.2f}.pgm" for t in args.t_values]
+    clashing = [str(t) for t, name in zip(args.t_values, pgm_names) if pgm_names.count(name) > 1]
+    if dataset.kind == PIXELS and clashing:
+        raise ConfigError(f"--t-values {' '.join(clashing)} would share PGM file names")
     x = items[args.item]
     rows = []
-    for t in args.t_values:
+    for t, pgm_name in zip(args.t_values, pgm_names):
         rate = change_heatmap(encoder, x, schedule, t - args.window, t)
         rows.extend((t, j, rate[j]) for j in range(rate.size))
         if dataset.kind == PIXELS:
@@ -189,7 +193,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
             lo, hi = rate.min(), rate.max()
             scale = max(abs(lo), abs(hi)) or 1.0
             img = np.clip((rate.reshape(h, w) / scale + 1.0) * 127.5, 0, 255).astype(np.uint8)
-            out = os.path.join(config.out_dir, f"heatmap_t{t:.2f}.pgm")
+            out = os.path.join(config.out_dir, pgm_name)
             write_pgm(out, img, config_hash=config.hash())
             print(f"wrote {out}")
     out_csv = os.path.join(config.out_dir, "heatmap.csv")

@@ -35,6 +35,9 @@ backward calls:
 Only the trainable encoder's x_enc and extra depend on nodes (its inner net's
 stacked pass); the others' x_enc is a constant.  The latent term reads the
 encoded data at t = 1 from `encode_t`, one node over the inner net's node.
+No loss differentiates any other view: `encode` and `y` are the data of
+`encode_t` and `y_t`, the dλ views are numpy values from one inner pass each,
+and their `_t` forms are constants over them, as for the other encoders.
 
 `counterterm` says whether the generative mean carries the counterterm by
 default: off for identity, on for the encoders that move x_t.
@@ -141,26 +144,15 @@ class TrainableEncoder:
 
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
                    sigma_sq: np.ndarray, lam_prime: float) -> Terms:
-        h = _fd_step(lam_prime)
-        stacked, (y, y_up, y_down) = self._inner_at(x2, (lam, lam + h, lam - h))
-        dy = _central_difference(y_up, y_down, h)
-        n = len(x2)
-
-        def x_enc_backward(g):
-            g_stacked = np.zeros_like(stacked.data)
-            g_stacked[:n] = g * sigma_sq
-            return (g_stacked,)
+        stacked, y, dy, h = self._fd_pass(x2, lam, lam_prime)
 
         def extra_backward(g):
             # the encoder's own terms of the extra: y − dy/dλ
             g_up = (-g) * (0.5 / h)
             return (np.concatenate([g, g_up, -g_up]),)
 
-        x_enc = x2 * alpha_sq + y * sigma_sq
-        return Terms(Tensor(x_enc, _parents=(stacked,), _op="encode", _backward=x_enc_backward),
-                     lambda x_hat: x_hat - x_enc + y - dy, (stacked,), extra_backward)
-
-    # --- inner-network views -------------------------------------------
+        x_enc = self._x_t(x2, stacked, alpha_sq, sigma_sq)
+        return Terms(x_enc, lambda x_hat: x_hat - x_enc.data + y - dy, (stacked,), extra_backward)
 
     def _inner_at(self, x2: np.ndarray, lams) -> tuple[Tensor, list[np.ndarray]]:
         """The inner net's node over x2 stacked once per λ (scalar or per row) of
@@ -172,61 +164,66 @@ class TrainableEncoder:
         stacked = self.inner.forward(np.concatenate([x2] * len(lams)), lam_rows)
         return stacked, [stacked.data[k * n:(k + 1) * n] for k in range(len(lams))]
 
-    def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        return self.inner.forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), point.lam)
+    def _fd_pass(self, x2: np.ndarray, lam, lam_prime: float):
+        """One pass over the λ, λ + h and λ − h blocks: its node, y, dy/dλ and h."""
+        h = _fd_step(lam_prime)
+        stacked, (y, y_up, y_down) = self._inner_at(x2, (lam, lam + h, lam - h))
+        return stacked, y, _central_difference(y_up, y_down, h), h
 
-    def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        h = _fd_step(point.lam_prime)
-        stacked, (y_up, y_down) = self._inner_at(x2, (point.lam + h, point.lam - h))
+    @staticmethod
+    def _x_t(x2: np.ndarray, inner: Tensor, alpha_sq, sigma_sq) -> Tensor:
+        """x_t = α² x + σ² y as a node on an inner-net node whose first row block
+        is y; the node's other blocks get no gradient from x_t."""
+        n = len(x2)
 
         def backward(g):
-            g_up = g * (0.5 / h)
-            return (np.concatenate([g_up, -g_up]),)
+            g_inner = np.zeros_like(inner.data)
+            g_inner[:n] = g * sigma_sq
+            return (g_inner,)
 
-        return Tensor(_central_difference(y_up, y_down, h), _parents=(stacked,),
-                      _op="dy_dlambda", _backward=backward)
+        return Tensor(x2 * alpha_sq + inner.data[:n] * sigma_sq, _parents=(inner,), _op="encode",
+                      _backward=backward)
+
+    def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
+        return self.inner.forward(np.atleast_2d(x), point.lam)
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        out = self.y_t(x, point).data
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return _shaped_like(x, self.y_t(x, point).data)
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        out = self.dy_dlambda_t(x, point).data
-        return out[0] if np.asarray(x).ndim == 1 else out
+        h = _fd_step(point.lam_prime)
+        _, (y_up, y_down) = self._inner_at(np.atleast_2d(x), (point.lam + h, point.lam - h))
+        return _shaped_like(x, _central_difference(y_up, y_down, h))
 
-    # --- encoder surface --------------------------------------------------
-
-    def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
-        x = np.asarray(x, dtype=np.float64)
-        return point.alpha_sq * x + point.sigma_sq * self.y(x, point)
-
-    def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
-        x = np.asarray(x, dtype=np.float64)
-        a2s2 = point.alpha_sq * point.sigma_sq
-        return a2s2 * x + point.sigma_sq * self.dy_dlambda(x, point) - a2s2 * self.y(x, point)
+    def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
+        return Tensor(self.dy_dlambda(x, point))
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         self.calls += 1
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = self.y_t(x2, point)
-        return Tensor(x2 * point.alpha_sq + y.data * point.sigma_sq, _parents=(y,), _op="encode",
-                      _backward=lambda g: (g * point.sigma_sq,))
+        x2 = np.atleast_2d(x)
+        return self._x_t(x2, self.y_t(x2, point), point.alpha_sq, point.sigma_sq)
+
+    def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
+        return _shaped_like(x, self.encode_t(x, point).data)
+
+    def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
+        """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""
+        self.calls += 1
+        x2 = np.atleast_2d(x)
+        _, y, dy, _ = self._fd_pass(x2, point.lam, point.lam_prime)
+        a2s2 = point.alpha_sq * point.sigma_sq
+        return _shaped_like(x, a2s2 * x2 + point.sigma_sq * dy - a2s2 * y)
 
     def encode_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        self.calls += 1
-        x2 = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        a2s2 = point.alpha_sq * point.sigma_sq
-        dy = self.dy_dlambda_t(x2, point)
-        y = self.y_t(x2, point)
-        return Tensor(a2s2 * x2 + point.sigma_sq * dy.data - a2s2 * y.data, _parents=(dy, y),
-                      _op="encode_dlambda",
-                      _backward=lambda g: (g * point.sigma_sq, -(g * a2s2)))
+        return Tensor(self.encode_dlambda(x, point))
 
 
 Encoder = IdentityEncoder | NonTrainableEncoder | TrainableEncoder
+
+
+def _shaped_like(x, out: np.ndarray) -> np.ndarray:
+    """Rows out, (B, d), in the shape of the input x: (d,) for a 1-D x."""
+    return out[0] if np.ndim(x) == 1 else out
 
 
 def _fd_step(lam_prime: float) -> float:

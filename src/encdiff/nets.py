@@ -7,9 +7,9 @@ and the inner encoder network contributes nothing.
 
 Each MLP call is one node on the autodiff record, with a hand-written backward
 that does the arithmetic of the composed matmul/add/tanh graph in the same
-order, so values and gradients are bit-identical to that graph's.  The call
-checks every layer's pre-activation and names the layer when one is
-non-finite.
+order, so values and gradients are bit-identical to that graph's.  An array
+input is a constant that makes no Tensor.  The call checks every layer's
+pre-activation, so also a non-finite input, and names the layer.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -215,20 +215,21 @@ class MLP:
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,).
 
-        Records one node whose parents are x and every weight and bias.  The
-        gradient for x is computed only when x is on the record (made by an op
-        or requiring a gradient), not for a constant leaf.
+        Records one node whose parents are every weight and bias, and x if x is
+        a node; an array x is a constant.  x gets a gradient only when it is on
+        the record (made by an op or requiring a gradient).
         """
-        x = Tensor.as_tensor(x)
-        if x.data.ndim != 2 or x.data.shape[1] != self.d_in:
+        node = x if isinstance(x, Tensor) else None
+        x = np.asarray(x if node is None else x.data, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.d_in:
             raise ValueError(f"expected input of shape (B, {self.d_in}), got {x.shape}")
         emb = sinusoidal_embedding(lam)
-        if emb.shape[0] == 1 and x.data.shape[0] > 1:
-            emb = np.broadcast_to(emb, (x.data.shape[0], emb.shape[1]))
+        if emb.shape[0] == 1 and x.shape[0] > 1:
+            emb = np.broadcast_to(emb, (x.shape[0], emb.shape[1]))
         data = [p.data for p in self.params]
         # per hidden layer: its input and its tanh output, which backward reads
         saved: list[tuple[np.ndarray, np.ndarray]] = []
-        h = np.concatenate([x.data, emb], axis=1)
+        h = np.concatenate([x, emb], axis=1)
         for k, name in enumerate(self.layer_names):
             pre = h @ data[2 * k]
             np.add(pre, data[2 * k + 1], out=pre)
@@ -239,7 +240,7 @@ class MLP:
             h = y if k == 0 else h + y
         out = h @ data[-2]
         np.add(out, data[-1], out=out)
-        need_gx = x._backward is not None or x.requires_grad
+        need_gx = node is not None and (node._backward is not None or node.requires_grad)
         d_in = self.d_in
 
         def backward(g):
@@ -258,10 +259,10 @@ class MLP:
                     g = g + ga @ data[2 * k].T
                 elif need_gx:
                     grads[0] = (ga @ data[0].T)[:, :d_in]
-            return grads
+            return grads[1:] if node is None else grads
 
-        return Tensor(out, name=f"{self.prefix}.out", _parents=(x, *self.params), _op="mlp",
-                      _backward=backward)
+        return Tensor(out, name=f"{self.prefix}.out", _op="mlp", _backward=backward,
+                      _parents=self.params if node is None else (node, *self.params))
 
 
 class DenoiserNet:

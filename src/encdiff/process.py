@@ -44,25 +44,25 @@ class GaussianParams:
 
 @dataclass(frozen=True)
 class TransitionCoefficients:
-    """Coefficients of the s -> t transition: α_{t|s}, σ²_{t|s} and σ_Q²."""
+    """Coefficients of the s -> t transition: α_{t|s}, σ²_{t|s}, σ_Q², and the
+    weights of the reverse means: z_weight = α_{t|s}σ_s²/σ_t² on z_t and
+    x_weight = α_s σ²_{t|s}/σ_t² on the (predicted) data."""
 
     alpha_ts: float
     sigma2_ts: float
     sigma2_q: float
-
-
-def _require_ordered(s_point: SchedulePoint, t_point: SchedulePoint) -> None:
-    if not s_point.t < t_point.t:
-        raise ValueError(f"transition requires s < t, got s={s_point.t}, t={t_point.t}")
+    z_weight: float
+    x_weight: float
 
 
 def transition_coefficients(s_point: SchedulePoint, t_point: SchedulePoint) -> TransitionCoefficients:
-    _require_ordered(s_point, t_point)
-    a_s = max(s_point.alpha, _ALPHA_FLOOR)
-    alpha_ts = t_point.alpha / a_s
-    sigma2_ts = t_point.sigma_sq - alpha_ts * alpha_ts * s_point.sigma_sq
-    sigma2_q = sigma2_ts * s_point.sigma_sq / t_point.sigma_sq
-    return TransitionCoefficients(alpha_ts=alpha_ts, sigma2_ts=sigma2_ts, sigma2_q=sigma2_q)
+    if not s_point.t < t_point.t:
+        raise ValueError(f"transition requires s < t, got s={s_point.t}, t={t_point.t}")
+    s2_s, s2_t = s_point.sigma_sq, t_point.sigma_sq
+    alpha_ts = t_point.alpha / max(s_point.alpha, _ALPHA_FLOOR)
+    sigma2_ts = s2_t - alpha_ts * alpha_ts * s2_s
+    return TransitionCoefficients(alpha_ts, sigma2_ts, sigma2_ts * s2_s / s2_t,
+                                  alpha_ts * s2_s / s2_t, s_point.alpha * sigma2_ts / s2_t)
 
 
 def marginal(x_enc: np.ndarray, point: SchedulePoint) -> GaussianParams:
@@ -93,12 +93,8 @@ def reverse_posterior(
 ) -> GaussianParams:
     """q(z_s | z_t, x): reverse posterior with the encoder mean-shift term."""
     c = transition_coefficients(s_point, t_point)
-    s2_t = t_point.sigma_sq
-    mean = (
-        (c.alpha_ts * s_point.sigma_sq / s2_t) * np.asarray(z_t)
-        + (s_point.alpha * c.sigma2_ts / s2_t) * np.asarray(x_t)
-        + s_point.alpha * (np.asarray(x_s) - np.asarray(x_t))
-    )
+    mean = (c.z_weight * np.asarray(z_t) + c.x_weight * np.asarray(x_t)
+            + s_point.alpha * (np.asarray(x_s) - np.asarray(x_t)))
     return GaussianParams(mean=mean, var=c.sigma2_q)
 
 
@@ -115,13 +111,10 @@ def generative_mean(
     continuous limit cancels the encoder's mean-shift contribution.
     """
     c = transition_coefficients(s_point, t_point)
-    s2_t = t_point.sigma_sq
-    mean = (
-        (c.alpha_ts * s_point.sigma_sq / s2_t) * np.asarray(z_t)
-        + (s_point.alpha * c.sigma2_ts / s2_t) * np.asarray(x_hat)
-    )
+    mean = c.z_weight * np.asarray(z_t) + c.x_weight * np.asarray(x_hat)
     if counterterm:
-        mean = mean + s_point.alpha * (s_point.lam - t_point.lam) * s2_t * np.asarray(x_hat)
+        mean = mean + (s_point.alpha * (s_point.lam - t_point.lam) * t_point.sigma_sq
+                       * np.asarray(x_hat))
     return mean
 
 

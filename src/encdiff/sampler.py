@@ -28,6 +28,7 @@ import numpy as np
 from .data import unscale_pixels
 from .encoder import Encoder
 from .errors import NumericsError
+from .objective import pixel_categorical_log_probs
 from .process import generative_mean, optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
 
@@ -63,8 +64,6 @@ def decode_pixels(x_out: np.ndarray, rng: np.random.Generator | None = None,
     The argmax of N(z; α_0·scale(v), σ_0²) over v is the nearest quantization
     level; stochastic decoding instead samples the categorical.
     """
-    from .objective import pixel_categorical_log_probs
-
     if not stochastic:
         return unscale_pixels(x_out)
     if rng is None or sigma0_sq is None:

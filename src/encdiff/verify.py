@@ -18,7 +18,8 @@ from .autodiff import Tensor, grad
 from .config import RunConfig
 from .encoder import Encoder, IdentityEncoder, NonTrainableEncoder
 from .objective import batch_vloss_graph, continuous_xloss, discrete_step_terms
-from .process import OPTIMAL, GaussianParams, kl_isotropic, transition_coefficients
+from .process import (OPTIMAL, GaussianParams, forward_transition, kl_isotropic, optimal_sigma_p,
+                      transition_coefficients, weighting_penalty)
 from .sampler import SamplerConfig, ancestral_sample, sde_forward_step
 from .schedule import LogLinearSchedule, SchedulePoint, logistic, point_from_lam
 from .train import build_model
@@ -38,16 +39,23 @@ class OracleReport:
                 "pass" if self.passed else "FAIL", self.details)
 
 
+def _degenerate_transition(schedule: LogLinearSchedule, layers, err: ValueError) -> str:
+    """Details for an oracle that err stopped: the first layer i of a T-layer
+    grid, of (T, i) in layers, whose σ_Q² underflowed to 0 (a Gaussian needs a
+    positive variance, σ_P² a positive σ_Q²).  err again when there is none."""
+    for T, i in layers:
+        sp, tp = schedule.at((i - 1) / T), schedule.at(i / T)
+        sigma2_q = transition_coefficients(sp, tp).sigma2_q
+        if not sigma2_q > 0:
+            return (f"inconclusive: degenerate transition s={sp.t:.6g} -> t={tp.t:.6g} "
+                    f"(T={T} layer {i}): sigma2_q={sigma2_q:.3g}")
+    raise err
+
+
 def _report(name: str, measured: float, expected: float, tolerance: float,
             details: str = "") -> OracleReport:
-    return OracleReport(
-        name=name,
-        measured=float(measured),
-        expected=float(expected),
-        tolerance=float(tolerance),
-        passed=bool(abs(measured - expected) <= tolerance),
-        details=details,
-    )
+    return OracleReport(name, float(measured), float(expected), float(tolerance),
+                        bool(abs(measured - expected) <= tolerance), details)
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +109,11 @@ class GaussianPosteriorOracle(AnalyticPredictor):
         a, s2, denom = self._coeffs(lam)
         return (a * self.cov_scale * np.asarray(z) + s2 * self.mean) / denom
 
-    def posterior_var(self, lam: float) -> float:
-        """Var(x_i | z_t): coordinatewise posterior variance."""
-        _, s2, denom = self._coeffs(lam)
-        return self.cov_scale * s2 / denom
-
     def gap_table(self, s_point: SchedulePoint, t_point: SchedulePoint) -> float:
-        c = transition_coefficients(s_point, t_point)
-        coeff = s_point.alpha * c.sigma2_ts / t_point.sigma_sq
-        return coeff * coeff * self.posterior_var(t_point.lam) * self.mean.size
+        coeff = transition_coefficients(s_point, t_point).x_weight
+        _, s2, denom = self._coeffs(t_point.lam)
+        # the posterior variance Var(x_i | z_t) is cov_scale·σ_t²/denom
+        return coeff * coeff * (self.cov_scale * s2 / denom) * self.mean.size
 
 
 class SmoothVectorPredictor(AnalyticPredictor):
@@ -163,8 +167,6 @@ def mc_kl_oracle(q: GaussianParams, p: GaussianParams, n: int, seed: int) -> Ora
 
 def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int) -> OracleReport:
     """Grid-search check that the closed-form σ_P² minimizes the expected KL."""
-    from .process import optimal_sigma_p, weighting_penalty
-
     def expected_kl(sigma2_p: float) -> float:
         w = sigma2_q / sigma2_p
         return weighting_penalty(w, d) + mean_sq_gap / (2.0 * sigma2_p)
@@ -178,15 +180,9 @@ def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int) ->
     h = 1e-6 * best
     deriv = (expected_kl(best + h) - expected_kl(best - h)) / (2.0 * h)
     rel_deriv = abs(deriv) * best / max(abs(kl_best), 1e-300)
-    passed = beats_grid and rel_deriv < 1e-6
     return OracleReport(
-        name="optimal_variance_grid",
-        measured=rel_deriv,
-        expected=0.0,
-        tolerance=1e-6,
-        passed=passed,
-        details=f"beats_grid={beats_grid} min_grid_kl={kl_grid.min():.6e} kl_opt={kl_best:.6e}",
-    )
+        "optimal_variance_grid", rel_deriv, 0.0, 1e-6, beats_grid and rel_deriv < 1e-6,
+        f"beats_grid={beats_grid} min_grid_kl={kl_grid.min():.6e} kl_opt={kl_best:.6e}")
 
 
 def _composite_gauss_legendre(f, n_panels: int) -> float:
@@ -212,6 +208,21 @@ def continuous_loss_quadrature(model, encoder: Encoder, x: np.ndarray,
     return _composite_gauss_legendre(integrand, n_panels)
 
 
+def _slope_report(name: str, expected: float, tolerance: float, schedule: LogLinearSchedule,
+                  T_list: list[int], total, details) -> OracleReport:
+    """The log-log slope of total(T), a sum over the discrete loss's T layers,
+    over T_list, with details(totals); an inconclusive FAIL row when a layer
+    is degenerate."""
+    try:
+        totals = [total(T) for T in T_list]
+    except ValueError as err:
+        layers = ((T, i) for T in T_list for i in range(1, T + 1))
+        return OracleReport(name, math.nan, expected, tolerance, False,
+                            _degenerate_transition(schedule, layers, err))
+    slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
+    return _report(name, slope, expected, tolerance, details(totals))
+
+
 def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
                       schedule: LogLinearSchedule) -> OracleReport:
     """Fit the log-log slope of |L_T − L_∞| for a fixed z-free model.
@@ -227,26 +238,21 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
     if abs(l_inf_2 - l_inf) > 1e-8 * abs(l_inf):
         return OracleReport("limit_convergence", float("nan"), -1.0, 0.3, False,
                             details="inconclusive: quadrature unstable under node doubling")
-    errs = []
-    for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, schedule)
-        errs.append(abs(sum(term.kl for term in terms) - l_inf))
-    slope = float(np.polyfit(np.log(T_list), np.log(errs), 1)[0])
-    report = _report("limit_convergence", slope, -1.0, 0.3,
-                     details=f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}")
-    return report
+    return _slope_report(
+        "limit_convergence", -1.0, 0.3, schedule, T_list,
+        lambda T: abs(sum(term.kl for term in discrete_step_terms(x, T, model, encoder,
+                                                                  schedule)) - l_inf),
+        lambda errs: f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}")
 
 
 def weighted_penalty_growth(x: np.ndarray, model, encoder: Encoder, w: float,
                             T_list: list[int], schedule: LogLinearSchedule) -> OracleReport:
     """Slope of the total weighting penalty vs T at fixed w ≠ 1 (expected +1)."""
-    totals = []
-    for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, schedule, w)
-        totals.append(sum(term.penalty for term in terms))
-    slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
-    return _report("weighted_penalty_growth", slope, 1.0, 0.05,
-                   details=f"w={w} totals={['%.3e' % p for p in totals]}")
+    return _slope_report(
+        "weighted_penalty_growth", 1.0, 0.05, schedule, T_list,
+        lambda T: sum(term.penalty for term in discrete_step_terms(x, T, model, encoder,
+                                                                   schedule, w)),
+        lambda totals: f"w={w} totals={['%.3e' % p for p in totals]}")
 
 
 def optimal_penalty_decay(x: np.ndarray, model, encoder: Encoder,
@@ -257,14 +263,11 @@ def optimal_penalty_decay(x: np.ndarray, model, encoder: Encoder,
     The 1/T law needs the per-layer log-SNR step Δλ = (λ_max − λ_min)/T well
     below 1; with the default endpoints that means T ≳ 64.
     """
-    totals = []
-    for T in T_list:
-        terms = discrete_step_terms(x, T, model, encoder, schedule, OPTIMAL,
-                                    counterterm=False)
-        totals.append(sum(term.penalty for term in terms))
-    slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
-    return _report("optimal_penalty_decay", slope, -1.0, 0.3,
-                   details=f"totals={['%.3e' % p for p in totals]}")
+    return _slope_report(
+        "optimal_penalty_decay", -1.0, 0.3, schedule, T_list,
+        lambda T: sum(term.penalty for term in discrete_step_terms(
+            x, T, model, encoder, schedule, OPTIMAL, counterterm=False)),
+        lambda totals: f"totals={['%.3e' % p for p in totals]}")
 
 
 def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
@@ -275,36 +278,33 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
     d = mean.size
     oracle = GaussianPosteriorOracle(mean, cov_scale)
     config = SamplerConfig(steps=T, gap_table=oracle.gap_table, counterterm=False, seed=seed)
-    result = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d)
-    out = result.x_out
+    degenerate = None
+    try:
+        out = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d).x_out
+    except ValueError as err:
+        # the chain steps through layers T..2; every row fails on NaN moments
+        degenerate = _degenerate_transition(schedule, ((T, i) for i in range(T, 1, -1)), err)
+        out = np.full((2, d), math.nan)
     reports = []
     se_mean = math.sqrt(cov_scale / n_chains)
     for j in range(d):
         reports.append(_report(f"sampler_mean_{j}", out[:, j].mean(), mean[j],
-                               4.0 * se_mean, details=f"T={T} n={n_chains}"))
+                               4.0 * se_mean, details=degenerate or f"T={T} n={n_chains}"))
     cov = np.cov(out.T)
     for j in range(d):
         for k in range(j, d):
             target = cov_scale if j == k else 0.0
             se_cov = math.sqrt((cov_scale**2 + (cov_scale**2 if j == k else 0.0)) / n_chains)
-            reports.append(_report(f"sampler_cov_{j}{k}", cov[j, k], target, 4.0 * se_cov))
-    calls_report = OracleReport(
-        name="sampler_model_calls",
-        measured=oracle.calls,
-        expected=T,
-        tolerance=0.0,
-        passed=oracle.calls == T,
-        details="one prediction per layer",
-    )
-    reports.append(calls_report)
+            reports.append(_report(f"sampler_cov_{j}{k}", cov[j, k], target, 4.0 * se_cov,
+                                   details=degenerate or ""))
+    reports.append(OracleReport("sampler_model_calls", oracle.calls, T, 0.0, oracle.calls == T,
+                                degenerate or "one prediction per layer"))
     return reports
 
 
 def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
                           s: float = 0.37, dt0: float = 1e-2) -> OracleReport:
     """Richardson check: halving dt must quarter the forward-step mean error."""
-    from .process import forward_transition
-
     rng = np.random.default_rng(seed)
     d = 3
     x = rng.uniform(-1.0, 1.0, size=d)
@@ -316,6 +316,10 @@ def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
         exact = forward_transition(z, encoder.encode(x, tp), encoder.encode(x, sp), sp, tp).mean
         stepped, _ = sde_forward_step(z, s, dt, encoder, x, schedule)
         errs.append(float(np.linalg.norm(stepped - exact)))
+    if min(errs) == 0.0:
+        return OracleReport("sde_richardson", math.nan, 4.0, 0.5, False,
+                            details=f"inconclusive: a forward-step error is 0 at float "
+                                    f"resolution, errs={['%.3e' % e for e in errs]}")
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     measured = float(np.mean(ratios))
     return _report("sde_richardson", measured, 4.0, 0.5,

@@ -709,6 +709,27 @@ class TestVerifyCommand:
         assert header[0] == "name"
         assert all(r[4] == "pass" for r in rows)
 
+    @pytest.mark.parametrize("lambda_max, failing", [
+        ("100", {"limit_convergence", "sde_richardson"}),
+        ("400", {"limit_convergence", "weighted_penalty_growth", "optimal_penalty_decay",
+                 "sampler_mean_0", "sampler_mean_1", "sampler_cov_00", "sampler_cov_01",
+                 "sampler_cov_11", "sampler_model_calls", "sde_richardson", "fd_gradient"}),
+    ])
+    def test_extreme_lambda_max_fails_with_every_row(self, tmp_path, capsys, lambda_max,
+                                                     failing):
+        """Oracles with nothing to measure at these endpoints are FAIL rows:
+        exit 1, with every oracle's row in verify.csv and no traceback."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--quick", "--lambda-max", lambda_max, "--out-dir", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows, _ = read_csv(os.path.join(out, "verify.csv"))
+        assert [r[0] for r in rows] == [
+            "mc_kl", "mc_kl", "optimal_variance_grid", "limit_convergence",
+            "weighted_penalty_growth", "optimal_penalty_decay", "sampler_mean_0",
+            "sampler_mean_1", "sampler_cov_00", "sampler_cov_01", "sampler_cov_11",
+            "sampler_model_calls", "sde_richardson", "fd_gradient", "fd_gradient"]
+        assert {r[0] for r in rows if r[4] == "FAIL"} == failing
+
 
 class TestPixelWorkflow:
     """IDX train -> eval -> sample --pixels -> heatmap, end to end."""
@@ -776,6 +797,22 @@ class TestPixelWorkflow:
         _, rows, _ = read_csv(os.path.join(hm_dir, "heatmap.csv"))
         assert len(rows) == 2 * 36
 
+    @pytest.mark.parametrize("t_values, clashing", [
+        (["0.401", "0.404"], "0.401 0.404"),
+        (["0.5", "0.5"], "0.5 0.5"),
+        (["0.9", "0.401", "0.6", "0.404"], "0.401 0.404"),
+    ])
+    def test_t_values_sharing_a_pgm_name_are_config_error(self, idx_run, tmp_path, capsys,
+                                                          t_values, clashing):
+        """heatmap_t0.40.pgm would be written twice, keeping only the second map."""
+        idx_path, out = idx_run
+        hm_dir = tmp_path / "hm"
+        args = ["heatmap", os.path.join(out, "model.ckpt"), "--dataset", "idx",
+                "--idx-path", idx_path, "--t-values", *t_values, "--out-dir", str(hm_dir)]
+        assert main(args) == EXIT_CONFIG_ERROR
+        assert f"--t-values {clashing} would share PGM file names" in capsys.readouterr().err
+        assert not hm_dir.exists()
+
 
 class TestPgm:
     def test_round_trip_with_hash(self, tmp_path, rng):
@@ -803,16 +840,16 @@ def test_train_function_initial_total_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("encoder, per_step", [
-    ("trainable", 11), ("nt", 4), ("identity", 4)])
+    ("trainable", 9), ("nt", 4), ("identity", 4)])
 def test_tensors_per_training_step(tmp_path, encoder, per_step):
     """Each MLP call is one graph node, and so are the v-loss and the latent
-    term.  A step makes x_enc, z, the denoiser's node and the v-loss node; the
-    trainable encoder adds its stacked inner pass with its input leaf, and the
-    latent term's inner pass with its input leaf, encode_t node and latent
-    node, and the sum of the two losses.  Tensors are counted with the node-id
-    counter, as the benchmark's tensor probe counts them; a run of 3 steps makes
-    one step's Tensors more than a run of 2, since both log and save at their
-    first and last steps."""
+    term; an array fed to an MLP is a constant, not a leaf Tensor.  A step
+    makes x_enc, z, the denoiser's node and the v-loss node; the trainable
+    encoder adds its stacked inner pass, and the latent term's inner pass,
+    encode_t node and latent node, and the sum of the two losses.  Tensors are
+    counted with the node-id counter, as the benchmark's tensor probe counts
+    them; a run of 3 steps makes one step's Tensors more than a run of 2, since
+    both log and save at their first and last steps."""
     from encdiff.autodiff import Tensor
 
     def tensors_made(steps: int) -> int:
@@ -823,6 +860,29 @@ def test_tensors_per_training_step(tmp_path, encoder, per_step):
         return Tensor(0.0).node_id - start
 
     assert tensors_made(3) - tensors_made(2) == per_step
+
+
+def test_two_inner_passes_per_trainable_training_step(tmp_path, monkeypatch):
+    """The v-loss's stacked pass over the λ, λ + h and λ − h rows, and the
+    latent term's pass over the t = 1 rows; counted as in
+    test_tensors_per_training_step."""
+    from encdiff.nets import EncoderInnerNet
+
+    passes = []
+    forward = EncoderInnerNet.forward
+    monkeypatch.setattr(EncoderInnerNet, "forward",
+                        lambda net, x, lam: passes.append(len(x)) or forward(net, x, lam))
+
+    def passes_made(steps: int) -> list[int]:
+        passes.clear()
+        train(RunConfig(dataset="gaussian2d", n_points=64, encoder="trainable", steps=steps,
+                        batch_size=16, denoiser_width=8, encoder_width=8, log_every=1000,
+                        out_dir=str(tmp_path / f"steps{steps}")))
+        return list(passes)
+
+    two, three = passes_made(2), passes_made(3)
+    assert len(three) - len(two) == 2
+    assert sorted(three) == sorted(two + [3 * 16, 16])
 
 
 @pytest.mark.parametrize("encoder", ["identity", "nt", "trainable"])

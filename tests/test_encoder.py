@@ -191,30 +191,13 @@ class TestStackedInnerPass:
 
 
 class TestGraphViews:
-    """encode_t, dy_dlambda_t and encode_dlambda_t are one node each over the
-    inner net's nodes; values and gradients equal those of the composed graph
-    that the same inner passes make."""
+    """encode_t is one node over the inner net's node; its value and gradient
+    equal those of the composed graph that the same inner pass makes.  The
+    numpy views are the data of the graph ones, and the dλ views are
+    constants over their numpy values."""
 
-    @staticmethod
-    def _composed_dy(enc, x2, p):
-        n = len(x2)
-        h = FD_REL_STEP * abs(p.lam_prime)
-        stacked = ref(enc.inner.forward(np.concatenate([x2, x2]),
-                                        np.repeat([p.lam + h, p.lam - h], n)))
-        return (stacked.rows(0, n) - stacked.rows(n, 2 * n)) * (0.5 / h)
-
-    @staticmethod
-    def _composed(view, enc, x2, p):
-        y = lambda: ref(enc.inner.forward(x2, p.lam))  # noqa: E731
-        if view == "encode_t":
-            return p.alpha_sq * Ref(x2) + p.sigma_sq * y()
-        if view == "dy_dlambda_t":
-            return TestGraphViews._composed_dy(enc, x2, p)
-        a2s2 = p.alpha_sq * p.sigma_sq
-        return (a2s2 * Ref(x2) + p.sigma_sq * TestGraphViews._composed_dy(enc, x2, p)
-                - a2s2 * y())
-
-    @pytest.mark.parametrize("view", ["encode_t", "dy_dlambda_t", "encode_dlambda_t"])
+    # the graph view with a gradient rule besides loss_terms (TestStackedInnerPass)
+    @pytest.mark.parametrize("view", ["encode_t"])
     def test_matches_composed_graph(self, view, schedule, rng):
         enc = _randomized_trainable(rng, d=3, width=8)
         params = enc.inner.store.tensors()
@@ -222,12 +205,42 @@ class TestGraphViews:
         p = schedule.at(0.45)
         weights = rng.standard_normal((5, 3))
         fused = getattr(enc, view)(x2, p)
-        composed = self._composed(view, enc, x2, p)
+        composed = p.alpha_sq * Ref(x2) + p.sigma_sq * ref(enc.inner.forward(x2, p.lam))
         assert fused.data.tobytes() == composed.data.tobytes()
         g_fused = grad((ref(fused) * weights).sum(), params)
         g_composed = grad((composed * weights).sum(), params)
         assert np.any(g_fused != 0.0)
         np.testing.assert_array_equal(g_fused, g_composed)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 3)])
+    @pytest.mark.parametrize("view", ["encode", "y"])
+    def test_numpy_view_is_the_graph_views_data(self, view, shape, schedule, rng):
+        enc = _randomized_trainable(rng, d=3, width=8)
+        x = rng.uniform(-1, 1, size=shape)
+        p = schedule.at(0.45)
+        value = getattr(enc, view)(x, p)
+        node = getattr(enc, view + "_t")(x, p)
+        assert value.shape == shape
+        assert value.tobytes() == node.data.reshape(shape).tobytes()
+
+    @pytest.mark.parametrize("view", ["dy_dlambda_t", "encode_dlambda_t"])
+    def test_dlambda_views_are_constants(self, view, schedule, rng):
+        enc = _randomized_trainable(rng, d=3, width=8)
+        x2 = rng.uniform(-1, 1, size=(5, 3))
+        p = schedule.at(0.45)
+        node = getattr(enc, view)(x2, p)
+        assert node._backward is None and node._parents == ()
+        assert node.data.tobytes() == getattr(enc, view[:-2])(x2, p).tobytes()
+
+    def test_encode_dlambda_is_one_inner_pass(self, schedule, rng, monkeypatch):
+        enc = _randomized_trainable(rng, d=3, width=8)
+        passes = []
+        forward = EncoderInnerNet.forward
+        monkeypatch.setattr(EncoderInnerNet, "forward",
+                            lambda net, x, lam: passes.append(len(x)) or forward(net, x, lam))
+        enc.encode_dlambda(rng.uniform(-1, 1, size=(5, 3)), schedule.at(0.45))
+        # one pass over the λ, λ + h and λ − h blocks
+        assert passes == [15]
 
 
 class TestChangeHeatmap:

@@ -119,6 +119,32 @@ class TestFusedMLP:
         assert np.concatenate([pg.ravel() for pg in fused_grads[1:]]).tobytes() == \
             reference.tobytes()
 
+    def test_array_input_is_a_constant_not_a_parent(self, rng):
+        """An array input makes no leaf Tensor: the node's parents are the
+        weights and biases alone, with the values and gradients of a constant
+        Tensor input."""
+        net = _randomized_mlp("encoder", rng)
+        x = rng.standard_normal((4, 3))
+        out = net.forward(x, 1.0)
+        leaf_out = net.forward(Tensor(x), 1.0)
+        assert out._parents == net.params
+        assert out.data.tobytes() == leaf_out.data.tobytes()
+        g = rng.standard_normal(out.shape)
+        grads = out._backward(g)
+        leaf_grads = leaf_out._backward(g)
+        assert len(grads) == len(net.params)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, leaf_grads[1:]))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["denoiser", "encoder"])
+    def test_non_finite_array_input_names_the_input_layer(self, kind, bad, rng):
+        net = _randomized_mlp(kind, rng)
+        x = rng.standard_normal((4, 3))
+        x[2, 1] = bad
+        with pytest.raises(NumericsError, match=f"layer '{kind}.in'"):
+            net.forward(x, 1.0)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_pre_activation_names_the_layer(self, rng):

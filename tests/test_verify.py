@@ -8,7 +8,7 @@ import pytest
 
 from encdiff.encoder import IdentityEncoder, NonTrainableEncoder
 from encdiff.process import GaussianParams
-from encdiff.schedule import logistic
+from encdiff.schedule import LogLinearSchedule, logistic
 from encdiff.verify import (
     ConstantEpsErrorPredictor,
     GaussianPosteriorOracle,
@@ -19,6 +19,8 @@ from encdiff.verify import (
     optimal_penalty_decay,
     optimal_variance_grid_oracle,
     run_all,
+    sampler_moment_oracle,
+    sde_richardson_oracle,
     weighted_penalty_growth,
 )
 
@@ -118,6 +120,75 @@ class TestConvergenceOracles:
                                        [64, 128, 256, 512, 1024], schedule)
         assert report.passed, report.details
         assert report.measured == pytest.approx(-1.0, abs=0.3)
+
+
+class TestDegenerateSchedules:
+    """At extreme λ_max an oracle can have nothing to measure.  From about
+    λ_max = 70 the forward-step error of sde_richardson is 0 at float
+    resolution, and from about 372 the first layers' σ_Q² underflows to 0.
+    Each such oracle is an inconclusive FAIL row, and errors of another kind
+    still surface."""
+
+    @pytest.mark.parametrize("lambda_max", [100.0, 400.0])
+    def test_sde_richardson_zero_error_is_inconclusive(self, lambda_max):
+        report = sde_richardson_oracle(LogLinearSchedule(lambda_max, -5.0), seed=0)
+        assert not report.passed and math.isnan(report.measured)
+        assert report.details.startswith("inconclusive: a forward-step error is 0")
+
+    @staticmethod
+    def _discrete_oracles(x, schedule):
+        model = SmoothVectorPredictor(x)
+        return {
+            "limit_convergence": lambda: limit_convergence(
+                model, NonTrainableEncoder(), x, [16, 32, 64, 128], schedule),
+            "weighted_penalty_growth": lambda: weighted_penalty_growth(
+                x, model, NonTrainableEncoder(), 2.0, [16, 32, 64, 128], schedule),
+            "optimal_penalty_decay": lambda: optimal_penalty_decay(
+                x, ConstantEpsErrorPredictor(x, np.ones(3)), IdentityEncoder(),
+                [64, 128, 256, 512], schedule),
+        }
+
+    @pytest.mark.parametrize("name", ["limit_convergence", "weighted_penalty_growth",
+                                      "optimal_penalty_decay"])
+    def test_underflowing_sigma2_q_is_inconclusive(self, name, rng):
+        x = rng.uniform(-1, 1, size=3)
+        report = self._discrete_oracles(x, LogLinearSchedule(400.0, -5.0))[name]()
+        assert report.name == name
+        assert not report.passed and math.isnan(report.measured)
+        T = 64 if name == "optimal_penalty_decay" else 16
+        assert report.details == (f"inconclusive: degenerate transition s=0 -> t={1 / T:.6g} "
+                                  f"(T={T} layer 1): sigma2_q=0")
+
+    def test_sampler_moment_names_the_layer_its_chain_stopped_at(self):
+        schedule = LogLinearSchedule(400.0, -5.0)
+        reports = sampler_moment_oracle([0.3, -0.2], 1.0, schedule, T=128, n_chains=100)
+        assert [r.name for r in reports] == [
+            "sampler_mean_0", "sampler_mean_1", "sampler_cov_00", "sampler_cov_01",
+            "sampler_cov_11", "sampler_model_calls"]
+        assert not any(r.passed for r in reports)
+        # the chain runs from layer 128 down; layer 9 is the first whose σ_Q² is 0
+        assert {r.details for r in reports} == {
+            "inconclusive: degenerate transition s=0.0625 -> t=0.0703125 (T=128 layer 9): "
+            "sigma2_q=0"}
+
+    def test_other_errors_surface(self, rng, schedule):
+        x = rng.uniform(-1, 1, size=3)
+
+        class Broken(SmoothVectorPredictor):
+            def predict_x(self, z, lam):
+                raise ValueError("broken model")
+
+        # a ValueError at a schedule whose transitions are all proper
+        with pytest.raises(ValueError, match="broken model"):
+            weighted_penalty_growth(x, Broken(x), NonTrainableEncoder(), 2.0,
+                                    [16, 32, 64, 128], schedule)
+        degenerate = LogLinearSchedule(400.0, -5.0)
+        with pytest.raises(AttributeError):
+            weighted_penalty_growth(x, object(), NonTrainableEncoder(), 2.0,
+                                    [16, 32, 64, 128], degenerate)
+        with pytest.raises(TypeError):
+            optimal_penalty_decay(x, SmoothVectorPredictor(x), IdentityEncoder(),
+                                  [None, 128, 256, 512], degenerate)
 
 
 class TestFdGradientSuite:
