@@ -18,6 +18,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .checkpoint import Checkpoint, save as save_checkpoint
 from .config import RunConfig
 from .data import PIXELS, real_items
 from .encoder import ENCODERS, change_heatmap
@@ -81,26 +82,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _require_at_least(1, n_items=args.n_items, profile_points=args.profile_points)
     model, encoder, _store, config, schedule = restore(args.checkpoint)
     dataset = load_dataset(_configure(args, config))
+    _require_at_least(2, n_mc=config.n_mc)  # one draw has no standard error
     items = _model_items(dataset, model)
     rng = np.random.default_rng(config.seed + 777)
     n_items = min(args.n_items, len(dataset))
-    parts = {"diffusion": [], "latent": [], "reconstruction": [], "stderr": []}
     pixels = dataset.kind == PIXELS
-    for i in range(n_items):
-        bd = elbo_bpd(dataset.items[i] if pixels else items[i], model, encoder, schedule,
-                      config.n_mc, rng, pixel_data=pixels)
-        parts["diffusion"].append(bd.diffusion)
-        parts["latent"].append(bd.latent)
-        parts["reconstruction"].append(bd.reconstruction)
-        parts["stderr"].append(bd.diffusion_stderr)
-    d = items.shape[1]
-    ln2d = d * np.log(2.0)
-    diffusion = float(np.mean(parts["diffusion"])) / ln2d
-    latent = float(np.mean(parts["latent"])) / ln2d
-    recon = float(np.mean(parts["reconstruction"])) / ln2d
+    bds = [elbo_bpd(dataset.items[i] if pixels else items[i], model, encoder, schedule,
+                    config.n_mc, rng, pixel_data=pixels) for i in range(n_items)]
+    ln2d = items.shape[1] * np.log(2.0)
+    diffusion = float(np.mean([bd.diffusion for bd in bds])) / ln2d
+    latent = float(np.mean([bd.latent for bd in bds])) / ln2d
+    recon = float(np.mean([bd.reconstruction for bd in bds])) / ln2d
     total = diffusion + latent + recon
     # per-item MC errors are independent: they combine in quadrature
-    stderr = float(np.sqrt(np.sum(np.square(parts["stderr"])))) / (n_items * ln2d)
+    stderr = float(np.sqrt(np.sum(np.square([bd.diffusion_stderr for bd in bds])))) / (
+        n_items * ln2d)
     print(f"{'component':>15s} {'bpd':>12s}")
     for name, value in (("diffusion", diffusion), ("latent", latent),
                         ("reconstruction", recon), ("total", total)):
@@ -152,8 +148,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
                   [tuple(row) for row in result.x_out], config_hash=config.hash())
     print(f"wrote {out}")
     if args.save_latents:
-        from .checkpoint import Checkpoint, save as save_checkpoint
-
         latents_path = os.path.join(config.out_dir, "latents.ckpt")
         save_checkpoint(latents_path, Checkpoint(
             step=store.step,

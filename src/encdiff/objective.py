@@ -22,10 +22,10 @@ x_enc and extra-term nodes; the encoder answers for its own part through
 so nothing here depends on the encoder's kind.  Evaluation reads the
 per-item values of the same computation.
 
-The discrete-T loss sums per-layer KL divergences between the reverse
-posterior and the generative transition, with an optional unequal-variance
-weighting: a variance ratio w = σ_Q²/σ_P² contributes (d/2)(w − 1 − log w) per
-layer on top of the mean-gap term.
+The discrete-T loss sums, over the layers of `LogLinearSchedule.grid(T)`, KL
+divergences between the reverse posterior and the generative transition, with
+an optional unequal-variance weighting: a variance ratio w = σ_Q²/σ_P²
+contributes (d/2)(w − 1 − log w) per layer on top of the mean-gap term.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def discrete_step_terms(
     rng: np.random.Generator | None = None,
     counterterm: bool | None = None,
 ) -> list[StepTerm]:
-    """Per-layer KL terms of the discrete loss with s(i) = (i−1)/T, t(i) = i/T.
+    """Per-layer KL terms of the discrete loss on schedule.grid(T), each point encoded once.
 
     w is the variance ratio σ_Q²/σ_P² of every layer, or OPTIMAL for each
     layer's optimum σ_P² = σ_Q² + gap/d, which needs the exact gap of a
@@ -277,11 +277,10 @@ def discrete_step_terms(
     if counterterm is None:
         counterterm = encoder.counterterm
     terms: list[StepTerm] = []
-    for i in range(1, T + 1):
-        sp = schedule.at((i - 1) / T)
-        tp = schedule.at(i / T)
-        x_s = encoder.encode(x, sp)
-        x_t = encoder.encode(x, tp)
+    points = schedule.grid(T)
+    x_t = encoder.encode(x, points[0])
+    for sp, tp in zip(points, points[1:]):
+        x_s, x_t = x_t, encoder.encode(x, tp)
         mean_t = tp.alpha * x_t
         z_t = mean_t if rng is None else mean_t + tp.sigma * rng.standard_normal(d)
         x_hat = model.predict_x(z_t, tp.lam)
@@ -416,21 +415,18 @@ def elbo_bpd(
     rng: np.random.Generator,
     pixel_data: bool = True,
 ) -> LossBreakdown:
-    """Loss decomposition for one datapoint, diffusion term by n_mc (t, ε) draws.
+    """Loss decomposition for one datapoint, diffusion term by n_mc ≥ 2 (t, ε)
+    draws: all n_mc times, then all n_mc noise vectors.
 
     For integer pixel data the reconstruction term uses a single z_0 draw; for
     real-valued data it is zero (no quantized likelihood is defined).
     """
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be positive, got {n_mc}")
+    if n_mc < 2:
+        raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     x_real = scale_pixels(np.asarray(x)) if pixel_data else np.asarray(x, dtype=np.float64)
     d = x_real.size
-    ts = np.empty(n_mc)
-    eps = np.empty((n_mc, d))
-    # interleaved t then ε per draw: whole-array draws would change every seeded estimate
-    for j in range(n_mc):
-        ts[j] = rng.uniform()
-        eps[j] = rng.standard_normal(d)
+    ts = rng.uniform(size=n_mc)
+    eps = rng.standard_normal((n_mc, d))
     draws = _vloss_draws(x_real, model, encoder, ts, eps, schedule)
     diff = mc_estimate(draws)
     latent = latent_loss(x_real, encoder, schedule)

@@ -7,9 +7,10 @@ the standard-normal prior and applies
 
     z_s = μ_P(z_t, x̂) + σ_P ε
 
-for i = T..2; the final layer is a direct x̂ readout at t = 1/T followed by the
-categorical decode (argmax per pixel unless stochastic decoding is requested),
-which avoids the degenerate last ancestral step.
+for layers i = T..2 of `LogLinearSchedule.grid(T)`; the final layer is a direct
+x̂ readout at the grid's point 1 followed by the categorical decode (argmax per
+pixel unless stochastic decoding is requested), which avoids the degenerate
+last ancestral step.
 
 The reverse SDE uses drift f − g²∇log p with f = (d log α/dt)·z,
 g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE has
@@ -90,9 +91,9 @@ def ancestral_sample(
     T = config.steps
     z = rng.standard_normal((n_chains, d))
     trajectory = []
+    points = schedule.grid(T)
     for i in range(T, 1, -1):
-        sp = schedule.at((i - 1) / T)
-        tp = schedule.at(i / T)
+        sp, tp = points[i - 1], points[i]
         x_hat = model.predict_x(z, tp.lam)
         mu_p = generative_mean(z, x_hat, sp, tp, counterterm=config.counterterm)
         sigma2_p = transition_coefficients(sp, tp).sigma2_q
@@ -103,14 +104,12 @@ def ancestral_sample(
             raise NumericsError(f"non-finite latent at sampler step i={i} (t={tp.t:.6f})")
         if trajectory_every and (i % trajectory_every == 0):
             trajectory.append((sp.t, float(np.linalg.norm(z, axis=1).mean())))
-    # final layer: direct x̂ readout at t(1) = 1/T, then decode
-    p1 = schedule.at(1.0 / T)
-    x_out = model.predict_x(z, p1.lam)
+    # final layer: direct x̂ readout at the grid's point 1 (t = 1/T), then decode at point 0
+    x_out = model.predict_x(z, points[1].lam)
     pixels = None
     if pixel_decode:
-        p0 = schedule.at(0.0)
         pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,
-                               sigma0_sq=p0.sigma_sq, alpha0=p0.alpha)
+                               sigma0_sq=points[0].sigma_sq, alpha0=points[0].alpha)
     return SampleResult(x_out=x_out, pixels=pixels, latent_final=z, trajectory=trajectory)
 
 

@@ -8,9 +8,9 @@ with the variance-preserving convention α_t² = 1 − σ_t² = logistic(λ_t), 
 SNR(t) = α_t²/σ_t² = exp(λ_t).  t = 0 is (almost) clean data, t = 1 is (almost)
 pure noise.
 
-`LogLinearSchedule.at` evaluates one time as a `SchedulePoint`;
-`LogLinearSchedule.columns` evaluates a batch of times as arrays, entry for
-entry bit-identical to `at`.
+`LogLinearSchedule.at` evaluates one time as a `SchedulePoint`, `grid` the points
+of the T-layer hierarchy that the discrete loss, the sampler and the oracles walk,
+and `columns` a batch of times as arrays, entry for entry bit-identical to `at`.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ class LogLinearSchedule:
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"schedule time must lie in [0, 1], got {t}")
         return point_from_lam(self.lam(t), self.lam_prime, float(t))
+
+    def grid(self, T: int) -> list[SchedulePoint]:
+        """The T-layer hierarchy's points i/T, i = 0..T; layer i runs from point i − 1 to i."""
+        return [self.at(i / T) for i in range(T + 1)]
 
     def columns(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
         """The schedule at every time of a 1-D array ts ⊂ [0, 1], as arrays.

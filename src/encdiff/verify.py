@@ -40,15 +40,17 @@ class OracleReport:
 
 
 def _degenerate_transition(schedule: LogLinearSchedule, layers, err: ValueError) -> str:
-    """Details for an oracle that err stopped: the first layer i of a T-layer
-    grid, of (T, i) in layers, whose σ_Q² underflowed to 0 (a Gaussian needs a
-    positive variance, σ_P² a positive σ_Q²).  err again when there is none."""
-    for T, i in layers:
-        sp, tp = schedule.at((i - 1) / T), schedule.at(i / T)
-        sigma2_q = transition_coefficients(sp, tp).sigma2_q
-        if not sigma2_q > 0:
-            return (f"inconclusive: degenerate transition s={sp.t:.6g} -> t={tp.t:.6g} "
-                    f"(T={T} layer {i}): sigma2_q={sigma2_q:.3g}")
+    """Details for an oracle that err stopped: the first layer i of schedule.grid(T), for
+    (T, indices) in layers and i in indices, whose σ_Q² underflowed to 0 (a Gaussian needs
+    a positive variance, σ_P² a positive σ_Q²).  err again when there is none."""
+    for T, indices in layers:
+        points = schedule.grid(T)
+        for i in indices:
+            sp, tp = points[i - 1], points[i]
+            sigma2_q = transition_coefficients(sp, tp).sigma2_q
+            if not sigma2_q > 0:
+                return (f"inconclusive: degenerate transition s={sp.t:.6g} -> t={tp.t:.6g} "
+                        f"(T={T} layer {i}): sigma2_q={sigma2_q:.3g}")
     raise err
 
 
@@ -212,11 +214,14 @@ def _slope_report(name: str, expected: float, tolerance: float, schedule: LogLin
                   T_list: list[int], total, details) -> OracleReport:
     """The log-log slope of total(T), a sum over the discrete loss's T layers,
     over T_list, with details(totals); an inconclusive FAIL row when a layer
-    is degenerate."""
+    is degenerate or the sum overflows."""
     try:
         totals = [total(T) for T in T_list]
+    except OverflowError as err:
+        return OracleReport(name, math.nan, expected, tolerance, False,
+                            f"inconclusive: the loss sum overflowed ({err})")
     except ValueError as err:
-        layers = ((T, i) for T in T_list for i in range(1, T + 1))
+        layers = ((T, range(1, T + 1)) for T in T_list)
         return OracleReport(name, math.nan, expected, tolerance, False,
                             _degenerate_transition(schedule, layers, err))
     slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
@@ -283,7 +288,7 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
         out = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d).x_out
     except ValueError as err:
         # the chain steps through layers T..2; every row fails on NaN moments
-        degenerate = _degenerate_transition(schedule, ((T, i) for i in range(T, 1, -1)), err)
+        degenerate = _degenerate_transition(schedule, [(T, range(T, 1, -1))], err)
         out = np.full((2, d), math.nan)
     reports = []
     se_mean = math.sqrt(cov_scale / n_chains)

@@ -13,10 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import encdiff
-from encdiff.cli import EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, build_parser, main
+from encdiff.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, EXIT_VERIFY_FAILED,
+                         build_parser, main)
 from encdiff.config import _SECTIONS, RunConfig
 from encdiff.errors import ConfigError
 from encdiff.io_utils import write_pgm
@@ -396,6 +397,7 @@ def test_fuzzed_checkpoint_restores_or_is_config_error(trained_run, fuzz_path, d
 
 @pytest.mark.parametrize("command, flags", [
     pytest.param("eval", ["--n-mc", "0"], id="eval-n-mc-0"),
+    pytest.param("eval", ["--n-mc", "1"], id="eval-n-mc-1"),
     pytest.param("eval", ["--n-items", "0"], id="eval-n-items-0"),
     pytest.param("eval", ["--n-items", "-3"], id="eval-n-items-negative"),
     pytest.param("eval", ["--profile-out", "profile.csv", "--profile-points", "-1"],
@@ -480,12 +482,18 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, ini,
     assert not out.exists()
 
 
-def _subcommand_flags() -> dict[str, set[str]]:
-    """Option strings each subcommand's parser accepts, without -h/--help."""
+def _subcommand_options() -> dict[str, list[argparse.Action]]:
+    """Each subcommand's optional arguments, without -h/--help."""
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {name: {flag for action in p._actions for flag in action.option_strings}
-            - {"-h", "--help"} for name, p in sub.choices.items()}
+    return {name: [a for a in p._actions if a.option_strings and "-h" not in a.option_strings]
+            for name, p in sub.choices.items()}
+
+
+def _subcommand_flags() -> dict[str, set[str]]:
+    """Option strings each subcommand's parser accepts, without -h/--help."""
+    return {name: {flag for action in actions for flag in action.option_strings}
+            for name, actions in _subcommand_options().items()}
 
 
 def test_each_subcommand_takes_exactly_the_flags_it_reads():
@@ -519,6 +527,82 @@ def test_unread_flag_rejected(trained_run, tmp_path, command, flags):
         main([command, *checkpoint, *flags, "--out-dir", str(out)])
     assert exc.value.code == EXIT_CONFIG_ERROR
     assert not out.exists()
+
+
+# what a fuzzed flag or config field is set to: negative, 0, 1, ±huge, nan, ±inf,
+# non-numeric, empty and the INI interpolation sign
+_EDGES = ["-1", "0", "1", "1e308", "-1e308", "nan", "inf", "-inf", "abc", "", "%"]
+_CHECKPOINT_COMMANDS = ("eval", "sample", "heatmap")
+
+
+# (flag, is_switch) for each flag of each subcommand, but --config, which carries
+# the fuzzed config text
+_FLAGS = {name: [(a.option_strings[0], a.nargs == 0) for a in actions
+                 if a.option_strings[0] != "--config"]
+          for name, actions in _subcommand_options().items()}
+_FIELDS = [f.name for f in dataclass_fields(RunConfig)]
+
+
+@st.composite
+def _cli_calls(draw):
+    """(subcommand, flags, {config field: value}).  A run that passes every check
+    stays small: train takes its step count, point count, batch size and widths
+    from small ranges, and verify runs --quick."""
+    command = draw(st.sampled_from(sorted(_FLAGS)), label="subcommand")
+    small = {"train": {"--steps": (1, 3), "--n-points": (1, 64), "--batch-size": (1, 16),
+                       "--denoiser-width": (1, 8), "--encoder-width": (1, 8)}}.get(command, {})
+    flags = [f"{flag}={draw(st.integers(lo, hi), label=flag)}"
+             for flag, (lo, hi) in small.items()]
+    if command == "verify":
+        flags.append("--quick")
+    for flag, is_switch in draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=3,
+                                         unique=True), label="fuzzed flags"):
+        flags.append(flag if is_switch else f"{flag}={draw(st.sampled_from(_EDGES), label=flag)}")
+    config = draw(st.dictionaries(st.sampled_from(_FIELDS), st.sampled_from(_EDGES),
+                                  max_size=2), label="fuzzed config fields")
+    return command, flags, config
+
+
+def _with_values(config_text: str, values: dict[str, str]) -> str:
+    for key, value in values.items():
+        config_text = re.sub(rf"^{key} = .*$", f"{key} = {value}", config_text, flags=re.M)
+    return config_text
+
+
+@pytest.fixture(scope="module")
+def cli_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli_fuzz")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@example(call=("verify", ["--quick", "--lambda-min=-1e308"], {}))
+@example(call=("eval", ["--n-mc=1"], {}))
+@given(call=_cli_calls())
+def test_fuzzed_cli_exits_with_a_documented_code(trained_run, cli_fuzz_dir, call):
+    """Any subcommand, with edge values in its flags and in its config text (the
+    --config file, or the checkpoint's), ends in exit 0, 1, 2 or 3 and raises
+    nothing else.  Relative paths land in a scratch directory."""
+    command, flags, config = call
+    if command in _CHECKPOINT_COMMANDS:
+        edit = _header_edit(lambda h: h.update(config_text=_with_values(h["config_text"],
+                                                                         config)))
+        source = cli_fuzz_dir / "fuzzed.ckpt"
+        source.write_bytes(edit(Path(trained_run, "model.ckpt").read_bytes()))
+        source_args = [str(source)]
+    else:
+        source = cli_fuzz_dir / "run.ini"
+        source.write_text(_with_values(RunConfig().to_text(), config))
+        source_args = [f"--config={source}"]
+    cwd = os.getcwd()
+    os.chdir(cli_fuzz_dir)
+    try:
+        code = main([command, *source_args, "--out-dir=out", *flags])
+    except SystemExit as exc:  # argparse rejects a flag or its value
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR, EXIT_NUMERICS)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -729,6 +813,20 @@ class TestVerifyCommand:
             "sampler_mean_1", "sampler_cov_00", "sampler_cov_01", "sampler_cov_11",
             "sampler_model_calls", "sde_richardson", "fd_gradient", "fd_gradient"]
         assert {r[0] for r in rows if r[4] == "FAIL"} == failing
+
+    def test_extreme_lambda_min_fails_with_every_row(self, tmp_path, capsys):
+        """Below λ_min ≈ −1419.6 optimal_penalty_decay's predictor overflows: that
+        oracle is an inconclusive FAIL row, and every other oracle still runs."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--quick", "--lambda-min=-1420", "--out-dir", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows, _ = read_csv(os.path.join(out, "verify.csv"))
+        assert len(rows) == 15
+        assert {r[0] for r in rows if r[4] == "FAIL"} == {
+            "limit_convergence", "optimal_penalty_decay", "sampler_cov_00", "sampler_cov_11",
+            "sde_richardson"}
+        (decay,) = [r for r in rows if r[0] == "optimal_penalty_decay"]
+        assert decay[5] == "inconclusive: the loss sum overflowed (math range error)"
 
 
 class TestPixelWorkflow:

@@ -292,6 +292,26 @@ class TestDiscreteLoss:
             assert term.kl == kl_isotropic(q, GaussianParams(mean=mu_p, var=q.var), 3)
             assert term.w == 1.0 and term.penalty == 0.0
 
+    @pytest.mark.parametrize("T", [1, 4, 33])
+    @pytest.mark.parametrize("make", ENCODER_FACTORIES)
+    def test_each_grid_point_is_encoded_once(self, make, T, schedule, rng):
+        """T layers share their T + 1 end points: one encode call per grid point,
+        in grid order."""
+        x = rng.uniform(-1, 1, size=3)
+        enc = make()
+        encode, encoded_at = enc.encode, []
+
+        def counting_encode(x_in, point):
+            encoded_at.append(point)
+            return encode(x_in, point)
+
+        enc.encode = counting_encode
+        terms = discrete_step_terms(x, T, SmoothVectorPredictor(x), enc, schedule)
+        assert len(encoded_at) == T + 1
+        assert encoded_at == schedule.grid(T)
+        assert [(term.s, term.t) for term in terms] == [
+            (s.t, t.t) for s, t in zip(encoded_at, encoded_at[1:])]
+
     def test_T_zero_rejected(self, schedule, rng):
         x = np.zeros(2)
         with pytest.raises(ValueError):
@@ -462,20 +482,22 @@ class TestElboBpd:
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.2)
 
     def test_n_mc_validated(self, schedule, rng):
+        """One draw has no standard error, so at least two are needed."""
         model = _random_model(d=2)
-        with pytest.raises(ValueError):
-            elbo_bpd(np.zeros(2), model, make_encoder("identity"), schedule, 0,
-                     np.random.default_rng(0), pixel_data=False)
+        for n_mc in (0, 1):
+            with pytest.raises(ValueError, match="n_mc must be >= 2"):
+                elbo_bpd(np.zeros(2), model, make_encoder("identity"), schedule, n_mc,
+                         np.random.default_rng(0), pixel_data=False)
 
 
 def _reference_elbo_bpd(x, model, enc, schedule, n_mc, rng, pixel_data):
-    """elbo_bpd as one continuous_vloss call per (t, ε) draw."""
+    """elbo_bpd as one continuous_vloss call per (t, ε) draw, from n_mc times
+    drawn as one array and then n_mc noise vectors as one array."""
     x_real = scale_pixels(x) if pixel_data else np.asarray(x, dtype=np.float64)
     d = x_real.size
-    draws = []
-    for _ in range(n_mc):
-        t = float(rng.uniform())
-        draws.append(continuous_vloss(x_real, model, enc, t, rng.standard_normal(d), schedule))
+    ts = rng.uniform(size=n_mc)
+    eps = rng.standard_normal((n_mc, d))
+    draws = [continuous_vloss(x_real, model, enc, float(t), e, schedule) for t, e in zip(ts, eps)]
     diff = mc_estimate(np.array(draws))
     recon = 0.0
     if pixel_data:
@@ -508,7 +530,7 @@ class TestBatchedEvalMatchesPerDrawLoop:
     per-draw loop's values from the same random draws, and leave the RNG where
     the loop leaves it."""
 
-    @pytest.mark.parametrize("n_mc", [1, 128, EVAL_ROWS + 37])
+    @pytest.mark.parametrize("n_mc", [2, 128, EVAL_ROWS + 37])
     @pytest.mark.parametrize("pixel_data", [True, False], ids=["pixels", "real"])
     @pytest.mark.parametrize("make_model", MODEL_FACTORIES)
     @pytest.mark.parametrize("make", ENCODER_FACTORIES)

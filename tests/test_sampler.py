@@ -1,5 +1,6 @@
 """Sampler tests: determinism, call accounting, oracle moments, SDE steps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from encdiff.sampler import (
     sde_forward_step,
     sde_step,
 )
-from encdiff.schedule import logistic, point_from_lam
+from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
 from encdiff.verify import GaussianPosteriorOracle, sampler_moment_oracle, sde_richardson_oracle
 
 
@@ -37,6 +38,25 @@ class _ZeroScoreModel:
     def predict_x(self, z, lam):
         self.calls += 1
         return np.asarray(z) / math.sqrt(logistic(lam))
+
+
+class _LamRecorder(_ZeroScoreModel):
+    """_ZeroScoreModel that records the λ of every call."""
+
+    def __init__(self):
+        super().__init__()
+        self.lams = []
+
+    def predict_x(self, z, lam):
+        self.lams.append(lam)
+        return super().predict_x(z, lam)
+
+
+class _ShiftedGrid(LogLinearSchedule):
+    """A schedule whose grid points sit 0.25 above `at`'s in λ."""
+
+    def grid(self, T):
+        return [dataclasses.replace(p, lam=p.lam + 0.25) for p in super().grid(T)]
 
 
 class _ExplodingModel:
@@ -90,6 +110,16 @@ class TestAncestral:
         np.testing.assert_array_equal(result.latent_final, z1)
         np.testing.assert_allclose(result.x_out,
                                    oracle.predict_x(z1, schedule.at(1.0).lam), rtol=1e-15)
+
+    @pytest.mark.parametrize("T", [1, 2, 9])
+    def test_layers_and_readout_read_the_grid(self, T):
+        """Each layer's model call and the final readout take their λ from
+        schedule.grid(T), so moving the grid's points moves every call's λ."""
+        schedule, model = _ShiftedGrid(), _LamRecorder()
+        ancestral_sample(model, schedule, SamplerConfig(steps=T, seed=0), n_chains=2, d=2)
+        points = schedule.grid(T)
+        assert model.lams == [points[i].lam for i in range(T, 0, -1)]
+        assert model.lams[-1] == schedule.at(1 / T).lam + 0.25  # the readout point
 
     def test_oracle_moments_quick(self, schedule):
         reports = sampler_moment_oracle([0.3, -0.2], 1.0, schedule, T=128,

@@ -1,5 +1,6 @@
 """Schedule tests: endpoint values, variance preservation, monotone SNR."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,20 @@ class TestColumns:
     def test_domain_errors(self, schedule, bad):
         with pytest.raises(ValueError):
             schedule.columns(np.array([0.5, bad, 0.2]))
+
+
+class TestGrid:
+    """grid(T) is the T-layer hierarchy's T + 1 points, each `at(i / T)`."""
+
+    @pytest.mark.parametrize("endpoints", [(13.3, -5.0), (600.0, -600.0), (-1.0, -7.0)])
+    @pytest.mark.parametrize("T", [1, 2, 7, 64, 1000])
+    def test_points_equal_at(self, endpoints, T):
+        sched = LogLinearSchedule(*endpoints)
+        points = sched.grid(T)
+        assert len(points) == T + 1
+        for i, p in enumerate(points):
+            assert dataclasses.astuple(p) == dataclasses.astuple(sched.at(i / T)), i
+        assert points[0].t == 0.0 and points[-1].t == 1.0
 
 
 class TestInvariants:

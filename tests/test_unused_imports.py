@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and every
+import is at module level."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "encdiff"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -53,3 +55,13 @@ def test_every_imported_name_is_used(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    """An import inside a function or a block hides a dependency; none is needed
+    for an import cycle in this package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert not nested, f"imports not at module level: {', '.join(nested)}"

@@ -126,6 +126,7 @@ class TestDegenerateSchedules:
     """At extreme λ_max an oracle can have nothing to measure.  From about
     λ_max = 70 the forward-step error of sde_richardson is 0 at float
     resolution, and from about 372 the first layers' σ_Q² underflows to 0.
+    Below λ_min ≈ −1419.6, ConstantEpsErrorPredictor's e^{−λ/2} overflows.
     Each such oracle is an inconclusive FAIL row, and errors of another kind
     still surface."""
 
@@ -170,6 +171,21 @@ class TestDegenerateSchedules:
         assert {r.details for r in reports} == {
             "inconclusive: degenerate transition s=0.0625 -> t=0.0703125 (T=128 layer 9): "
             "sigma2_q=0"}
+
+    def test_overflowing_predictor_is_inconclusive(self, rng):
+        x = rng.uniform(-1, 1, size=3)
+        measurable = self._discrete_oracles(x, LogLinearSchedule(13.3, -1400.0))
+        assert math.isfinite(measurable["optimal_penalty_decay"]().measured)
+        schedule = LogLinearSchedule(13.3, -1420.0)
+        report = self._discrete_oracles(x, schedule)["optimal_penalty_decay"]()
+        assert report.name == "optimal_penalty_decay"
+        assert not report.passed and math.isnan(report.measured)
+        assert report.details == "inconclusive: the loss sum overflowed (math range error)"
+        with pytest.raises(AttributeError):
+            optimal_penalty_decay(x, object(), IdentityEncoder(), [64, 128, 256, 512], schedule)
+        with pytest.raises(TypeError):
+            optimal_penalty_decay(x, ConstantEpsErrorPredictor(x, np.ones(3)), IdentityEncoder(),
+                                  [None, 128, 256, 512], schedule)
 
     def test_other_errors_surface(self, rng, schedule):
         x = rng.uniform(-1, 1, size=3)
