@@ -81,6 +81,9 @@ def load_idx(path: str) -> Dataset:
         raise ConfigError(
             f"truncated IDX payload at byte {len(raw)} (expected {expected}): {path}"
         )
+    if len(raw) > expected:
+        raise ConfigError(f"IDX file has {len(raw)} bytes, {len(raw) - expected} after its "
+                          f"payload (expected {expected}): {path}")
     items = np.frombuffer(raw[header_end:expected], dtype=np.uint8).reshape(n, rows * cols).copy()
     return Dataset(items=items, dims=(rows, cols), name=path, kind=PIXELS)
 

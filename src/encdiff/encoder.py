@@ -17,10 +17,11 @@ dy/dλ is realized as a symmetric finite difference of the inner network with
 step h = 1e-3 · |dλ/dt|, built from ordinary forward values so that
 reverse-mode differentiation of any loss flows through the estimator without
 second-order machinery.  The rows at λ, λ + h and λ − h go through the inner
-network as one stacked pass whose output is split back into row blocks.  The
-latent term's rows at t = 1 are a separate pass: batch_latent_graph
-(objective.py) is its own loss function, evaluated only in training, while
-loss_terms also serves evaluation, which has no latent term.
+network as one stacked pass (`_fd_pass`, the only one) whose output is split
+back into row blocks; the v-loss terms, encode_dlambda and dy_dlambda all read
+their y and dy/dλ from it.  The latent term's rows at t = 1 are a separate
+pass: batch_latent_graph (objective.py) is its own loss function, which
+training and evaluation (through latent_loss) call apart from the v-loss.
 
 Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
 which `loss_terms` returns: the encoded data x_enc as a node, the extra
@@ -36,7 +37,7 @@ Only the trainable encoder's x_enc and extra depend on nodes (its inner net's
 stacked pass); the others' x_enc is a constant.  The latent term reads the
 encoded data at t = 1 from `encode_t`, one node over the inner net's node.
 No loss differentiates any other view: `encode` and `y` are the data of
-`encode_t` and `y_t`, the dλ views are numpy values from one inner pass each,
+`encode_t` and `y_t`, each dλ view is a numpy value from one stacked pass,
 and their `_t` forms are constants over them, as for the other encoders.
 
 `counterterm` says whether the generative mean carries the counterterm by
@@ -154,20 +155,14 @@ class TrainableEncoder:
         x_enc = self._x_t(x2, stacked, alpha_sq, sigma_sq)
         return Terms(x_enc, lambda x_hat: x_hat - x_enc.data + y - dy, (stacked,), extra_backward)
 
-    def _inner_at(self, x2: np.ndarray, lams) -> tuple[Tensor, list[np.ndarray]]:
-        """The inner net's node over x2 stacked once per λ (scalar or per row) of
-        lams, from one pass, and its output's row block for each λ."""
-        n = len(x2)
-        lam_rows = np.empty(len(lams) * n)
-        for k, lam in enumerate(lams):
-            lam_rows[k * n:(k + 1) * n] = lam
-        stacked = self.inner.forward(np.concatenate([x2] * len(lams)), lam_rows)
-        return stacked, [stacked.data[k * n:(k + 1) * n] for k in range(len(lams))]
-
     def _fd_pass(self, x2: np.ndarray, lam, lam_prime: float):
-        """One pass over the λ, λ + h and λ − h blocks: its node, y, dy/dλ and h."""
+        """One pass over x2 stacked at λ, λ + h and λ − h (λ scalar or per row):
+        its node, y, dy/dλ and h."""
         h = _fd_step(lam_prime)
-        stacked, (y, y_up, y_down) = self._inner_at(x2, (lam, lam + h, lam - h))
+        lam_rows = np.empty((3, len(x2)))
+        lam_rows[0], lam_rows[1], lam_rows[2] = lam, lam + h, lam - h
+        stacked = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel())
+        y, y_up, y_down = stacked.data.reshape(3, len(x2), -1)
         return stacked, y, _central_difference(y_up, y_down, h), h
 
     @staticmethod
@@ -191,9 +186,7 @@ class TrainableEncoder:
         return _shaped_like(x, self.y_t(x, point).data)
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        h = _fd_step(point.lam_prime)
-        _, (y_up, y_down) = self._inner_at(np.atleast_2d(x), (point.lam + h, point.lam - h))
-        return _shaped_like(x, _central_difference(y_up, y_down, h))
+        return _shaped_like(x, self._fd_pass(np.atleast_2d(x), point.lam, point.lam_prime)[2])
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return Tensor(self.dy_dlambda(x, point))

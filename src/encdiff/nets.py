@@ -108,9 +108,6 @@ class ParamStore:
     def v(self) -> dict[str, np.ndarray]:
         return self.views(self.v_flat)
 
-    def add(self, name: str, value: np.ndarray) -> Parameter:
-        return self.add_many({name: value})[name]
-
     def add_many(self, values: dict[str, np.ndarray]) -> dict[str, Parameter]:
         """Add parameters by name; the flat buffers are reallocated once for the group."""
         for name in values:

@@ -9,7 +9,8 @@ Continuous-time losses use the v-parameterization: with z = α x_enc + σ ε,
 where `extra` is the encoder's residual term (`loss_terms`, encoder.py).
 The x-parameterized form −½ λ' e^λ ‖x̂ − x_enc + σ² x̂ − dx_enc/dλ‖² is
 algebraically identical (for the identity encoder, −½ λ' e^λ ‖x̂ − x‖²); both
-are implemented and tested against each other.
+are implemented and tested against each other, the x-form with x̂ from the
+model's `predict_x`.
 
 For training, the v-loss of a batch is one node on the autodiff record, and
 the latent term one more; neither builds elementwise ops.  Each computes its
@@ -20,7 +21,8 @@ node's parents are the denoiser's node, the z it was fed, and the encoder's
 x_enc and extra-term nodes; the encoder answers for its own part through
 `loss_terms` (arrays, nodes and a vector-Jacobian rule; see encoder.Terms),
 so nothing here depends on the encoder's kind.  Evaluation reads the
-per-item values of the same computation.
+per-item values of the same computation, and its latent term, `latent_loss`,
+is the value of the latent node, `batch_latent_graph`.
 
 The discrete-T loss sums, over the layers of `LogLinearSchedule.grid(T)`, KL
 divergences between the reverse posterior and the generative transition, with
@@ -47,7 +49,7 @@ from .process import (
     reverse_posterior,
     weighting_penalty,
 )
-from .schedule import LogLinearSchedule, SchedulePoint
+from .schedule import LogLinearSchedule
 
 LN2 = math.log(2.0)
 
@@ -208,13 +210,12 @@ def continuous_xloss(
     eps: np.ndarray,
     schedule: LogLinearSchedule,
 ) -> float:
-    """x-parameterized twin of continuous_vloss, from the same v-prediction."""
+    """x-parameterized twin of continuous_vloss, from the model's x-prediction."""
     p = schedule.at(t)
     x = np.asarray(x, dtype=np.float64)
     x_enc = encoder.encode(x, p)
     z = p.alpha * x_enc + p.sigma * np.asarray(eps, dtype=np.float64)
-    v_hat = model.predict_v(z, p.lam)
-    x_hat = p.alpha * z - p.sigma * v_hat
+    x_hat = model.predict_x(z, p.lam)
     resid = x_hat - x_enc
     if encoder.counterterm:
         resid = resid + p.sigma_sq * x_hat - encoder.encode_dlambda(x, p)
@@ -322,25 +323,12 @@ def discrete_diffusion_loss(
 # ---------------------------------------------------------------------------
 
 def latent_loss(x: np.ndarray, encoder: Encoder, schedule: LogLinearSchedule) -> float:
-    """KL(q(z_1|x) ‖ N(0, I)) in closed form, using the encoded data at t = 1.
+    """KL(q(z_1|x) ‖ N(0, I)) in closed form: the value of batch_latent_graph.
 
     x is one datapoint (d,) or a batch (B, d), whose items are encoded in one
     call and whose mean KL is returned.
     """
-    p1 = schedule.at(1.0)
-    x1 = encoder.encode(np.asarray(x, dtype=np.float64), p1)
-    return latent_loss_from_point(x1, p1)
-
-
-def latent_loss_from_point(x1: np.ndarray, p1: SchedulePoint) -> float:
-    """½ Σ_i (α_1² x_{1,i}² + σ_1² − log σ_1² − 1) for an already-encoded x1.
-
-    For a batch x1 of shape (B, d), the mean over its rows.
-    """
-    x1 = np.atleast_2d(x1)
-    const = p1.sigma_sq - p1.log_sigma_sq - 1.0
-    per_item = 0.5 * (p1.alpha_sq * np.sum(x1 * x1, axis=1) + x1.shape[1] * const)
-    return float(np.mean(per_item))
+    return float(batch_latent_graph(x, encoder, schedule).data)
 
 
 def batch_latent_graph(x: np.ndarray, encoder: Encoder,
@@ -457,5 +445,5 @@ def t_profile(
     rows = []
     for t, vals in zip(t_grid, draws.reshape(t_grid.size, n_eps)):
         est = mc_estimate(vals)
-        rows.append((float(t), schedule.at(float(t)).lam, est.value, est.std_error))
+        rows.append((float(t), schedule.lam(float(t)), est.value, est.std_error))
     return rows

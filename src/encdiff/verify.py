@@ -17,7 +17,9 @@ import numpy as np
 from .autodiff import Tensor, grad
 from .config import RunConfig
 from .encoder import Encoder, IdentityEncoder, NonTrainableEncoder
-from .objective import batch_vloss_graph, continuous_xloss, discrete_step_terms
+from .errors import NumericsError
+from .objective import (batch_vloss_graph, continuous_xloss, discrete_diffusion_loss,
+                        discrete_step_terms, mc_estimate)
 from .process import (OPTIMAL, GaussianParams, forward_transition, kl_isotropic, optimal_sigma_p,
                       transition_coefficients, weighting_penalty)
 from .sampler import SamplerConfig, ancestral_sample, sde_forward_step
@@ -160,11 +162,9 @@ def mc_kl_oracle(q: GaussianParams, p: GaussianParams, n: int, seed: int) -> Ora
         sq = ((z - params.mean[None, :]) ** 2).sum(axis=1)
         return -0.5 * d * math.log(2.0 * math.pi * params.var) - sq / (2.0 * params.var)
 
-    diffs = log_density(q) - log_density(p)
-    mc = diffs.mean()
-    se = diffs.std(ddof=1) / math.sqrt(n)
-    closed = kl_isotropic(q, p, d)
-    return _report("mc_kl", mc, closed, 4.0 * se, details=f"se={se:.3e} n={n}")
+    est = mc_estimate(log_density(q) - log_density(p))
+    return _report("mc_kl", est.value, kl_isotropic(q, p, d), 4.0 * est.std_error,
+                   details=f"se={est.std_error:.3e} n={n}")
 
 
 def optimal_variance_grid_oracle(sigma2_q: float, mean_sq_gap: float, d: int) -> OracleReport:
@@ -245,8 +245,7 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
                             details="inconclusive: quadrature unstable under node doubling")
     return _slope_report(
         "limit_convergence", -1.0, 0.3, schedule, T_list,
-        lambda T: abs(sum(term.kl for term in discrete_step_terms(x, T, model, encoder,
-                                                                  schedule)) - l_inf),
+        lambda T: abs(discrete_diffusion_loss(x, T, model, encoder, schedule).value - l_inf),
         lambda errs: f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}")
 
 
@@ -339,7 +338,9 @@ def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: 
     with randomly initialized (non-zero) output layers, including the encoder
     path through the finite-difference dy/dλ estimator.  Each probe's central
     difference steps the coordinate by ±1e-5.  Coordinates below 1e-6 in
-    magnitude are compared against that floor.
+    magnitude are compared against that floor.  A loss that is not finite at
+    this schedule (λ·frequency overflowing the embedding, say) makes an
+    inconclusive FAIL row.
     """
     h = 1e-5
     rng = np.random.default_rng(seed)
@@ -358,7 +359,12 @@ def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: 
     def loss_value() -> float:
         return float(batch_vloss_graph(x, model, encoder, ts, eps, schedule).data)
 
-    loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
+    try:
+        loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
+    except NumericsError as err:
+        return OracleReport("fd_gradient", math.nan, 0.0, 1e-4, False,
+                            f"inconclusive: the loss is not finite ({err}) "
+                            f"encoder={encoder_kind}")
     names = store.names()
     grads = store.views(grad(loss, store.tensors()))
 

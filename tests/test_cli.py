@@ -19,6 +19,8 @@ import encdiff
 from encdiff.cli import (EXIT_CONFIG_ERROR, EXIT_NUMERICS, EXIT_OK, EXIT_VERIFY_FAILED,
                          build_parser, main)
 from encdiff.config import _SECTIONS, RunConfig
+from encdiff.data import IDX_U8_RANK3_MAGIC
+from encdiff.encoder import ENCODERS
 from encdiff.errors import ConfigError
 from encdiff.io_utils import write_pgm
 from encdiff.train import restore, train
@@ -605,6 +607,61 @@ def test_fuzzed_cli_exits_with_a_documented_code(trained_run, cli_fuzz_dir, call
     assert code in (EXIT_OK, EXIT_VERIFY_FAILED, EXIT_CONFIG_ERROR, EXIT_NUMERICS)
 
 
+# each of an IDX header's n, rows and cols: empty, small, and the largest u32
+_IDX_DIMS = [0, 1, 2, 3, 2**32 - 1]
+# payloads of this many bytes or fewer may be written whole
+_IDX_MAX_PAYLOAD = 4096
+
+
+@st.composite
+def _idx_files(draw):
+    """(magic, n, rows, cols, payload length).  The payload is exact, one byte
+    short, one byte long or empty; it is empty unless the header's n·rows·cols
+    is at most _IDX_MAX_PAYLOAD bytes, so no file is large."""
+    # a valid magic and the small dimensions are drawn as often as all the rest,
+    # so that some files reach training
+    magic = draw(st.just(IDX_U8_RANK3_MAGIC) | st.sampled_from([0x00000801, 0x00000D03, 0,
+                                                                 2**32 - 1]), label="magic")
+    n, rows, cols = (draw(st.sampled_from(_IDX_DIMS[1:4]) | st.sampled_from(_IDX_DIMS),
+                          label=name) for name in ("n", "rows", "cols"))
+    size = n * rows * cols
+    if not 0 < size <= _IDX_MAX_PAYLOAD:
+        return magic, n, rows, cols, 0
+    return magic, n, rows, cols, draw(st.just(size) | st.sampled_from([size - 1, size + 1, 0]),
+                                      label="payload length")
+
+
+@pytest.fixture(scope="module")
+def idx_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx_fuzz")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@example(idx=(IDX_U8_RANK3_MAGIC, 3, 3, 3, 27), encoder="trainable")
+@example(idx=(IDX_U8_RANK3_MAGIC, 3, 3, 3, 28), encoder="trainable")
+@given(idx=_idx_files(), encoder=st.sampled_from(sorted(ENCODERS)))
+def test_fuzzed_idx_file_exits_with_a_documented_code(idx_fuzz_dir, idx, encoder):
+    """train --dataset idx on an IDX file with a fuzzed magic, dimensions and
+    payload length exits 0 or 2; after a 0, so do eval, sample --pixels and
+    heatmap on its checkpoint."""
+    magic, n, rows, cols, length = idx
+    path = idx_fuzz_dir / "fuzzed.idx"
+    payload = np.random.default_rng(length).integers(0, 256, size=length, dtype=np.uint8)
+    path.write_bytes(struct.pack(">IIII", magic, n, rows, cols) + payload.tobytes())
+    out = idx_fuzz_dir / "out"
+    data = ["--dataset", "idx", "--idx-path", str(path)]
+    code = main(["train", *data, "--encoder", encoder, "--steps", "2", "--batch-size", "4",
+                 "--denoiser-width", "4", "--encoder-width", "4", "--out-dir", str(out)])
+    assert code in (EXIT_OK, EXIT_CONFIG_ERROR)
+    if code == EXIT_OK:
+        ckpt = str(out / "model.ckpt")
+        for command in (["eval", ckpt, *data, "--n-items", "2", "--n-mc", "4"],
+                        ["sample", ckpt, "--pixels", "--steps", "4", "--n-samples", "2"],
+                        ["heatmap", ckpt, *data]):
+            assert main([*command, "--out-dir", str(out)]) in (EXIT_OK, EXIT_CONFIG_ERROR)
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -827,6 +884,21 @@ class TestVerifyCommand:
             "sde_richardson"}
         (decay,) = [r for r in rows if r[0] == "optimal_penalty_decay"]
         assert decay[5] == "inconclusive: the loss sum overflowed (math range error)"
+
+    def test_non_finite_embedding_fails_with_every_row(self, tmp_path, capsys):
+        """At λ_min = −1e308 the trainable encoder's λ embedding overflows: its
+        fd_gradient row is an inconclusive FAIL that names the layer, and every
+        other oracle still runs."""
+        out = str(tmp_path / "verify")
+        assert main(["verify", "--quick", "--lambda-min=-1e308", "--out-dir", out]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows, _ = read_csv(os.path.join(out, "verify.csv"))
+        assert len(rows) == 15
+        trainable, nt = [r for r in rows if r[0] == "fd_gradient"]
+        assert trainable[4] == "FAIL"
+        assert trainable[5] == ("inconclusive: the loss is not finite (non-finite values "
+                                "produced by layer 'encoder.in') encoder=trainable")
+        assert nt[4] == "pass"
 
 
 class TestPixelWorkflow:

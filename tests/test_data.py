@@ -95,6 +95,21 @@ class TestIdx:
         with pytest.raises(ConfigError, match="truncated"):
             load_idx(path)
 
+    def test_bytes_after_the_payload_rejected(self, tmp_path, rng):
+        ds = self._dataset(rng)
+        path = os.path.join(tmp_path, "long.idx")
+        write_idx(path, ds)
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        expected = 16 + 7 * 5 * 4
+        with pytest.raises(ConfigError, match=f"IDX file has {expected + 1} bytes, 1 after its "
+                                              f"payload \\(expected {expected}\\)"):
+            load_idx(path)
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", "idx", "--idx-path", path, "--steps", "1",
+                     "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
     @pytest.mark.parametrize("n, rows, cols", [
         pytest.param(0, 8, 8, id="no-images"),
         pytest.param(5, 0, 8, id="no-rows"),

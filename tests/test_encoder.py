@@ -242,6 +242,20 @@ class TestGraphViews:
         # one pass over the λ, λ + h and λ − h blocks
         assert passes == [15]
 
+    def test_dy_dlambda_is_the_stacked_pass(self, schedule, rng, monkeypatch):
+        enc = _randomized_trainable(rng, d=3, width=8)
+        x2 = rng.uniform(-1, 1, size=(5, 3))
+        p = schedule.at(0.45)
+        passes = []
+        forward = EncoderInnerNet.forward
+        monkeypatch.setattr(EncoderInnerNet, "forward",
+                            lambda net, x, lam: passes.append(len(x)) or forward(net, x, lam))
+        dy = enc.dy_dlambda(x2, p)
+        # the same pass over the λ, λ + h and λ − h blocks as loss_terms makes
+        assert passes == [15]
+        _, _, dy_terms, _ = enc._fd_pass(x2, p.lam, p.lam_prime)
+        assert dy.tobytes() == dy_terms.tobytes()
+
 
 class TestChangeHeatmap:
     def test_identity_is_zero(self, schedule, rng):

@@ -204,9 +204,9 @@ class TestEmbedding:
 class TestParamStore:
     def test_duplicate_name_rejected(self):
         store = ParamStore()
-        store.add("w", np.zeros(2))
+        store.add_many({"w": np.zeros(2)})
         with pytest.raises(ValueError):
-            store.add("w", np.zeros(2))
+            store.add_many({"w": np.zeros(2)})
 
     def test_grad_slots_match_shapes(self):
         net = DenoiserNet(d=2, width=8, seed=0)
@@ -242,15 +242,15 @@ class TestParamStore:
 
     def test_non_finite_value_rejected_before_the_store_changes(self):
         store = ParamStore()
-        store.add("w", np.ones(2))
+        store.add_many({"w": np.ones(2)})
         with pytest.raises(NumericsError):
-            store.add("bad", np.array([1.0, np.nan]))
+            store.add_many({"bad": np.array([1.0, np.nan])})
         assert store.names() == ["w"] and store.flat.size == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_load_rejects_non_finite_arrays_before_copying(self, bad):
         store = ParamStore()
-        store.add("w", np.ones(3))
+        store.add_many({"w": np.ones(3)})
         arrays = {k: np.array(a) for k, a in store.state_arrays().items()}
         arrays["param/w"] = np.array([2.0, 3.0, 4.0])
         arrays["adam_v/w"][1] = bad
@@ -262,7 +262,7 @@ class TestParamStore:
 
     def test_load_rejects_missing_or_misshapen_arrays(self):
         store = ParamStore()
-        store.add("w", np.ones((2, 3)))
+        store.add_many({"w": np.ones((2, 3))})
         arrays = {k: np.array(a) for k, a in store.state_arrays().items()}
         with pytest.raises(ConfigError, match="shape"):
             store.load_state_arrays({**arrays, "adam_v/w": np.ones(6)}, step=1)
@@ -274,7 +274,7 @@ class TestParamStore:
 class TestOptimizer:
     def test_zero_gradient_no_change(self):
         store = ParamStore()
-        store.add("w", np.array([1.0, -2.0]))
+        store.add_many({"w": np.array([1.0, -2.0])})
         before = store.params["w"].data.copy()
         optimizer_step(store, np.zeros(2), lr=0.1)
         np.testing.assert_array_equal(store.params["w"].data, before)
@@ -284,7 +284,7 @@ class TestOptimizer:
         """After one step from zero moments the update is
         -lr * g / (|g| * sqrt(1) + eps) ~ -lr * sign(g)."""
         store = ParamStore()
-        store.add("w", np.array([0.5, -0.5, 2.0]))
+        store.add_many({"w": np.array([0.5, -0.5, 2.0])})
         g = np.array([0.3, -0.7, 0.0])
         lr = 0.01
         expected = store.params["w"].data - lr * g / (np.abs(g) + EPS_HAT)
@@ -293,7 +293,7 @@ class TestOptimizer:
 
     def test_nonfinite_gradient_rejected_without_mutation(self):
         store = ParamStore()
-        store.add("w", np.array([1.0]))
+        store.add_many({"w": np.array([1.0])})
         before = store.params["w"].data.copy()
         with pytest.raises(NumericsError):
             optimizer_step(store, np.array([np.nan]), lr=0.1)
@@ -307,8 +307,8 @@ class TestOptimizer:
     ])
     def test_rejected_step_leaves_the_buffers_untouched(self, bad):
         store = ParamStore()
-        store.add("a", np.array([[0.5, -1.0], [2.0, 0.25]]))
-        store.add("b", np.array([1.0, -3.0]))
+        store.add_many({"a": np.array([[0.5, -1.0], [2.0, 0.25]])})
+        store.add_many({"b": np.array([1.0, -3.0])})
         optimizer_step(store, np.array([0.1, 0.1, 0.1, 0.1, 0.2, -0.3]), lr=0.01)
         before = [np.array(buf) for buf in (store.flat, store.m_flat, store.v_flat)]
         with pytest.raises(NumericsError, match="parameter 'b'"):
@@ -342,22 +342,22 @@ class TestOptimizer:
     def test_gradient_of_the_wrong_length_rejected(self):
         """A gradient missing for some parameter is a buffer of the wrong length."""
         store = ParamStore()
-        store.add("a", np.ones(3))
-        store.add("b", np.ones(2))
+        store.add_many({"a": np.ones(3)})
+        store.add_many({"b": np.ones(2)})
         with pytest.raises(ValueError, match="5 scalars"):
             optimizer_step(store, np.zeros(3), lr=0.1)
         assert store.step == 0
 
     def test_bad_lr_rejected(self):
         store = ParamStore()
-        store.add("w", np.array([1.0]))
+        store.add_many({"w": np.array([1.0])})
         with pytest.raises(ValueError):
             optimizer_step(store, np.array([0.1]), lr=0.0)
 
     def test_deterministic_trajectory(self, rng):
         def run() -> np.ndarray:
             store = ParamStore()
-            store.add("w", np.array([0.2, -0.4]))
+            store.add_many({"w": np.array([0.2, -0.4])})
             local = np.random.default_rng(9)
             for _ in range(25):
                 optimizer_step(store, local.standard_normal(2), lr=0.05)
@@ -416,7 +416,7 @@ class TestCheckpoint:
     def test_truncation_detected(self, tmp_path):
         path = os.path.join(tmp_path, "model.ckpt")
         store = ParamStore()
-        store.add("w", np.arange(64, dtype=np.float64))
+        store.add_many({"w": np.arange(64, dtype=np.float64)})
         save(path, Checkpoint(step=0, arrays=store.state_arrays(), config_text="",
                               config_hash=""))
         with open(path, "rb") as f:

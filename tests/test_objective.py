@@ -26,7 +26,6 @@ from encdiff.objective import (
     discrete_step_terms,
     elbo_bpd,
     latent_loss,
-    latent_loss_from_point,
     mc_estimate,
     pixel_categorical_log_probs,
     reconstruction_loss,
@@ -39,7 +38,7 @@ from encdiff.process import (
     kl_isotropic,
     reverse_posterior,
 )
-from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
+from encdiff.schedule import LogLinearSchedule
 from encdiff.train import build_model
 from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor
 
@@ -91,6 +90,24 @@ class TestParameterizationIdentities:
                 lv = continuous_vloss(x, model, enc, t, eps, schedule)
                 lx = continuous_xloss(x, model, enc, t, eps, schedule)
                 assert lx == pytest.approx(lv, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_xloss_takes_x_hat_from_predict_x(self, schedule, rng, kind):
+        """−½ λ' e^λ ‖x̂ − x_enc + extra‖² with x̂ from the model's own predict_x,
+        bit for bit: an analytic model's x̂ makes no round trip through v̂."""
+        x = rng.uniform(-1, 1, size=3)
+        model = SmoothVectorPredictor(0.5 * x)
+        enc = _random_trainable() if kind == "trainable" else make_encoder(kind)
+        for t in rng.uniform(0.02, 0.98, size=10):
+            eps = rng.standard_normal(3)
+            p = schedule.at(float(t))
+            x_enc = enc.encode(x, p)
+            x_hat = model.predict_x(p.alpha * x_enc + p.sigma * eps, p.lam)
+            resid = x_hat - x_enc
+            if enc.counterterm:
+                resid = resid + p.sigma_sq * x_hat - enc.encode_dlambda(x, p)
+            expected = float(-0.5 * p.lam_prime * p.snr * np.sum(resid * resid))
+            assert continuous_xloss(x, model, enc, float(t), eps, schedule) == expected
 
     def test_trainable_at_init_equals_nt_bitwise(self, schedule, rng):
         """With the inner network still at zero the two loss forms agree bit-for-bit."""
@@ -371,17 +388,6 @@ class TestDiscreteLoss:
 
 
 class TestLatentLoss:
-    def test_standard_normal_match_is_zero(self):
-        p1 = point_from_lam(0.0)
-        # alpha_1 x_1 = 0 and sigma_1^2 = 1 -> 0; emulate with explicit values
-        assert latent_loss_from_point(np.zeros(4), _unit_sigma_point()) == pytest.approx(0.0)
-
-    def test_mean_only_kl(self):
-        p = _unit_sigma_point()
-        c = 0.7
-        x1 = np.array([c / p.alpha])
-        assert latent_loss_from_point(x1, p) == pytest.approx(c * c / 2.0, rel=1e-12)
-
     def test_damping_encoder_below_identity(self, schedule, rng):
         x = rng.uniform(-1, 1, size=8)
         lat_nt = latent_loss(x, NonTrainableEncoder(), schedule)
@@ -405,6 +411,16 @@ class TestLatentLoss:
         for _ in range(50):
             x = rng.uniform(-3, 3, size=4)
             assert latent_loss(x, make_encoder("identity"), schedule) >= 0.0
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_is_the_latent_nodes_value(self, schedule, rng, kind):
+        """latent_loss is the value of the node that training differentiates, bit
+        for bit, for one datapoint and for a batch."""
+        enc = _random_trainable(d=4) if kind == "trainable" else make_encoder(kind)
+        for shape in [(4,)] * 10 + [(6, 4)] * 50:
+            x = rng.uniform(-2, 2, size=shape)
+            node = batch_latent_graph(x, enc, schedule)
+            assert latent_loss(x, enc, schedule) == float(node.data)
 
 
 class TestReconstructionLoss:
@@ -609,10 +625,3 @@ def test_t_profile_rows(schedule, rng):
         assert lam == pytest.approx(schedule.at(t).lam)
         assert mean >= 0.0 and se >= 0.0
 
-
-def _unit_sigma_point():
-    """A synthetic point with sigma^2 = 1 for closed-form latent tests."""
-    from encdiff.schedule import SchedulePoint
-
-    return SchedulePoint(t=1.0, lam=-60.0, lam_prime=-18.3,
-                         alpha=math.sqrt(logistic(-60.0)), sigma=1.0, snr=math.exp(-60.0))

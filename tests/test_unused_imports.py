@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and every
-import is at module level."""
+"""Every name a module of the package imports is used in that module, every
+import is at module level, and every module-level function and class is used
+in the package."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,47 @@ def test_every_import_is_at_module_level(path):
     nested = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert not nested, f"imports not at module level: {', '.join(nested)}"
+
+
+# module-level functions and classes that nothing in the package calls, each kept
+# for a reader outside it
+UNREFERENCED_API = {
+    "continuous_vloss": "the acceptance gate and the README's library example call it",
+    "marginal": "the acceptance gate calls it, and the benchmark's tracer wraps it",
+    "sde_step": "the README lists the reverse-SDE step as a package feature",
+    "write_idx": "the benchmark writes its IDX workload with it",
+}
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """Names read in node (bare and attribute names) and names it imports, which
+    the module must use, perhaps under another name."""
+    names = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            names.update(alias.name for alias in n.names)
+    return names
+
+
+def test_every_function_and_class_is_referenced():
+    """A function or class that only tests call is surface the package does not
+    need.  A reference inside its own definition, or in __init__.py's exports,
+    does not count."""
+    defined = {}
+    referenced = set()
+    for path in MODULES:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = f"{path.name}:{stmt.lineno}"
+                names.discard(stmt.name)
+            referenced |= names
+    unreferenced = sorted(f"{name} ({where})" for name, where in defined.items()
+                          if name not in referenced and name not in UNREFERENCED_API)
+    assert not unreferenced, f"defined but never used in the package: {', '.join(unreferenced)}"
+    stale = sorted(name for name in UNREFERENCED_API if name in referenced or name not in defined)
+    assert not stale, f"allowlisted but used in the package or gone: {', '.join(stale)}"

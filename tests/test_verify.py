@@ -6,9 +6,14 @@ import math
 import numpy as np
 import pytest
 
+from encdiff import verify
+from encdiff.autodiff import grad
+from encdiff.config import RunConfig
 from encdiff.encoder import IdentityEncoder, NonTrainableEncoder
+from encdiff.objective import batch_vloss_graph
 from encdiff.process import GaussianParams
 from encdiff.schedule import LogLinearSchedule, logistic
+from encdiff.train import build_model
 from encdiff.verify import (
     ConstantEpsErrorPredictor,
     GaussianPosteriorOracle,
@@ -126,7 +131,8 @@ class TestDegenerateSchedules:
     """At extreme λ_max an oracle can have nothing to measure.  From about
     λ_max = 70 the forward-step error of sde_richardson is 0 at float
     resolution, and from about 372 the first layers' σ_Q² underflows to 0.
-    Below λ_min ≈ −1419.6, ConstantEpsErrorPredictor's e^{−λ/2} overflows.
+    Below λ_min ≈ −1419.6, ConstantEpsErrorPredictor's e^{−λ/2} overflows, and
+    at λ_min = −1e308 so does the trainable encoder's λ embedding.
     Each such oracle is an inconclusive FAIL row, and errors of another kind
     still surface."""
 
@@ -187,6 +193,25 @@ class TestDegenerateSchedules:
             optimal_penalty_decay(x, ConstantEpsErrorPredictor(x, np.ones(3)), IdentityEncoder(),
                                   [None, 128, 256, 512], schedule)
 
+    def test_non_finite_fd_loss_is_inconclusive(self):
+        schedule = LogLinearSchedule(13.3, -1e308)
+        report = fd_gradient_suite(schedule, "trainable", n_coords=4, seed=0)
+        assert report.name == "fd_gradient"
+        assert not report.passed and math.isnan(report.measured)
+        assert report.details == ("inconclusive: the loss is not finite (non-finite values "
+                                  "produced by layer 'encoder.in') encoder=trainable")
+        # the nt model's loss stays finite there, so its suite still measures
+        assert fd_gradient_suite(schedule, "nt", n_coords=4, seed=1).passed
+
+    @pytest.mark.parametrize("error", [TypeError, AttributeError])
+    def test_fd_gradient_other_errors_surface(self, monkeypatch, error):
+        def broken(*args):
+            raise error("broken loss")
+
+        monkeypatch.setattr(verify, "batch_vloss_graph", broken)
+        with pytest.raises(error, match="broken loss"):
+            fd_gradient_suite(LogLinearSchedule(13.3, -1e308), "trainable", n_coords=4, seed=0)
+
     def test_other_errors_surface(self, rng, schedule):
         x = rng.uniform(-1, 1, size=3)
 
@@ -219,6 +244,53 @@ class TestFdGradientSuite:
         report = fd_gradient_suite(n_coords=40, seed=1, schedule=schedule, encoder_kind="nt")
         assert report.passed, report.details
         assert "coords=40 encoder_coords=0 " in report.details
+
+    def test_reverse_mode_is_right_at_lambda_max_400(self):
+        """At λ_max = 400 the loss is about 393, so the suite's ±1e-5 central
+        difference carries rounding error of about ε·|L|/h, which exceeds its
+        1e-4 relative bound on small gradients.  A step of 1e-4 agrees with
+        reverse mode within 2e-5 on every coordinate that the quick (60) and
+        the full (200) trainable suites probe, the suite's setup rebuilt here."""
+        schedule = LogLinearSchedule(400.0, -5.0)
+        rng = np.random.default_rng(0)
+        model, encoder, store = build_model(
+            RunConfig(encoder="trainable", denoiser_width=16, encoder_width=16, seed=0), 2)
+        for name, tensor in store.params.items():
+            if name.endswith("out.w") or name.endswith("out.b"):
+                tensor.data = 0.1 * rng.standard_normal(tensor.data.shape)
+        x = rng.uniform(-1.0, 1.0, size=(4, 2))
+        ts = rng.uniform(0.05, 0.95, size=4)
+        eps = rng.standard_normal((4, 2))
+        is_enc = np.concatenate([np.full(store.params[name].data.size, name.startswith("encoder"))
+                                 for name in store.names()])
+        enc_flat, den_flat = np.flatnonzero(is_enc), np.flatnonzero(~is_enc)
+        after_setup = rng.bit_generator.state
+        probed = set()
+        for n_coords in (60, 200):
+            # the suite's stratified draw: half on the encoder, the rest on the denoiser
+            rng.bit_generator.state = after_setup
+            probed.update(enc_flat[rng.choice(enc_flat.size, n_coords // 2, replace=False)])
+            probed.update(den_flat[rng.choice(den_flat.size, n_coords - n_coords // 2,
+                                              replace=False)])
+        # the quick suite's worst coordinate at ±1e-5
+        assert store.views(np.arange(store.flat.size))["encoder.h1.w"][11, 12] in probed
+        loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
+        assert float(loss.data) == pytest.approx(393, rel=0.01)
+        analytic = grad(loss, store.tensors())
+        h = 1e-4
+        flat = store.flat
+        worst = 0.0
+        for i in sorted(probed):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(batch_vloss_graph(x, model, encoder, ts, eps, schedule).data)
+            flat[i] = orig - h
+            down = float(batch_vloss_graph(x, model, encoder, ts, eps, schedule).data)
+            flat[i] = orig
+            fd = (up - down) / (2.0 * h)
+            worst = max(worst, abs(fd - analytic[i]) / max(abs(fd), abs(analytic[i]), 1e-6))
+        assert len(probed) > 200
+        assert worst < 2e-5
 
     def test_identity_unused_encoder_params(self, schedule):
         """With the identity encoder the inner-net parameters never enter the
