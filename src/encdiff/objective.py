@@ -24,6 +24,13 @@ so nothing here depends on the encoder's kind.  Evaluation reads the
 per-item values of the same computation, and its latent term, `latent_loss`,
 is the value of the latent node, `batch_latent_graph`.
 
+Training draws t uniformly.  Evaluation (`elbo_bpd`) stratifies its n draws
+of t in pairs: K = n // 2 strata of width n_k / n cover [0, 1] in order, each
+holding n_k = 2 consecutive draws except the last, which holds n_k = 3 when n
+is odd.  The value is the plain mean of the draws, which equals Σ_k w_k ȳ_k
+for w_k = n_k / n, and its standard error is sqrt(Σ_k w_k² s_k² / n_k), with
+s_k² the sample variance of stratum k.
+
 The discrete-T loss sums, over the layers of `LogLinearSchedule.grid(T)`, KL
 divergences between the reverse posterior and the generative transition, with
 an optional unequal-variance weighting: a variance ratio w = σ_Q²/σ_P²
@@ -74,6 +81,34 @@ def mc_estimate(values: np.ndarray) -> MonteCarloEstimate:
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return MonteCarloEstimate(value=float(values.mean()), std_error=se, n_samples=n)
+
+
+def _stratified_times(u: np.ndarray) -> np.ndarray:
+    """Map n ≥ 2 uniforms u_j on [0, 1) into the paired strata of t (see the
+    module docstring): t_j = lo_k + u_j (hi_k − lo_k) in draw j's stratum k."""
+    n = u.size
+    last = n - 2 - n % 2  # first draw of the last stratum
+    # in units of 1/n, stratum k spans [2k, 2k + 2) and the last [last, n)
+    t = (np.arange(n) & -2) + 2.0 * u
+    t[last:] = last + (n - last) * u[last:]
+    return t / n
+
+
+def stratified_estimate(draws: np.ndarray) -> MonteCarloEstimate:
+    """Mean of n ≥ 2 draws at _stratified_times, with the stratified standard
+    error sqrt(Σ_k w_k² s_k² / n_k), s_k² the sample variance of stratum k.
+
+    With w_k = n_k / n each stratum adds n_k s_k² / n², which for a pair
+    (a, b) is (a − b)² / n².
+    """
+    n = draws.size
+    last = n - 2 - n % 2  # first draw of the last stratum
+    pairs = draws[:last].reshape(-1, 2)
+    gaps = pairs[:, 0] - pairs[:, 1]
+    tail = draws[last:]
+    dev = tail - tail.mean()
+    var = (gaps @ gaps + dev @ dev * tail.size / (tail.size - 1)) / (n * n)
+    return MonteCarloEstimate(value=float(draws.mean()), std_error=math.sqrt(var), n_samples=n)
 
 
 @dataclass(frozen=True)
@@ -404,7 +439,15 @@ def elbo_bpd(
     pixel_data: bool = True,
 ) -> LossBreakdown:
     """Loss decomposition for one datapoint, diffusion term by n_mc ≥ 2 (t, ε)
-    draws: all n_mc times, then all n_mc noise vectors.
+    draws: all n_mc uniforms, then all n_mc noise vectors.
+
+    t is stratified in pairs: the n_mc // 2 strata of `_stratified_times` cover
+    [0, 1], two draws each and three in the last when n_mc is odd, and draw j's
+    uniform u_j becomes t_j = lo_k + u_j (hi_k − lo_k) in its stratum k.  The
+    loss is an integral over t between fixed endpoints, so the strata change
+    only the estimator's variance: the value is the plain mean of the draws and
+    the standard error sqrt(Σ_k w_k² s_k² / n_k), w_k = n_k / n_mc
+    (`stratified_estimate`).  n_mc = 2 or 3 is one stratum, that is, plain MC.
 
     For integer pixel data the reconstruction term uses a single z_0 draw; for
     real-valued data it is zero (no quantized likelihood is defined).
@@ -413,10 +456,10 @@ def elbo_bpd(
         raise ValueError(f"n_mc must be >= 2 for a standard error, got {n_mc}")
     x_real = scale_pixels(np.asarray(x)) if pixel_data else np.asarray(x, dtype=np.float64)
     d = x_real.size
-    ts = rng.uniform(size=n_mc)
+    ts = _stratified_times(rng.uniform(size=n_mc))
     eps = rng.standard_normal((n_mc, d))
     draws = _vloss_draws(x_real, model, encoder, ts, eps, schedule)
-    diff = mc_estimate(draws)
+    diff = stratified_estimate(draws)
     latent = latent_loss(x_real, encoder, schedule)
     recon = sampled_reconstruction_loss(x_real, encoder, schedule, rng) if pixel_data else 0.0
     return LossBreakdown.from_components(

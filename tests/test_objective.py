@@ -40,7 +40,7 @@ from encdiff.process import (
 )
 from encdiff.schedule import LogLinearSchedule
 from encdiff.train import build_model
-from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor
+from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor, continuous_loss_quadrature
 
 
 def _random_model(d=3, width=16, seed=0, scale=0.2) -> DenoiserNet:
@@ -497,6 +497,22 @@ class TestElboBpd:
             ratios.append(se_small / se_big)
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.2)
 
+    @pytest.mark.parametrize("pixel_data", [True, False], ids=["pixels", "real"])
+    @pytest.mark.parametrize("make", [ENCODER_FACTORIES[0], ENCODER_FACTORIES[2]])
+    def test_reported_stderr_matches_the_spread_across_calls(self, make, pixel_data, schedule,
+                                                             rng):
+        """Over 300 seeded calls on one item, the RMS of the reported diffusion
+        stderr agrees with the spread of the diffusion values within 15%, so
+        the stratified stderr is not under-stated (plain MC's formula on the
+        same draws over-states it by about 25% here)."""
+        model, enc = _random_model(d=3), make()
+        x = rng.integers(0, 256, size=3) if pixel_data else rng.uniform(-1, 1, size=3)
+        bds = [elbo_bpd(x, model, enc, schedule, 16, np.random.default_rng(seed),
+                        pixel_data=pixel_data) for seed in range(300)]
+        rms_stderr = math.sqrt(np.mean([bd.diffusion_stderr ** 2 for bd in bds]))
+        spread = np.std([bd.diffusion for bd in bds], ddof=1)
+        assert rms_stderr == pytest.approx(spread, rel=0.15)
+
     def test_n_mc_validated(self, schedule, rng):
         """One draw has no standard error, so at least two are needed."""
         model = _random_model(d=2)
@@ -506,22 +522,83 @@ class TestElboBpd:
                          np.random.default_rng(0), pixel_data=False)
 
 
+class TestStratifiedEvalIsUnbiased:
+    """The diffusion loss is an integral over t between fixed endpoints, so
+    stratifying t changes the estimator's variance, not its mean."""
+
+    @pytest.mark.parametrize("n_mc", [2, 3, 128, EVAL_ROWS + 37])
+    @pytest.mark.parametrize("make", [ENCODER_FACTORIES[0], ENCODER_FACTORIES[1]])
+    def test_matches_quadrature(self, make, n_mc, schedule, rng):
+        """On a z-free model the integrand depends on t alone, and seeded calls
+        match the quadrature of verify's limit oracle within 4 SE.  The calls
+        pool at least 512 draws, as eval pools items: the stderr of one call
+        with one stratum has one or two degrees of freedom, too few to check."""
+        x = rng.uniform(-1, 1, size=3)
+        model, enc = SmoothVectorPredictor(0.5 * x), make()
+        n_calls = -(-512 // n_mc)
+        bds = [elbo_bpd(x, model, enc, schedule, n_mc, np.random.default_rng(seed),
+                        pixel_data=False) for seed in range(n_calls)]
+        mean = np.mean([bd.diffusion for bd in bds])
+        stderr = math.sqrt(sum(bd.diffusion_stderr ** 2 for bd in bds)) / n_calls
+        exact = continuous_loss_quadrature(model, enc, x, schedule, 8)
+        assert abs(mean - exact) < 4.0 * stderr
+
+    @pytest.mark.parametrize("make", ENCODER_FACTORIES)
+    def test_matches_uniform_t_on_a_z_dependent_model(self, make, schedule, rng):
+        """Stratified and uniform t estimate the same mean, within 4 combined SE."""
+        x = rng.uniform(-1, 1, size=3)
+        model, enc = _random_model(d=3), make()
+        n = 4096
+        stratified = elbo_bpd(x, model, enc, schedule, n, np.random.default_rng(5),
+                              pixel_data=False)
+        r = np.random.default_rng(6)
+        ts = r.uniform(size=n)
+        uniform = mc_estimate(_vloss_draws(x, model, enc, ts, r.standard_normal((n, 3)),
+                                           schedule))
+        combined = math.hypot(stratified.diffusion_stderr, uniform.std_error)
+        assert abs(stratified.diffusion - uniform.value) < 4.0 * combined
+
+
+def _paired_strata(n):
+    """(lo, hi, draw indices) of each stratum of t for n draws: n // 2 strata
+    covering [0, 1] in order, 2 draws each, 3 in the last when n is odd, each
+    as wide as its share of the draws."""
+    k_last = n // 2 - 1
+    strata = []
+    for k in range(k_last + 1):
+        idx = list(range(2 * k, n if k == k_last else 2 * k + 2))
+        strata.append((idx[0] / n, (idx[-1] + 1) / n, idx))
+    return strata
+
+
 def _reference_elbo_bpd(x, model, enc, schedule, n_mc, rng, pixel_data):
-    """elbo_bpd as one continuous_vloss call per (t, ε) draw, from n_mc times
-    drawn as one array and then n_mc noise vectors as one array."""
+    """elbo_bpd as one continuous_vloss call per (t, ε) draw, from n_mc
+    uniforms drawn as one array, each mapped into its stratum, and then n_mc
+    noise vectors as one array; the diffusion term is the weighted sum of the
+    stratum means, with stderr sqrt(Σ w_k² s_k² / n_k)."""
     x_real = scale_pixels(x) if pixel_data else np.asarray(x, dtype=np.float64)
     d = x_real.size
-    ts = rng.uniform(size=n_mc)
+    us = rng.uniform(size=n_mc)
     eps = rng.standard_normal((n_mc, d))
-    draws = [continuous_vloss(x_real, model, enc, float(t), e, schedule) for t, e in zip(ts, eps)]
-    diff = mc_estimate(np.array(draws))
+    strata = _paired_strata(n_mc)
+    ts = np.empty(n_mc)
+    for lo, hi, idx in strata:
+        for j in idx:
+            ts[j] = lo + us[j] * (hi - lo)
+    draws = np.array([continuous_vloss(x_real, model, enc, float(t), e, schedule)
+                      for t, e in zip(ts, eps)])
+    value, var = 0.0, 0.0
+    for *_, idx in strata:
+        w = len(idx) / n_mc
+        value += w * draws[idx].mean()
+        var += w * w * draws[idx].var(ddof=1) / len(idx)
     recon = 0.0
     if pixel_data:
         p0 = schedule.at(0.0)
         z0 = p0.alpha * enc.encode(x_real, p0) + p0.sigma * rng.standard_normal(d)
         recon = reconstruction_loss(x, z0, schedule)
-    return LossBreakdown.from_components(diff.value, latent_loss(x_real, enc, schedule), recon,
-                                         d, diffusion_stderr=diff.std_error)
+    return LossBreakdown.from_components(value, latent_loss(x_real, enc, schedule), recon,
+                                         d, diffusion_stderr=math.sqrt(var))
 
 
 def _reference_t_profile(x, model, enc, schedule, t_grid, n_eps, rng):
@@ -546,7 +623,7 @@ class TestBatchedEvalMatchesPerDrawLoop:
     per-draw loop's values from the same random draws, and leave the RNG where
     the loop leaves it."""
 
-    @pytest.mark.parametrize("n_mc", [2, 128, EVAL_ROWS + 37])
+    @pytest.mark.parametrize("n_mc", [2, 3, 128, EVAL_ROWS + 37])
     @pytest.mark.parametrize("pixel_data", [True, False], ids=["pixels", "real"])
     @pytest.mark.parametrize("make_model", MODEL_FACTORIES)
     @pytest.mark.parametrize("make", ENCODER_FACTORIES)
