@@ -5,10 +5,14 @@ embedding of the log-SNR λ (8 frequencies on a geometric ladder).  Output
 layers are zero-initialized, so at initialization the denoiser predicts v̂ = 0
 and the inner encoder network contributes nothing.
 
-Each MLP call is one node on the autodiff record, with a hand-written backward
-that does the arithmetic of the composed matmul/add/tanh graph in the same
-order, so values and gradients are bit-identical to that graph's.  An array
-input is a constant that makes no Tensor.  The call checks every layer's
+A graph-mode MLP call (`MLP.forward`) is one node on the autodiff record, with
+a hand-written backward that does the arithmetic of the composed
+matmul/add/tanh graph in the same order, so values and gradients are
+bit-identical to that graph's.  An array input is a constant that makes no
+Tensor.  A value-mode call (`MLP.values`, which the sampler runs through
+`DenoiserNet.predictor`) records nothing and writes every array into buffers
+allocated once by its caller.  Both run one layer loop, `MLP._layers`, so
+their values are bit-identical.  Either call checks every layer's
 pre-activation, so also a non-finite input, and names the layer.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
@@ -209,6 +213,58 @@ class MLP:
         # (W_in, b_in, W_h1, b_h1, ..., W_out, b_out): the order of the node's parents
         self.params: tuple[Parameter, ...] = tuple(params.values())
 
+    def _layers(self, data: list[np.ndarray], h: np.ndarray, saved: list | None = None,
+                buffers: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The MLP's arithmetic with parameter values data on input features h
+        (B, d_in + 2·N_FREQUENCIES).
+
+        Each hidden layer's pre-activation is checked and named, and every
+        hidden layer after the first adds its tanh output to its input.
+        Returns the last hidden state and the output.  With buffers (pre, hidden,
+        out) from `buffers`, every array is written into them; without, each is
+        a new array, and `saved` collects each hidden layer's (input, tanh
+        output) for the backward pass.
+        """
+        pre_buf, hidden, out = buffers if buffers is not None else (None, None, None)
+        for k, name in enumerate(self.layer_names):
+            pre = np.matmul(h, data[2 * k], out=pre_buf)
+            np.add(pre, data[2 * k + 1], out=pre)
+            if not all_finite(pre):
+                raise NumericsError(f"non-finite values produced by layer '{name}'")
+            if k == 0:
+                y = h_next = np.tanh(pre, out=pre if hidden is None else hidden)
+            else:
+                y = np.tanh(pre, out=pre)
+                h_next = np.add(h, y, out=hidden)
+            if saved is not None:
+                saved.append((h, y))
+            h = h_next
+        out = np.matmul(h, data[-2], out=out)
+        np.add(out, data[-1], out=out)
+        return h, out
+
+    def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Arrays for `values` on `rows` input rows: the input features, one
+        pre-activation, the hidden state and the output."""
+        width = self.params[0].data.shape[1]
+        return (np.empty((rows, self.d_in + 2 * N_FREQUENCIES)), np.empty((rows, width)),
+                np.empty((rows, width)), np.empty((rows, self.d_in)))
+
+    def values(self, x: np.ndarray, lam, buffers: tuple) -> np.ndarray:
+        """The forward pass's values for x (rows, d_in) computed into `buffers`
+        (from `buffers(rows)`); records no node and returns the output buffer.
+
+        Bit-identical to `forward(x, lam).data`.  With no Tensor to check the
+        output, the output layer is checked and named here.
+        """
+        features, *rest = buffers
+        features[:, :self.d_in] = x
+        features[:, self.d_in:] = sinusoidal_embedding(lam)
+        _, out = self._layers([p.data for p in self.params], features, buffers=rest)
+        if not all_finite(out):
+            raise NumericsError(f"non-finite values produced by layer '{self.prefix}.out'")
+        return out
+
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,).
 
@@ -226,17 +282,7 @@ class MLP:
         data = [p.data for p in self.params]
         # per hidden layer: its input and its tanh output, which backward reads
         saved: list[tuple[np.ndarray, np.ndarray]] = []
-        h = np.concatenate([x, emb], axis=1)
-        for k, name in enumerate(self.layer_names):
-            pre = h @ data[2 * k]
-            np.add(pre, data[2 * k + 1], out=pre)
-            if not all_finite(pre):
-                raise NumericsError(f"non-finite values produced by layer '{name}'")
-            y = np.tanh(pre, out=pre)
-            saved.append((h, y))
-            h = y if k == 0 else h + y
-        out = h @ data[-2]
-        np.add(out, data[-1], out=out)
+        h, out = self._layers(data, np.concatenate([x, emb], axis=1), saved)
         need_gx = node is not None and (node._backward is not None or node.requires_grad)
         d_in = self.d_in
 
@@ -278,9 +324,14 @@ class DenoiserNet:
         self.net = MLP(self.store, "denoiser", d, width, rng)
         self.calls = 0
 
-    def forward(self, z: Tensor | np.ndarray, lam) -> Tensor:
+    def forward(self, z: Tensor | np.ndarray, lam, buffers: tuple | None = None
+                ) -> Tensor | np.ndarray:
+        """v̂(z, λ) as one recorded node; with buffers from `net.buffers(rows)`,
+        its values computed into them as an array, recording nothing."""
         self.calls += 1
-        return self.net.forward(z, lam)
+        if buffers is None:
+            return self.net.forward(z, lam)
+        return self.net.values(z, lam, buffers)
 
     def predict_v(self, z: np.ndarray, lam) -> np.ndarray:
         """Inference-mode v̂ for numpy input of shape (d,) or (B, d)."""
@@ -290,8 +341,29 @@ class DenoiserNet:
         return out[0] if single else out
 
     def predict_x(self, z: np.ndarray, lam) -> np.ndarray:
-        p = point_from_lam(float(lam))
-        return p.alpha * np.asarray(z) - p.sigma * self.predict_v(z, lam)
+        return _x_from_v(np.asarray(z), self.predict_v(z, lam), lam)
+
+    def predictor(self, rows: int):
+        """x̂(z, λ) for (rows, d) latents z, recording no node.
+
+        Every array of a call lives in buffers allocated here, once, and the
+        result is the same array each call, overwritten by the next.  Its values
+        are bit-identical to predict_x's.
+        """
+        buffers = self.net.buffers(rows)
+        x_hat = np.empty((rows, self.d))
+
+        def predict_x(z: np.ndarray, lam) -> np.ndarray:
+            return _x_from_v(z, self.forward(z, lam, buffers), lam, out=x_hat)
+
+        return predict_x
+
+
+def _x_from_v(z: np.ndarray, v: np.ndarray, lam, out: np.ndarray | None = None) -> np.ndarray:
+    """x̂ = α z − σ v̂ at log-SNR λ, into out if given; v is overwritten."""
+    p = point_from_lam(float(lam))
+    x_hat = np.multiply(z, p.alpha, out=out)
+    return np.subtract(x_hat, np.multiply(v, p.sigma, out=v), out=x_hat)
 
 
 class EncoderInnerNet:

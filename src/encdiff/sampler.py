@@ -12,6 +12,14 @@ x̂ readout at the grid's point 1 followed by the categorical decode (argmax per
 pixel unless stochastic decoding is requested), which avoids the degenerate
 last ancestral step.
 
+The chain records nothing and allocates no array of its own size per step: a
+DenoiserNet runs through its `predictor`, into buffers allocated once per
+call, and z is updated in place, μ_P with the arithmetic of
+`process.generative_mean` and the noise drawn into one buffer with
+`standard_normal(out=...)`, which continues the generator's stream as a fresh
+draw would.  The samples are the same bits as a chain of recorded denoiser
+calls and new arrays.
+
 The reverse SDE uses drift f − g²∇log p with f = (d log α/dt)·z,
 g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE has
 drift f + α_t dx_t/dt, the second term being the encoder's; the mean of
@@ -26,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import all_finite
 from .data import unscale_pixels
 from .encoder import Encoder
 from .errors import NumericsError
 from .objective import pixel_categorical_log_probs
-from .process import generative_mean, optimal_sigma_p, transition_coefficients
+from .process import optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
 
 
@@ -86,26 +95,41 @@ def ancestral_sample(
     pixel_decode: bool = False,
     trajectory_every: int = 0,
 ) -> SampleResult:
-    """Run n_chains independent reverse chains; exactly `steps` model calls each."""
+    """Run n_chains independent reverse chains; exactly `steps` model calls each.
+
+    A model without a `predictor(rows)`, such as verify's analytic models, is
+    called through its `predict_x`.
+    """
     rng = np.random.default_rng(config.seed)
     T = config.steps
     z = rng.standard_normal((n_chains, d))
+    noise = np.empty_like(z)
+    predict_x = model.predictor(n_chains) if hasattr(model, "predictor") else model.predict_x
     trajectory = []
     points = schedule.grid(T)
     for i in range(T, 1, -1):
         sp, tp = points[i - 1], points[i]
-        x_hat = model.predict_x(z, tp.lam)
-        mu_p = generative_mean(z, x_hat, sp, tp, counterterm=config.counterterm)
-        sigma2_p = transition_coefficients(sp, tp).sigma2_q
+        x_hat = predict_x(z, tp.lam)
+        c = transition_coefficients(sp, tp)
+        sigma2_p = c.sigma2_q
         if config.gap_table is not None:
             sigma2_p = optimal_sigma_p(sigma2_p, float(config.gap_table(sp, tp)), d)
-        z = mu_p + np.sqrt(sigma2_p) * rng.standard_normal((n_chains, d))
-        if not np.all(np.isfinite(z)):
+        # z ← generative_mean(z, x̂, sp, tp, counterterm), in place, then the noise
+        np.multiply(x_hat, c.x_weight, out=noise)
+        np.multiply(z, c.z_weight, out=z)
+        np.add(z, noise, out=z)
+        if config.counterterm:
+            np.multiply(x_hat, sp.alpha * (sp.lam - tp.lam) * tp.sigma_sq, out=noise)
+            np.add(z, noise, out=z)
+        np.multiply(rng.standard_normal(out=noise), np.sqrt(sigma2_p), out=noise)
+        np.add(z, noise, out=z)
+        if not all_finite(z):
             raise NumericsError(f"non-finite latent at sampler step i={i} (t={tp.t:.6f})")
         if trajectory_every and (i % trajectory_every == 0):
             trajectory.append((sp.t, float(np.linalg.norm(z, axis=1).mean())))
-    # final layer: direct x̂ readout at the grid's point 1 (t = 1/T), then decode at point 0
-    x_out = model.predict_x(z, points[1].lam)
+    # final layer: direct x̂ readout at the grid's point 1 (t = 1/T), then decode at
+    # point 0; copied so that the result shares no memory with the predictor
+    x_out = np.array(predict_x(z, points[1].lam))
     pixels = None
     if pixel_decode:
         pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,

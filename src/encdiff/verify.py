@@ -150,19 +150,31 @@ class ConstantEpsErrorPredictor(AnalyticPredictor):
 # Oracles
 # ---------------------------------------------------------------------------
 
+# draws mc_kl_oracle makes and scores at once, which bounds its working memory
+MC_KL_ROWS = 4096
+
+
 def mc_kl_oracle(q: GaussianParams, p: GaussianParams, n: int, seed: int) -> OracleReport:
-    """Estimate KL(q‖p) by sampling from q; compare to the closed form at 4 SE."""
+    """Estimate KL(q‖p) by sampling from q; compare to the closed form at 4 SE.
+
+    The n draws are made and scored MC_KL_ROWS rows at a time, in the order of
+    one (n, d) draw, into one (n,) vector of log-density differences.
+    """
     if n < 10_000:
         raise ValueError(f"mc_kl_oracle needs n >= 10^4 samples, got {n}")
     d = q.mean.size
     rng = np.random.default_rng(seed)
-    z = q.mean[None, :] + math.sqrt(q.var) * rng.standard_normal((n, d))
 
-    def log_density(params: GaussianParams) -> np.ndarray:
+    def log_density(z: np.ndarray, params: GaussianParams) -> np.ndarray:
         sq = ((z - params.mean[None, :]) ** 2).sum(axis=1)
         return -0.5 * d * math.log(2.0 * math.pi * params.var) - sq / (2.0 * params.var)
 
-    est = mc_estimate(log_density(q) - log_density(p))
+    log_ratio = np.empty(n)
+    for start in range(0, n, MC_KL_ROWS):
+        rows = slice(start, min(start + MC_KL_ROWS, n))
+        z = q.mean[None, :] + math.sqrt(q.var) * rng.standard_normal((rows.stop - start, d))
+        log_ratio[rows] = log_density(z, q) - log_density(z, p)
+    est = mc_estimate(log_ratio)
     return _report("mc_kl", est.value, kl_isotropic(q, p, d), 4.0 * est.std_error,
                    details=f"se={est.std_error:.3e} n={n}")
 
@@ -294,13 +306,19 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
     for j in range(d):
         reports.append(_report(f"sampler_mean_{j}", out[:, j].mean(), mean[j],
                                4.0 * se_mean, details=degenerate or f"T={T} n={n_chains}"))
+    cov_details = degenerate or ""
+    readout = schedule.grid(T)[1]
+    if degenerate is None and readout.alpha == 0.0:
+        # x̂ = (α c z + σ² m)/(α² c + σ²) is then m for every chain
+        cov_details = (f"inconclusive: alpha=0 at the readout point t={readout.t:.6g} "
+                       f"(T={T} point 1), so every chain reads out the data mean")
     cov = np.cov(out.T)
     for j in range(d):
         for k in range(j, d):
             target = cov_scale if j == k else 0.0
             se_cov = math.sqrt((cov_scale**2 + (cov_scale**2 if j == k else 0.0)) / n_chains)
             reports.append(_report(f"sampler_cov_{j}{k}", cov[j, k], target, 4.0 * se_cov,
-                                   details=degenerate or ""))
+                                   details=cov_details))
     reports.append(OracleReport("sampler_model_calls", oracle.calls, T, 0.0, oracle.calls == T,
                                 degenerate or "one prediction per layer"))
     return reports

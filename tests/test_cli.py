@@ -899,6 +899,10 @@ class TestVerifyCommand:
         assert trainable[5] == ("inconclusive: the loss is not finite (non-finite values "
                                 "produced by layer 'encoder.in') encoder=trainable")
         assert nt[4] == "pass"
+        covariance = {r[0]: r for r in rows if r[0].startswith("sampler_cov")}
+        assert [r[4] for r in covariance.values()] == ["FAIL", "pass", "FAIL"]
+        assert all(r[5].startswith("inconclusive: alpha=0 at the readout point")
+                   for r in covariance.values())
 
 
 class TestPixelWorkflow:

@@ -2,14 +2,17 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from encdiff.autodiff import Tensor
+from encdiff.config import RunConfig
 from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.errors import NumericsError
 from encdiff.nets import DenoiserNet
+from encdiff.process import generative_mean, optimal_sigma_p, transition_coefficients
 from encdiff.sampler import (
     SamplerConfig,
     ancestral_sample,
@@ -19,6 +22,7 @@ from encdiff.sampler import (
     sde_step,
 )
 from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
+from encdiff.train import build_model
 from encdiff.verify import GaussianPosteriorOracle, sampler_moment_oracle, sde_richardson_oracle
 
 
@@ -128,6 +132,7 @@ class TestAncestral:
             assert r.passed, f"{r.name}: {r.measured} vs {r.expected} ± {r.tolerance}"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_latent_aborts_with_step_index(self, schedule):
         with pytest.raises(NumericsError, match="step"):
             ancestral_sample(_ExplodingModel(), schedule, SamplerConfig(steps=8, seed=0),
@@ -256,13 +261,119 @@ class TestSde:
 
 
 def test_one_tensor_per_sampler_step(schedule):
-    """Each step makes the denoiser's one MLP node; its array input is a
-    constant, not a leaf Tensor."""
+    """The denoiser runs without a record: a sampler step makes no Tensor."""
     model = DenoiserNet(d=2, width=8, seed=0)
 
     def tensors_made(steps: int) -> int:
         start = Tensor(0.0).node_id
         ancestral_sample(model, schedule, SamplerConfig(steps=steps, seed=0), n_chains=4, d=2)
-        return Tensor(0.0).node_id - start
+        return Tensor(0.0).node_id - start - 1
 
-    assert tensors_made(20) - tensors_made(10) == 10
+    assert tensors_made(20) == tensors_made(10) == 0
+
+
+def _recorded_sample(model, schedule, config, n_chains, d, pixel_decode, trajectory_every):
+    """The sampler built from recorded denoiser calls and new arrays: each step
+    calls model.predict_x and generative_mean and draws fresh noise."""
+    rng = np.random.default_rng(config.seed)
+    z = rng.standard_normal((n_chains, d))
+    trajectory = []
+    points = schedule.grid(config.steps)
+    for i in range(config.steps, 1, -1):
+        sp, tp = points[i - 1], points[i]
+        mu_p = generative_mean(z, model.predict_x(z, tp.lam), sp, tp,
+                               counterterm=config.counterterm)
+        sigma2_p = transition_coefficients(sp, tp).sigma2_q
+        if config.gap_table is not None:
+            sigma2_p = optimal_sigma_p(sigma2_p, float(config.gap_table(sp, tp)), d)
+        z = mu_p + np.sqrt(sigma2_p) * rng.standard_normal((n_chains, d))
+        if trajectory_every and i % trajectory_every == 0:
+            trajectory.append((sp.t, float(np.linalg.norm(z, axis=1).mean())))
+    x_out = model.predict_x(z, points[1].lam)
+    pixels = None
+    if pixel_decode:
+        pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,
+                               sigma0_sq=points[0].sigma_sq, alpha0=points[0].alpha)
+    return x_out, pixels, z, trajectory
+
+
+def _random_denoiser(kind: str, d: int = 4, width: int = 16):
+    """build_model's denoiser with every weight random, and its encoder."""
+    model, encoder, store = build_model(
+        RunConfig(encoder=kind, denoiser_width=width, encoder_width=8, seed=2), d)
+    rng = np.random.default_rng(9)
+    for name, param in store.params.items():
+        if name.startswith("denoiser"):
+            param.data = 0.3 * rng.standard_normal(param.data.shape)
+    return model, encoder
+
+
+class TestValuePath:
+    """The sampler runs DenoiserNet through its predictor: no record, arrays
+    allocated once per call, the chain updated in place."""
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    @pytest.mark.parametrize("flip_counterterm", [False, True])
+    @pytest.mark.parametrize("gap", [False, True])
+    @pytest.mark.parametrize("decode", ["none", "mode", "stochastic"])
+    def test_bit_identical_to_the_recorded_path(self, schedule, kind, flip_counterterm, gap,
+                                                decode):
+        model, encoder = _random_denoiser(kind)
+        config = SamplerConfig(steps=13, seed=4, stochastic_decode=decode == "stochastic",
+                               counterterm=encoder.counterterm != flip_counterterm,
+                               gap_table=(lambda s, t: 0.02 * t.t) if gap else None)
+        args = (model, schedule, config, 37, 4)
+        kwargs = dict(pixel_decode=decode != "none", trajectory_every=3)
+        calls = model.calls
+        result = ancestral_sample(*args, **kwargs)
+        assert model.calls - calls == 13
+        x_out, pixels, z, trajectory = _recorded_sample(*args, **kwargs)
+        assert np.array_equal(result.x_out, x_out)
+        assert np.array_equal(result.latent_final, z)
+        assert result.trajectory == trajectory and len(trajectory) == 4
+        if decode == "none":
+            assert result.pixels is None
+        else:
+            assert result.pixels.dtype == np.uint8 and np.array_equal(result.pixels, pixels)
+
+    def test_returned_arrays_share_no_memory(self, schedule):
+        model, _ = _random_denoiser("identity")
+        config = SamplerConfig(steps=5, seed=1)
+        first = ancestral_sample(model, schedule, config, 8, 4, pixel_decode=True)
+        second = ancestral_sample(model, schedule, config, 8, 4, pixel_decode=True)
+        arrays = [first.x_out, first.pixels, first.latent_final,
+                  second.x_out, second.pixels, second.latent_final]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(first.x_out, second.x_out)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("layer", ["denoiser.in", "denoiser.h1", "denoiser.out"])
+    def test_overflowing_weight_names_the_layer(self, schedule, layer):
+        model, _ = _random_denoiser("identity")
+        w = model.store.params[f"{layer}.w"]
+        w.data = np.full(w.data.shape, 1e308)
+        with pytest.raises(NumericsError, match=f"layer '{layer}'"):
+            ancestral_sample(model, schedule, SamplerConfig(steps=4, seed=0), 8, 4)
+
+    def test_working_memory_is_flat_in_steps(self, schedule):
+        """One call at 1024 chains, d 64, width 256 peaks at 7.1 MiB, below the
+        9.2 MiB of a sampler that allocated new arrays every step and the 8.7
+        MiB of one that runs only the denoiser on the record.  60 more steps
+        add less than an eighth of one (1024, 64) array: the grid's points."""
+        model = DenoiserNet(d=64, width=256, seed=0)
+
+        def peak(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                ancestral_sample(model, schedule, SamplerConfig(steps=steps, seed=0), 1024, 64)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(4), peak(64)
+        assert long < 8 * 2**20
+        assert long - short < 1024 * 64 * 8 // 8

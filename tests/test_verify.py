@@ -2,6 +2,7 @@
 the analytic models must satisfy their own closed-form limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from encdiff import verify
 from encdiff.autodiff import grad
 from encdiff.config import RunConfig
 from encdiff.encoder import IdentityEncoder, NonTrainableEncoder
-from encdiff.objective import batch_vloss_graph
-from encdiff.process import GaussianParams
+from encdiff.objective import batch_vloss_graph, mc_estimate
+from encdiff.process import GaussianParams, kl_isotropic
 from encdiff.schedule import LogLinearSchedule, logistic
 from encdiff.train import build_model
 from encdiff.verify import (
@@ -55,6 +56,42 @@ class TestMcKlOracle:
         q = GaussianParams(mean=np.zeros(1), var=1.0)
         with pytest.raises(ValueError):
             mc_kl_oracle(q, q, n=100, seed=0)
+
+    @staticmethod
+    def _d8_pair():
+        rng = np.random.default_rng(0)
+        return (GaussianParams(mean=rng.uniform(-1, 1, size=8), var=1.3),
+                GaussianParams(mean=rng.uniform(-1, 1, size=8), var=0.7))
+
+    def test_row_blocks_equal_one_block(self):
+        """Scored in MC_KL_ROWS-row blocks, the estimate equals scoring all n
+        draws as one (n, d) array, bit for bit, in value and stderr."""
+        q, p = self._d8_pair()
+        n, d = 200_000, 8
+        assert n % verify.MC_KL_ROWS != 0  # a short last block is covered
+        z = q.mean[None, :] + math.sqrt(q.var) * np.random.default_rng(1).standard_normal((n, d))
+
+        def log_density(params):
+            sq = ((z - params.mean[None, :]) ** 2).sum(axis=1)
+            return -0.5 * d * math.log(2.0 * math.pi * params.var) - sq / (2.0 * params.var)
+
+        est = mc_estimate(log_density(q) - log_density(p))
+        report = mc_kl_oracle(q, p, n=n, seed=1)
+        assert report.measured == est.value
+        assert report.tolerance == 4.0 * est.std_error
+        assert report.expected == kl_isotropic(q, p, d) and report.passed
+
+    def test_working_memory_is_bounded(self):
+        """200,000 draws at d = 8 peak below 8 MiB (27.5 MiB as one block)."""
+        q, p = self._d8_pair()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mc_kl_oracle(q, p, n=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestGaussianOracle:
@@ -177,6 +214,26 @@ class TestDegenerateSchedules:
         assert {r.details for r in reports} == {
             "inconclusive: degenerate transition s=0.0625 -> t=0.0703125 (T=128 layer 9): "
             "sigma2_q=0"}
+
+    def test_sampler_covariance_at_alpha_zero_is_inconclusive(self):
+        """At λ_min = −1e308 every grid point but t = 0 has α = 0, so the exact
+        posterior-mean readout at point 1 is the data mean for every chain:
+        the covariance rows say so, and their status is unchanged."""
+        schedule = LogLinearSchedule(13.3, -1e308)
+        assert schedule.grid(128)[1].alpha == 0.0
+        reports = {r.name: r for r in sampler_moment_oracle([0.3, -0.2], 1.0, schedule,
+                                                            T=128, n_chains=2000)}
+        cause = ("inconclusive: alpha=0 at the readout point t=0.0078125 (T=128 point 1), "
+                 "so every chain reads out the data mean")
+        for name in ("sampler_cov_00", "sampler_cov_01", "sampler_cov_11"):
+            assert reports[name].details == cause
+            assert abs(reports[name].measured) < 1e-20
+        assert not reports["sampler_cov_00"].passed and not reports["sampler_cov_11"].passed
+        assert reports["sampler_cov_01"].passed
+        for name in ("sampler_mean_0", "sampler_mean_1"):
+            assert reports[name].passed and reports[name].details == "T=128 n=2000"
+        assert reports["sampler_model_calls"].passed
+        assert reports["sampler_model_calls"].details == "one prediction per layer"
 
     def test_overflowing_predictor_is_inconclusive(self, rng):
         x = rng.uniform(-1, 1, size=3)

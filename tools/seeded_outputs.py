@@ -66,6 +66,8 @@ def commands() -> list[list[str]]:
                  ["heatmap", ckpt]]
     cmds += [["train", *IDX_TRAIN, "--out-dir", "idx"],
              ["sample", "idx/model.ckpt", "--pixels"],
+             ["sample", "idx/model.ckpt", "--pixels", "--stochastic-decode",
+              "--out-dir", "idx-stochastic"],
              ["eval", "idx/model.ckpt", "--profile-out", "idx/profile.csv"],
              ["heatmap", "idx/model.ckpt"],
              ["schedule-report", "--out-dir", "schedule"]]
