@@ -327,7 +327,13 @@ class DenoiserNet:
     def forward(self, z: Tensor | np.ndarray, lam, buffers: tuple | None = None
                 ) -> Tensor | np.ndarray:
         """v̂(z, λ) as one recorded node; with buffers from `net.buffers(rows)`,
-        its values computed into them as an array, recording nothing."""
+        its values computed into them as an array, recording nothing.
+
+        The buffers form exists for `predictor` alone.  It keeps every
+        denoiser evaluation, recorded or not, a call of this method, which is
+        what the benchmark's span tracer (perfbench/tracer.py) counts as a
+        model call.
+        """
         self.calls += 1
         if buffers is None:
             return self.net.forward(z, lam)

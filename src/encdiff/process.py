@@ -104,17 +104,23 @@ def generative_mean(
     s_point: SchedulePoint,
     t_point: SchedulePoint,
     counterterm: bool = False,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean μ_P of the generative transition p(z_s | z_t).
 
     With `counterterm` enabled, adds α_s (λ_s − λ_t) σ_t² x̂, which in the
-    continuous limit cancels the encoder's mean-shift contribution.
+    continuous limit cancels the encoder's mean-shift contribution.  The mean
+    is written into `out` (which may be z_t) and the x̂ terms into `scratch`;
+    either left as None is allocated.
     """
     c = transition_coefficients(s_point, t_point)
-    mean = c.z_weight * np.asarray(z_t) + c.x_weight * np.asarray(x_hat)
+    x_hat = np.asarray(x_hat)
+    mean = np.multiply(z_t, c.z_weight, out=out)
+    mean = np.add(mean, np.multiply(x_hat, c.x_weight, out=scratch), out=out)
     if counterterm:
-        mean = mean + (s_point.alpha * (s_point.lam - t_point.lam) * t_point.sigma_sq
-                       * np.asarray(x_hat))
+        shift = s_point.alpha * (s_point.lam - t_point.lam) * t_point.sigma_sq
+        mean = np.add(mean, np.multiply(x_hat, shift, out=scratch), out=out)
     return mean
 
 

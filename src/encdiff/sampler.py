@@ -14,11 +14,10 @@ last ancestral step.
 
 The chain records nothing and allocates no array of its own size per step: a
 DenoiserNet runs through its `predictor`, into buffers allocated once per
-call, and z is updated in place, μ_P with the arithmetic of
-`process.generative_mean` and the noise drawn into one buffer with
-`standard_normal(out=...)`, which continues the generator's stream as a fresh
-draw would.  The samples are the same bits as a chain of recorded denoiser
-calls and new arrays.
+call, and z is updated in place: `process.generative_mean` writes μ_P over it
+and the noise is drawn into one buffer with `standard_normal(out=...)`, which
+continues the generator's stream as a fresh draw would.  The samples are the
+same bits as a chain of recorded denoiser calls and new arrays.
 
 The reverse SDE uses drift f − g²∇log p with f = (d log α/dt)·z,
 g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE has
@@ -39,7 +38,7 @@ from .data import unscale_pixels
 from .encoder import Encoder
 from .errors import NumericsError
 from .objective import pixel_categorical_log_probs
-from .process import optimal_sigma_p, transition_coefficients
+from .process import generative_mean, optimal_sigma_p, transition_coefficients
 from .schedule import LogLinearSchedule, SchedulePoint
 
 
@@ -110,17 +109,10 @@ def ancestral_sample(
     for i in range(T, 1, -1):
         sp, tp = points[i - 1], points[i]
         x_hat = predict_x(z, tp.lam)
-        c = transition_coefficients(sp, tp)
-        sigma2_p = c.sigma2_q
+        generative_mean(z, x_hat, sp, tp, config.counterterm, out=z, scratch=noise)
+        sigma2_p = transition_coefficients(sp, tp).sigma2_q
         if config.gap_table is not None:
             sigma2_p = optimal_sigma_p(sigma2_p, float(config.gap_table(sp, tp)), d)
-        # z ← generative_mean(z, x̂, sp, tp, counterterm), in place, then the noise
-        np.multiply(x_hat, c.x_weight, out=noise)
-        np.multiply(z, c.z_weight, out=z)
-        np.add(z, noise, out=z)
-        if config.counterterm:
-            np.multiply(x_hat, sp.alpha * (sp.lam - tp.lam) * tp.sigma_sq, out=noise)
-            np.add(z, noise, out=z)
         np.multiply(rng.standard_normal(out=noise), np.sqrt(sigma2_p), out=noise)
         np.add(z, noise, out=z)
         if not all_finite(z):

@@ -301,17 +301,19 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
         # the chain steps through layers T..2; every row fails on NaN moments
         degenerate = _degenerate_transition(schedule, [(T, range(T, 1, -1))], err)
         out = np.full((2, d), math.nan)
+    mean_details, cov_details = degenerate or f"T={T} n={n_chains}", degenerate or ""
+    readout = schedule.grid(T)[1]
+    if degenerate is None and readout.alpha == 0.0:
+        # x̂ = (α c z + σ² m)/(α² c + σ²) is then m for every chain, so the
+        # moment rows measure the predictor's m, not the chain
+        mean_details = cov_details = (
+            f"inconclusive: alpha=0 at the readout point t={readout.t:.6g} "
+            f"(T={T} point 1), so every chain reads out the data mean")
     reports = []
     se_mean = math.sqrt(cov_scale / n_chains)
     for j in range(d):
         reports.append(_report(f"sampler_mean_{j}", out[:, j].mean(), mean[j],
-                               4.0 * se_mean, details=degenerate or f"T={T} n={n_chains}"))
-    cov_details = degenerate or ""
-    readout = schedule.grid(T)[1]
-    if degenerate is None and readout.alpha == 0.0:
-        # x̂ = (α c z + σ² m)/(α² c + σ²) is then m for every chain
-        cov_details = (f"inconclusive: alpha=0 at the readout point t={readout.t:.6g} "
-                       f"(T={T} point 1), so every chain reads out the data mean")
+                               4.0 * se_mean, details=mean_details))
     cov = np.cov(out.T)
     for j in range(d):
         for k in range(j, d):

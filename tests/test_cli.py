@@ -903,6 +903,9 @@ class TestVerifyCommand:
         assert [r[4] for r in covariance.values()] == ["FAIL", "pass", "FAIL"]
         assert all(r[5].startswith("inconclusive: alpha=0 at the readout point")
                    for r in covariance.values())
+        means = [r for r in rows if r[0].startswith("sampler_mean")]
+        assert [r[4] for r in means] == ["pass", "pass"]
+        assert all(r[5] == covariance["sampler_cov_01"][5] for r in means)
 
 
 class TestPixelWorkflow:

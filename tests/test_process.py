@@ -161,6 +161,18 @@ class TestGenerativeMean:
             expected = sp.alpha * (sp.lam - tp.lam) * tp.sigma_sq * x_hat
             np.testing.assert_allclose(on - off, expected, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("counterterm", [False, True])
+    def test_in_place_mean_is_bit_identical(self, schedule, rng, counterterm):
+        """Written over z_t through a scratch array, μ_P has the allocating form's bits."""
+        sp, tp = schedule.at(0.3), schedule.at(0.31)
+        z_t = rng.standard_normal((5, 3))
+        x_hat = rng.uniform(-1, 1, size=(5, 3))
+        expected = generative_mean(z_t, x_hat, sp, tp, counterterm)
+        scratch = np.empty_like(z_t)
+        mean = generative_mean(z_t, x_hat, sp, tp, counterterm, out=z_t, scratch=scratch)
+        assert mean is z_t
+        assert np.array_equal(mean, expected)
+
     def test_counterterm_scales_with_lambda_gap(self, schedule, rng):
         """The counterterm contribution shrinks linearly as s -> t."""
         t = 0.6

@@ -218,7 +218,7 @@ class TestDegenerateSchedules:
     def test_sampler_covariance_at_alpha_zero_is_inconclusive(self):
         """At λ_min = −1e308 every grid point but t = 0 has α = 0, so the exact
         posterior-mean readout at point 1 is the data mean for every chain:
-        the covariance rows say so, and their status is unchanged."""
+        the mean and covariance rows say so, and their status is unchanged."""
         schedule = LogLinearSchedule(13.3, -1e308)
         assert schedule.grid(128)[1].alpha == 0.0
         reports = {r.name: r for r in sampler_moment_oracle([0.3, -0.2], 1.0, schedule,
@@ -231,7 +231,7 @@ class TestDegenerateSchedules:
         assert not reports["sampler_cov_00"].passed and not reports["sampler_cov_11"].passed
         assert reports["sampler_cov_01"].passed
         for name in ("sampler_mean_0", "sampler_mean_1"):
-            assert reports[name].passed and reports[name].details == "T=128 n=2000"
+            assert reports[name].passed and reports[name].details == cause
         assert reports["sampler_model_calls"].passed
         assert reports["sampler_model_calls"].details == "one prediction per layer"
 

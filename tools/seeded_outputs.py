@@ -9,7 +9,8 @@ The commands, each writing into its own folder of OUT_DIR:
   then `sample --save-latents --trajectory-every 4`, `eval --profile-out` and
   `heatmap` on its checkpoint;
 - a 40-step trainable `train` on an IDX file of 128 8×8 blob images, then
-  `sample --pixels`, `eval --profile-out` and `heatmap`;
+  `sample --pixels` with and without `--stochastic-decode`, `eval
+  --profile-out` and `heatmap`;
 - `schedule-report`;
 - `verify --quick` at the default λ_max, which must pass, and at 100 and
   400, where exit 1 is accepted: some oracles cannot measure there.
