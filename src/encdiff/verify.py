@@ -5,6 +5,9 @@ Monte-Carlo sampling for the Gaussian KL, high-order quadrature for the
 continuous-time loss limit, central finite differences for reverse-mode
 gradients, grid search for the optimal generative variance, and the exact
 Gaussian posterior for sampler moments.  All runs are seed-deterministic.
+
+A row that cannot measure is a FAIL reading "inconclusive: <cause>", decided in
+_report alone; _measure turns the errors such a schedule raises into that cause.
 """
 
 from __future__ import annotations
@@ -41,25 +44,39 @@ class OracleReport:
                 "pass" if self.passed else "FAIL", self.details)
 
 
-def _degenerate_transition(schedule: LogLinearSchedule, layers, err: ValueError) -> str:
-    """Details for an oracle that err stopped: the first layer i of schedule.grid(T), for
-    (T, indices) in layers and i in indices, whose σ_Q² underflowed to 0 (a Gaussian needs
-    a positive variance, σ_P² a positive σ_Q²).  err again when there is none."""
-    for T, indices in layers:
-        points = schedule.grid(T)
-        for i in indices:
-            sp, tp = points[i - 1], points[i]
-            sigma2_q = transition_coefficients(sp, tp).sigma2_q
-            if not sigma2_q > 0:
-                return (f"inconclusive: degenerate transition s={sp.t:.6g} -> t={tp.t:.6g} "
-                        f"(T={T} layer {i}): sigma2_q={sigma2_q:.3g}")
-    raise err
+def _measure(compute, schedule: LogLinearSchedule | None = None, layers=()):
+    """(compute(), None), or (None, the cause) when compute stops on an error that says the
+    schedule leaves nothing to measure: an overflowing loss sum, a non-finite loss, or a
+    ValueError at the first layer i of schedule.grid(T), for (T, indices) in layers and i in
+    indices, whose σ_Q² underflowed to 0 (a Gaussian needs a positive variance, σ_P² a
+    positive σ_Q²).  Any other error, and a ValueError with no such layer, surfaces."""
+    try:
+        return compute(), None
+    except OverflowError as err:
+        return None, f"the loss sum overflowed ({err})"
+    except NumericsError as err:
+        return None, f"the loss is not finite ({err})"
+    except ValueError:
+        for T, indices in layers:
+            points = schedule.grid(T)
+            for i in indices:
+                sp, tp = points[i - 1], points[i]
+                sigma2_q = transition_coefficients(sp, tp).sigma2_q
+                if not sigma2_q > 0:
+                    return None, (f"degenerate transition s={sp.t:.6g} -> t={tp.t:.6g} "
+                                  f"(T={T} layer {i}): sigma2_q={sigma2_q:.3g}")
+        raise
 
 
 def _report(name: str, measured: float, expected: float, tolerance: float,
-            details: str = "") -> OracleReport:
-    return OracleReport(name, float(measured), float(expected), float(tolerance),
-                        bool(abs(measured - expected) <= tolerance), details)
+            details: str = "", cause: str | None = None) -> OracleReport:
+    """The one rule for a row that cannot measure: with a cause, or a measured value that
+    is not finite (its cause is then details), the row FAILs as inconclusive."""
+    measured = float(measured)
+    cause = cause or (None if math.isfinite(measured) else details)
+    passed = cause is None and bool(abs(measured - expected) <= tolerance)
+    return OracleReport(name, measured, float(expected), float(tolerance), passed,
+                        details if cause is None else f"inconclusive: {cause}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +130,14 @@ class GaussianPosteriorOracle(AnalyticPredictor):
         a, s2, denom = self._coeffs(lam)
         return (a * self.cov_scale * np.asarray(z) + s2 * self.mean) / denom
 
+    def posterior_var(self, lam: float) -> float:
+        """Var(x_i | z_t) = c·σ_t²/(α_t² c + σ_t²)."""
+        _, s2, denom = self._coeffs(lam)
+        return self.cov_scale * s2 / denom
+
     def gap_table(self, s_point: SchedulePoint, t_point: SchedulePoint) -> float:
         coeff = transition_coefficients(s_point, t_point).x_weight
-        _, s2, denom = self._coeffs(t_point.lam)
-        # the posterior variance Var(x_i | z_t) is cov_scale·σ_t²/denom
-        return coeff * coeff * (self.cov_scale * s2 / denom) * self.mean.size
+        return coeff * coeff * self.posterior_var(t_point.lam) * self.mean.size
 
 
 class SmoothVectorPredictor(AnalyticPredictor):
@@ -223,19 +243,14 @@ def continuous_loss_quadrature(model, encoder: Encoder, x: np.ndarray,
 
 
 def _slope_report(name: str, expected: float, tolerance: float, schedule: LogLinearSchedule,
-                  T_list: list[int], total, details) -> OracleReport:
+                  T_list: list[int], total, details, cause: str | None = None) -> OracleReport:
     """The log-log slope of total(T), a sum over the discrete loss's T layers,
-    over T_list, with details(totals); an inconclusive FAIL row when a layer
-    is degenerate or the sum overflows."""
-    try:
-        totals = [total(T) for T in T_list]
-    except OverflowError as err:
-        return OracleReport(name, math.nan, expected, tolerance, False,
-                            f"inconclusive: the loss sum overflowed ({err})")
-    except ValueError as err:
-        layers = ((T, range(1, T + 1)) for T in T_list)
-        return OracleReport(name, math.nan, expected, tolerance, False,
-                            _degenerate_transition(schedule, layers, err))
+    over T_list, with details(totals); none when cause says there is nothing to measure."""
+    if cause is None:
+        totals, cause = _measure(lambda: [total(T) for T in T_list], schedule,
+                                 [(T, range(1, T + 1)) for T in T_list])
+    if cause:
+        return _report(name, math.nan, expected, tolerance, cause=cause)
     slope = float(np.polyfit(np.log(T_list), np.log(totals), 1)[0])
     return _report(name, slope, expected, tolerance, details(totals))
 
@@ -252,13 +267,12 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
         raise ValueError("T_list must be ascending with at least 4 entries")
     l_inf = continuous_loss_quadrature(model, encoder, x, schedule, 8)
     l_inf_2 = continuous_loss_quadrature(model, encoder, x, schedule, 16)
-    if abs(l_inf_2 - l_inf) > 1e-8 * abs(l_inf):
-        return OracleReport("limit_convergence", float("nan"), -1.0, 0.3, False,
-                            details="inconclusive: quadrature unstable under node doubling")
     return _slope_report(
         "limit_convergence", -1.0, 0.3, schedule, T_list,
         lambda T: abs(discrete_diffusion_loss(x, T, model, encoder, schedule).value - l_inf),
-        lambda errs: f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}")
+        lambda errs: f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}",
+        cause=("quadrature unstable under node doubling"
+               if abs(l_inf_2 - l_inf) > 1e-8 * abs(l_inf) else None))
 
 
 def weighted_penalty_growth(x: np.ndarray, model, encoder: Encoder, w: float,
@@ -288,41 +302,33 @@ def optimal_penalty_decay(x: np.ndarray, model, encoder: Encoder,
 
 def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
                           T: int, n_chains: int, seed: int = 0) -> list[OracleReport]:
-    """Ancestral sampling with the exact Gaussian predictor must reproduce the
-    data-generating moments within 4 standard errors (optimal per-step variance)."""
+    """Ancestral sampling with the exact Gaussian predictor (optimal per-step variance)
+    must reproduce its readout's moments within 4 standard errors: x̂ = (α c z + σ² m)/(α² c
+    + σ²) at grid point 1 has mean m and covariance v·I, v = c − Var(x_i | z) there."""
     mean = np.asarray(mean, dtype=np.float64)
     d = mean.size
     oracle = GaussianPosteriorOracle(mean, cov_scale)
     config = SamplerConfig(steps=T, gap_table=oracle.gap_table, counterterm=False, seed=seed)
-    degenerate = None
-    try:
-        out = ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d).x_out
-    except ValueError as err:
-        # the chain steps through layers T..2; every row fails on NaN moments
-        degenerate = _degenerate_transition(schedule, [(T, range(T, 1, -1))], err)
-        out = np.full((2, d), math.nan)
-    mean_details, cov_details = degenerate or f"T={T} n={n_chains}", degenerate or ""
+    out, stopped = _measure(
+        lambda: ancestral_sample(oracle, schedule, config, n_chains=n_chains, d=d).x_out,
+        schedule, [(T, range(T, 1, -1))])  # the chain steps through layers T..2
+    out = np.full((2, d), math.nan) if out is None else out
     readout = schedule.grid(T)[1]
-    if degenerate is None and readout.alpha == 0.0:
-        # x̂ = (α c z + σ² m)/(α² c + σ²) is then m for every chain, so the
-        # moment rows measure the predictor's m, not the chain
-        mean_details = cov_details = (
-            f"inconclusive: alpha=0 at the readout point t={readout.t:.6g} "
-            f"(T={T} point 1), so every chain reads out the data mean")
-    reports = []
-    se_mean = math.sqrt(cov_scale / n_chains)
-    for j in range(d):
-        reports.append(_report(f"sampler_mean_{j}", out[:, j].mean(), mean[j],
-                               4.0 * se_mean, details=mean_details))
+    v = cov_scale - oracle.posterior_var(readout.lam)
+    # with α = 0 every chain reads out m: the rows would measure the predictor, not the chain
+    cause = stopped or (f"alpha=0 at the readout point t={readout.t:.6g} (T={T} point 1), "
+                        "so every chain reads out the data mean" if readout.alpha == 0.0 else None)
+    reports = [_report(f"sampler_mean_{j}", out[:, j].mean(), mean[j],
+                       4.0 * math.sqrt(v / n_chains), f"T={T} n={n_chains}", cause=cause)
+               for j in range(d)]
     cov = np.cov(out.T)
     for j in range(d):
         for k in range(j, d):
-            target = cov_scale if j == k else 0.0
-            se_cov = math.sqrt((cov_scale**2 + (cov_scale**2 if j == k else 0.0)) / n_chains)
-            reports.append(_report(f"sampler_cov_{j}{k}", cov[j, k], target, 4.0 * se_cov,
-                                   details=cov_details))
-    reports.append(OracleReport("sampler_model_calls", oracle.calls, T, 0.0, oracle.calls == T,
-                                degenerate or "one prediction per layer"))
+            target, var = (v, 2.0 * v * v) if j == k else (0.0, v * v)
+            reports.append(_report(f"sampler_cov_{j}{k}", cov[j, k], target,
+                                   4.0 * math.sqrt(var / n_chains), cause=cause))
+    reports.append(_report("sampler_model_calls", oracle.calls, T, 0.0,
+                           "one prediction per layer", cause=stopped))
     return reports
 
 
@@ -340,14 +346,11 @@ def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
         exact = forward_transition(z, encoder.encode(x, tp), encoder.encode(x, sp), sp, tp).mean
         stepped, _ = sde_forward_step(z, s, dt, encoder, x, schedule)
         errs.append(float(np.linalg.norm(stepped - exact)))
-    if min(errs) == 0.0:
-        return OracleReport("sde_richardson", math.nan, 4.0, 0.5, False,
-                            details=f"inconclusive: a forward-step error is 0 at float "
-                                    f"resolution, errs={['%.3e' % e for e in errs]}")
-    ratios = [errs[i] / errs[i + 1] for i in range(2)]
-    measured = float(np.mean(ratios))
-    return _report("sde_richardson", measured, 4.0, 0.5,
-                   details=f"ratios={['%.3f' % r for r in ratios]}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is nan: nothing to measure
+        ratios = np.divide(errs[:2], errs[1:])
+    return _report("sde_richardson", ratios.mean(), 4.0, 0.5,
+                   details=f"errs={['%.3e' % e for e in errs]} "
+                           f"ratios={['%.3f' % r for r in ratios]}")
 
 
 def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: int, seed: int,
@@ -379,12 +382,9 @@ def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: 
     def loss_value() -> float:
         return float(batch_vloss_graph(x, model, encoder, ts, eps, schedule).data)
 
-    try:
-        loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
-    except NumericsError as err:
-        return OracleReport("fd_gradient", math.nan, 0.0, 1e-4, False,
-                            f"inconclusive: the loss is not finite ({err}) "
-                            f"encoder={encoder_kind}")
+    loss, cause = _measure(lambda: batch_vloss_graph(x, model, encoder, ts, eps, schedule))
+    if cause:
+        return _report("fd_gradient", math.nan, 0.0, 1e-4, cause=f"{cause} encoder={encoder_kind}")
     names = store.names()
     grads = store.views(grad(loss, store.tensors()))
 

@@ -873,15 +873,15 @@ class TestVerifyCommand:
 
     def test_extreme_lambda_min_fails_with_every_row(self, tmp_path, capsys):
         """Below λ_min ≈ −1419.6 optimal_penalty_decay's predictor overflows: that
-        oracle is an inconclusive FAIL row, and every other oracle still runs."""
+        oracle is an inconclusive FAIL row, and every other oracle still runs.
+        The sampler's covariance rows pass against the readout's shrunk 0.891."""
         out = str(tmp_path / "verify")
         assert main(["verify", "--quick", "--lambda-min=-1420", "--out-dir", out]) == 1
         assert "Traceback" not in capsys.readouterr().err
         _, rows, _ = read_csv(os.path.join(out, "verify.csv"))
         assert len(rows) == 15
         assert {r[0] for r in rows if r[4] == "FAIL"} == {
-            "limit_convergence", "optimal_penalty_decay", "sampler_cov_00", "sampler_cov_11",
-            "sde_richardson"}
+            "limit_convergence", "optimal_penalty_decay", "sde_richardson"}
         (decay,) = [r for r in rows if r[0] == "optimal_penalty_decay"]
         assert decay[5] == "inconclusive: the loss sum overflowed (math range error)"
 
@@ -899,13 +899,10 @@ class TestVerifyCommand:
         assert trainable[5] == ("inconclusive: the loss is not finite (non-finite values "
                                 "produced by layer 'encoder.in') encoder=trainable")
         assert nt[4] == "pass"
-        covariance = {r[0]: r for r in rows if r[0].startswith("sampler_cov")}
-        assert [r[4] for r in covariance.values()] == ["FAIL", "pass", "FAIL"]
+        moments = [r for r in rows if r[0].startswith(("sampler_mean", "sampler_cov"))]
+        assert len(moments) == 5 and all(r[4] == "FAIL" for r in moments)
         assert all(r[5].startswith("inconclusive: alpha=0 at the readout point")
-                   for r in covariance.values())
-        means = [r for r in rows if r[0].startswith("sampler_mean")]
-        assert [r[4] for r in means] == ["pass", "pass"]
-        assert all(r[5] == covariance["sampler_cov_01"][5] for r in means)
+                   for r in moments)
 
 
 class TestPixelWorkflow:

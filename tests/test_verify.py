@@ -119,6 +119,18 @@ class TestGaussianOracle:
         v_hat = oracle.predict_v(z, lam)
         np.testing.assert_allclose(a * z - s * v_hat, x_hat, rtol=1e-12)
 
+    def test_readout_covariance_is_c_minus_the_posterior_variance(self):
+        """The readout x̂ of chains at the data marginal has covariance
+        c·α²c/(α²c + σ²), which sampler_moment_oracle expects."""
+        oracle = GaussianPosteriorOracle([0.0, 0.0], 0.7)
+        lam = 2.1
+        a2, s2 = logistic(lam), logistic(-lam)
+        v = 0.7 - oracle.posterior_var(lam)
+        assert v == pytest.approx(0.7 * a2 * 0.7 / (a2 * 0.7 + s2), rel=1e-12)
+        point = LogLinearSchedule().grid(128)[1]
+        assert 1.0 - GaussianPosteriorOracle([0.0], 1.0).posterior_var(point.lam) == (
+            pytest.approx(0.999998068, abs=1e-9))
+
     def test_gap_table_positive_and_shrinks(self, schedule):
         oracle = GaussianPosteriorOracle([0.0, 0.0], 1.0)
         g_coarse = oracle.gap_table(schedule.at(0.4), schedule.at(0.6))
@@ -175,9 +187,12 @@ class TestDegenerateSchedules:
 
     @pytest.mark.parametrize("lambda_max", [100.0, 400.0])
     def test_sde_richardson_zero_error_is_inconclusive(self, lambda_max):
+        """0/0 error ratios are nan, so the row is inconclusive and its cause
+        is the oracle's own details."""
         report = sde_richardson_oracle(LogLinearSchedule(lambda_max, -5.0), seed=0)
         assert not report.passed and math.isnan(report.measured)
-        assert report.details.startswith("inconclusive: a forward-step error is 0")
+        assert report.details == ("inconclusive: errs=['0.000e+00', '0.000e+00', '0.000e+00'] "
+                                  "ratios=['nan', 'nan']")
 
     @staticmethod
     def _discrete_oracles(x, schedule):
@@ -218,7 +233,7 @@ class TestDegenerateSchedules:
     def test_sampler_covariance_at_alpha_zero_is_inconclusive(self):
         """At λ_min = −1e308 every grid point but t = 0 has α = 0, so the exact
         posterior-mean readout at point 1 is the data mean for every chain:
-        the mean and covariance rows say so, and their status is unchanged."""
+        the mean and covariance rows are inconclusive FAIL rows that say so."""
         schedule = LogLinearSchedule(13.3, -1e308)
         assert schedule.grid(128)[1].alpha == 0.0
         reports = {r.name: r for r in sampler_moment_oracle([0.3, -0.2], 1.0, schedule,
@@ -226,12 +241,10 @@ class TestDegenerateSchedules:
         cause = ("inconclusive: alpha=0 at the readout point t=0.0078125 (T=128 point 1), "
                  "so every chain reads out the data mean")
         for name in ("sampler_cov_00", "sampler_cov_01", "sampler_cov_11"):
-            assert reports[name].details == cause
             assert abs(reports[name].measured) < 1e-20
-        assert not reports["sampler_cov_00"].passed and not reports["sampler_cov_11"].passed
-        assert reports["sampler_cov_01"].passed
-        for name in ("sampler_mean_0", "sampler_mean_1"):
-            assert reports[name].passed and reports[name].details == cause
+        for name in ("sampler_mean_0", "sampler_mean_1", "sampler_cov_00", "sampler_cov_01",
+                     "sampler_cov_11"):
+            assert not reports[name].passed and reports[name].details == cause
         assert reports["sampler_model_calls"].passed
         assert reports["sampler_model_calls"].details == "one prediction per layer"
 
@@ -392,6 +405,34 @@ class TestGridOracle:
     def test_optimal_variance(self):
         report = optimal_variance_grid_oracle(sigma2_q=0.8, mean_sq_gap=1.2, d=3)
         assert report.passed, report.details
+
+
+def test_sampler_covariance_at_lambda_min_1420_matches_the_readout():
+    """At λ_min = −1420 grid point 1 has λ = 2.10: the readout's covariance
+    is 0.891, not c = 1, and the chain reproduces it."""
+    reports = {r.name: r for r in sampler_moment_oracle(
+        [0.3, -0.2], 1.0, LogLinearSchedule(lambda_min=-1420.0), T=128, n_chains=20_000)}
+    assert all(r.passed for r in reports.values()), [r.row() for r in reports.values()]
+    for name, measured in (("sampler_cov_00", 0.893), ("sampler_cov_11", 0.900)):
+        assert reports[name].measured == pytest.approx(measured, abs=5e-4)
+        assert reports[name].expected == pytest.approx(0.891, abs=5e-4)
+        assert reports[name].tolerance == pytest.approx(0.036, abs=5e-4)
+
+
+@pytest.mark.parametrize("lambda_max", [100.0, 400.0, 700.0])
+@pytest.mark.parametrize("lambda_min", [-1e308, -1420.0, -700.0])
+def test_extreme_endpoints_fail_only_measured_or_inconclusive(lambda_min, lambda_max):
+    """Every oracle still reports at extreme endpoints, and a FAIL row either
+    measured a finite value or says it is inconclusive."""
+    reports = run_all(LogLinearSchedule(lambda_max, lambda_min), quick=True)
+    assert [r.name for r in reports] == [
+        "mc_kl", "mc_kl", "optimal_variance_grid", "limit_convergence",
+        "weighted_penalty_growth", "optimal_penalty_decay", "sampler_mean_0",
+        "sampler_mean_1", "sampler_cov_00", "sampler_cov_01", "sampler_cov_11",
+        "sampler_model_calls", "sde_richardson", "fd_gradient", "fd_gradient"]
+    unexplained = [r.row() for r in reports if not r.passed and not math.isfinite(r.measured)
+                   and not r.details.startswith("inconclusive:")]
+    assert not unexplained
 
 
 def test_run_all_quick_passes(schedule):

@@ -12,8 +12,9 @@ The commands, each writing into its own folder of OUT_DIR:
   `sample --pixels` with and without `--stochastic-decode`, `eval
   --profile-out` and `heatmap`;
 - `schedule-report`;
-- `verify --quick` at the default λ_max, which must pass, and at 100 and
-  400, where exit 1 is accepted: some oracles cannot measure there.
+- `verify --quick` at the default endpoints, which must pass, at λ_max 100
+  and 400, and at λ_min −1420 and −1e308; at these extreme endpoints exit 1
+  is accepted: some oracles cannot measure there.
 
 The script works inside OUT_DIR with relative paths, so the config text that
 checkpoints record does not depend on where OUT_DIR is.  It imports encdiff
@@ -76,12 +77,16 @@ def commands() -> list[list[str]]:
     for lambda_max in ("100", "400"):
         cmds.append(["verify", "--quick", "--lambda-max", lambda_max,
                      "--out-dir", f"verify-lmax{lambda_max}"])
+    for lambda_min in ("-1420", "-1e308"):
+        cmds.append(["verify", "--quick", f"--lambda-min={lambda_min}",
+                     "--out-dir", f"verify-lmin{lambda_min}"])
     return cmds
 
 
 def run(argv: list[str]) -> None:
     """Run one command, its printout kept back unless it fails."""
-    accepted = (EXIT_OK, EXIT_VERIFY_FAILED) if "--lambda-max" in argv else (EXIT_OK,)
+    extreme = any(arg.startswith(("--lambda-max", "--lambda-min")) for arg in argv)
+    accepted = (EXIT_OK, EXIT_VERIFY_FAILED) if extreme else (EXIT_OK,)
     printout = io.StringIO()
     with contextlib.redirect_stdout(printout), contextlib.redirect_stderr(printout):
         code = main(argv)
