@@ -20,25 +20,28 @@ second-order machinery.  The rows at λ, λ + h and λ − h go through the inne
 network as one stacked pass (`_fd_pass`, the only one) whose output is split
 back into row blocks; the v-loss terms, encode_dlambda and dy_dlambda all read
 their y and dy/dλ from it.  The latent term's rows at t = 1 are a separate
-pass: batch_latent_graph (objective.py) is its own loss function, which
-training and evaluation (through latent_loss) call apart from the v-loss.
+pass: batch_latent_graph and latent_loss (objective.py) are their own loss
+function, apart from the v-loss.
 
 Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
-which `loss_terms` returns: the encoded data x_enc as a node, the extra
-residual as a function of the x-prediction x̂, and the encoder's own
-vector-Jacobian rule for the extra, which the v-loss node's hand-written
-backward calls:
+which `loss_terms` returns: the encoded data x_enc, the extra residual as a
+function of the x-prediction x̂, and in graph mode x_enc's node and the
+encoder's own vector-Jacobian rule for the extra, which the v-loss node's
+hand-written backward calls:
 
     identity     None  (no extra term)
     nt           x̂ − x_enc
     trainable    x̂ − x_enc + y − dy/dλ
 
 Only the trainable encoder's x_enc and extra depend on nodes (its inner net's
-stacked pass); the others' x_enc is a constant.  The latent term reads the
-encoded data at t = 1 from `encode_t`, one node over the inner net's node.
-No loss differentiates any other view: `encode` and `y` are the data of
-`encode_t` and `y_t`, each dλ view is a numpy value from one stacked pass,
-and their `_t` forms are constants over them, as for the other encoders.
+stacked pass); the others' x_enc is a constant.  Given buffers from
+`buffers(rows)`, the trainable encoder's `loss_terms` runs the stacked pass
+into them and returns the same values with no node, which is how evaluation
+calls it.  The latent term's graph reads the encoded data at t = 1 from
+`encode_t`, one node over the inner net's node.  No loss differentiates any
+other view: `encode`, `y` and the dλ views are numpy values computed with no
+node, the same bits as the graph views' data, and the dλ views' `_t` forms
+are constants over them, as for the other encoders.
 
 `counterterm` says whether the generative mean carries the counterterm by
 default: off for identity, on for the encoders that move x_t.
@@ -61,15 +64,18 @@ FD_REL_STEP = 1e-3
 class Terms(NamedTuple):
     """An encoder's part in the v-loss.
 
-    x_enc is the encoded data, (B, d), as a node: a constant for the encoders
-    without parameters.  extra maps the x-prediction x̂ (an array) to the
-    encoder's extra residual, x̂ − x_enc plus terms of the encoder's own (None:
-    no extra term).  Those own terms depend on the nodes in parents, and
-    backward(g) returns the parents' gradients from the gradient g on the extra.
+    x_enc is the encoded data, (B, d).  extra maps the x-prediction x̂ (an
+    array) to the encoder's extra residual, x̂ − x_enc plus terms of the
+    encoder's own (None: no extra term).  In graph mode the trainable encoder
+    also gives x_enc's node (None for the encoders without parameters, whose
+    x_enc is a constant) and the nodes its own terms depend on, parents, with
+    backward(g) returning the parents' gradients from the gradient g on the
+    extra.
     """
 
-    x_enc: Tensor
+    x_enc: np.ndarray
     extra: Callable[[np.ndarray], np.ndarray] | None = None
+    node: Tensor | None = None
     parents: tuple[Tensor, ...] = ()
     backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] = lambda g: ()
 
@@ -83,9 +89,12 @@ class IdentityEncoder:
     def __init__(self):
         self.calls = 0
 
+    def buffers(self, rows: int) -> None:
+        return None
+
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
-        return Terms(Tensor(x2))
+                   sigma_sq: np.ndarray, lam_prime: float, buffers: None = None) -> Terms:
+        return Terms(x2)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -111,10 +120,13 @@ class NonTrainableEncoder:
     def __init__(self):
         self.calls = 0
 
+    def buffers(self, rows: int) -> None:
+        return None
+
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
+                   sigma_sq: np.ndarray, lam_prime: float, buffers: None = None) -> Terms:
         x_enc = alpha_sq * x2
-        return Terms(Tensor(x_enc), lambda x_hat: x_hat - x_enc)
+        return Terms(x_enc, lambda x_hat: x_hat - x_enc)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -143,50 +155,56 @@ class TrainableEncoder:
         self.inner = inner_net
         self.calls = 0
 
+    def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Arrays for loss_terms' value form on up to `rows` rows: the inner
+        net's, for its stacked pass over 3·rows."""
+        return self.inner.buffers(3 * rows)
+
     def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float) -> Terms:
-        stacked, y, dy, h = self._fd_pass(x2, lam, lam_prime)
+                   sigma_sq: np.ndarray, lam_prime: float,
+                   buffers: tuple | None = None) -> Terms:
+        """The terms with their nodes; with buffers from `buffers(rows)`, their
+        values alone, computed through them with no node."""
+        stacked, y, dy, h = self._fd_pass(x2, lam, lam_prime, buffers)
+        x_enc = _x_t(x2, y, alpha_sq, sigma_sq)
+        extra = lambda x_hat: x_hat - x_enc + y - dy  # noqa: E731
+        if buffers is not None:
+            return Terms(x_enc, extra)
 
         def extra_backward(g):
             # the encoder's own terms of the extra: y − dy/dλ
             g_up = (-g) * (0.5 / h)
             return (np.concatenate([g, g_up, -g_up]),)
 
-        x_enc = self._x_t(x2, stacked, alpha_sq, sigma_sq)
-        return Terms(x_enc, lambda x_hat: x_hat - x_enc.data + y - dy, (stacked,), extra_backward)
+        return Terms(x_enc, extra, _x_t_node(x_enc, stacked, sigma_sq), (stacked,),
+                     extra_backward)
 
-    def _fd_pass(self, x2: np.ndarray, lam, lam_prime: float):
+    def _fd_pass(self, x2: np.ndarray, lam, lam_prime: float, buffers: tuple | None = None):
         """One pass over x2 stacked at λ, λ + h and λ − h (λ scalar or per row):
-        its node, y, dy/dλ and h."""
+        its node (with buffers from `buffers(rows)`, its output array), y,
+        dy/dλ and h."""
         h = _fd_step(lam_prime)
         lam_rows = np.empty((3, len(x2)))
         lam_rows[0], lam_rows[1], lam_rows[2] = lam, lam + h, lam - h
-        stacked = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel())
-        y, y_up, y_down = stacked.data.reshape(3, len(x2), -1)
+        stacked = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel(), buffers)
+        out = stacked if buffers is not None else stacked.data
+        y, y_up, y_down = out.reshape(3, len(x2), -1)
         return stacked, y, _central_difference(y_up, y_down, h), h
 
-    @staticmethod
-    def _x_t(x2: np.ndarray, inner: Tensor, alpha_sq, sigma_sq) -> Tensor:
-        """x_t = α² x + σ² y as a node on an inner-net node whose first row block
-        is y; the node's other blocks get no gradient from x_t."""
-        n = len(x2)
-
-        def backward(g):
-            g_inner = np.zeros_like(inner.data)
-            g_inner[:n] = g * sigma_sq
-            return (g_inner,)
-
-        return Tensor(x2 * alpha_sq + inner.data[:n] * sigma_sq, _parents=(inner,), _op="encode",
-                      _backward=backward)
+    def _y(self, x2: np.ndarray, lam) -> np.ndarray:
+        """y(x2, λ) as values, through buffers of this call."""
+        return self.inner.forward(x2, lam, self.inner.buffers(len(x2)))
 
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return self.inner.forward(np.atleast_2d(x), point.lam)
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        return _shaped_like(x, self.y_t(x, point).data)
+        return _shaped_like(x, self._y(np.atleast_2d(x), point.lam))
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        return _shaped_like(x, self._fd_pass(np.atleast_2d(x), point.lam, point.lam_prime)[2])
+        x2 = np.atleast_2d(x)
+        return _shaped_like(x, self._fd_pass(x2, point.lam, point.lam_prime,
+                                             self.buffers(len(x2)))[2])
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return Tensor(self.dy_dlambda(x, point))
@@ -194,21 +212,43 @@ class TrainableEncoder:
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         self.calls += 1
         x2 = np.atleast_2d(x)
-        return self._x_t(x2, self.y_t(x2, point), point.alpha_sq, point.sigma_sq)
+        inner = self.y_t(x2, point)
+        return _x_t_node(_x_t(x2, inner.data, point.alpha_sq, point.sigma_sq), inner,
+                         point.sigma_sq)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        return _shaped_like(x, self.encode_t(x, point).data)
+        self.calls += 1
+        x2 = np.atleast_2d(x)
+        return _shaped_like(x, _x_t(x2, self._y(x2, point.lam), point.alpha_sq, point.sigma_sq))
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""
         self.calls += 1
         x2 = np.atleast_2d(x)
-        _, y, dy, _ = self._fd_pass(x2, point.lam, point.lam_prime)
+        _, y, dy, _ = self._fd_pass(x2, point.lam, point.lam_prime, self.buffers(len(x2)))
         a2s2 = point.alpha_sq * point.sigma_sq
         return _shaped_like(x, a2s2 * x2 + point.sigma_sq * dy - a2s2 * y)
 
     def encode_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return Tensor(self.encode_dlambda(x, point))
+
+
+def _x_t(x2: np.ndarray, y: np.ndarray, alpha_sq, sigma_sq) -> np.ndarray:
+    """The trainable encoder's x_t = α² x + σ² y."""
+    return x2 * alpha_sq + y * sigma_sq
+
+
+def _x_t_node(x_t: np.ndarray, inner: Tensor, sigma_sq) -> Tensor:
+    """x_t as a node on an inner-net node whose first row block is the y it
+    was made from; the node's other blocks get no gradient from x_t."""
+    n = len(x_t)
+
+    def backward(g):
+        g_inner = np.zeros_like(inner.data)
+        g_inner[:n] = g * sigma_sq
+        return (g_inner,)
+
+    return Tensor(x_t, _parents=(inner,), _op="encode", _backward=backward)
 
 
 Encoder = IdentityEncoder | NonTrainableEncoder | TrainableEncoder

@@ -9,11 +9,14 @@ A graph-mode MLP call (`MLP.forward`) is one node on the autodiff record, with
 a hand-written backward that does the arithmetic of the composed
 matmul/add/tanh graph in the same order, so values and gradients are
 bit-identical to that graph's.  An array input is a constant that makes no
-Tensor.  A value-mode call (`MLP.values`, which the sampler runs through
-`DenoiserNet.predictor`) records nothing and writes every array into buffers
-allocated once by its caller.  Both run one layer loop, `MLP._layers`, so
-their values are bit-identical.  Either call checks every layer's
-pre-activation, so also a non-finite input, and names the layer.
+Tensor.  A value-mode call (`MLP.values`, the buffers form of
+`DenoiserNet.forward` and `EncoderInnerNet.forward`) records nothing and
+writes every array into buffers allocated once by its caller: the sampler's
+`DenoiserNet.predictor`, and evaluation, which runs the denoiser and the
+encoder's inner net this way and so makes no Tensor.  Both run one layer
+loop, `MLP._layers`, so their values are bit-identical.  Either call checks
+every layer's pre-activation, so also a non-finite input, and names the
+layer.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -251,13 +254,14 @@ class MLP:
                 np.empty((rows, width)), np.empty((rows, self.d_in)))
 
     def values(self, x: np.ndarray, lam, buffers: tuple) -> np.ndarray:
-        """The forward pass's values for x (rows, d_in) computed into `buffers`
-        (from `buffers(rows)`); records no node and returns the output buffer.
+        """The forward pass's values for x (B, d_in) computed into the first B
+        rows of `buffers` (from `buffers(rows)`, rows ≥ B); records no node and
+        returns the output buffer's rows.
 
         Bit-identical to `forward(x, lam).data`.  With no Tensor to check the
         output, the output layer is checked and named here.
         """
-        features, *rest = buffers
+        features, *rest = (b[:len(x)] for b in buffers)
         features[:, :self.d_in] = x
         features[:, self.d_in:] = sinusoidal_embedding(lam)
         _, out = self._layers([p.data for p in self.params], features, buffers=rest)
@@ -326,18 +330,22 @@ class DenoiserNet:
 
     def forward(self, z: Tensor | np.ndarray, lam, buffers: tuple | None = None
                 ) -> Tensor | np.ndarray:
-        """v̂(z, λ) as one recorded node; with buffers from `net.buffers(rows)`,
-        its values computed into them as an array, recording nothing.
+        """v̂(z, λ) as one recorded node; with buffers from `buffers(rows)`, its
+        values computed into them as an array, recording nothing.
 
-        The buffers form exists for `predictor` alone.  It keeps every
-        denoiser evaluation, recorded or not, a call of this method, which is
-        what the benchmark's span tracer (perfbench/tracer.py) counts as a
-        model call.
+        The buffers form serves `predictor` and evaluation's v-loss.  It keeps
+        every denoiser evaluation, recorded or not, a call of this method,
+        which is what the benchmark's span tracer (perfbench/tracer.py) counts
+        as a model call.
         """
         self.calls += 1
         if buffers is None:
             return self.net.forward(z, lam)
         return self.net.values(z, lam, buffers)
+
+    def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Arrays for the buffers form of `forward` on up to `rows` rows."""
+        return self.net.buffers(rows)
 
     def predict_v(self, z: np.ndarray, lam) -> np.ndarray:
         """Inference-mode v̂ for numpy input of shape (d,) or (B, d)."""
@@ -356,7 +364,7 @@ class DenoiserNet:
         result is the same array each call, overwritten by the next.  Its values
         are bit-identical to predict_x's.
         """
-        buffers = self.net.buffers(rows)
+        buffers = self.buffers(rows)
         x_hat = np.empty((rows, self.d))
 
         def predict_x(z: np.ndarray, lam) -> np.ndarray:
@@ -380,5 +388,14 @@ class EncoderInnerNet:
         rng = np.random.default_rng(seed)
         self.net = MLP(self.store, "encoder", d, width, rng)
 
-    def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
-        return self.net.forward(x, lam)
+    def forward(self, x: Tensor | np.ndarray, lam, buffers: tuple | None = None
+                ) -> Tensor | np.ndarray:
+        """y(x, λ) as one recorded node; with buffers from `buffers(rows)`, its
+        values computed into them as an array, recording nothing."""
+        if buffers is None:
+            return self.net.forward(x, lam)
+        return self.net.values(x, lam, buffers)
+
+    def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
+        """Arrays for the buffers form of `forward` on up to `rows` rows."""
+        return self.net.buffers(rows)

@@ -96,8 +96,8 @@ def ancestral_sample(
 ) -> SampleResult:
     """Run n_chains independent reverse chains; exactly `steps` model calls each.
 
-    A model without a `predictor(rows)`, such as verify's analytic models, is
-    called through its `predict_x`.
+    A model without a `predictor(rows)`, such as verify's z-free analytic
+    models, is called through its `predict_x`.
     """
     rng = np.random.default_rng(config.seed)
     T = config.steps

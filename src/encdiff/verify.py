@@ -125,10 +125,21 @@ class GaussianPosteriorOracle(AnalyticPredictor):
         denom = a2 * self.cov_scale + s2
         return math.sqrt(a2), s2, denom
 
-    def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
+    def predict_x(self, z: np.ndarray, lam: float, out: np.ndarray | None = None) -> np.ndarray:
+        """E[x | z] for z (d,) or (B, d), into out if given; σ² m is added one
+        column at a time, cheaper than broadcasting its row over B rows."""
         self.calls += 1
         a, s2, denom = self._coeffs(lam)
-        return (a * self.cov_scale * np.asarray(z) + s2 * self.mean) / denom
+        out = np.multiply(z, a * self.cov_scale, out=out)
+        for j, m_j in enumerate(self.mean):
+            out[..., j] += s2 * m_j
+        return np.divide(out, denom, out=out)
+
+    def predictor(self, rows: int):
+        """predict_x for (rows, d) latents, into one buffer allocated here that
+        each call overwrites."""
+        out = np.empty((rows, self.mean.size))
+        return lambda z, lam: self.predict_x(z, lam, out)
 
     def posterior_var(self, lam: float) -> float:
         """Var(x_i | z_t) = c·σ_t²/(α_t² c + σ_t²)."""

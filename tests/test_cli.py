@@ -1045,7 +1045,8 @@ def test_two_inner_passes_per_trainable_training_step(tmp_path, monkeypatch):
     passes = []
     forward = EncoderInnerNet.forward
     monkeypatch.setattr(EncoderInnerNet, "forward",
-                        lambda net, x, lam: passes.append(len(x)) or forward(net, x, lam))
+                        lambda net, x, lam, *buffers: passes.append(len(x))
+                        or forward(net, x, lam, *buffers))
 
     def passes_made(steps: int) -> list[int]:
         passes.clear()

@@ -225,6 +225,20 @@ class TestFusedLossNodes:
                                             schedule).data[:, 0]
         assert _vloss_draws(x, model, enc, ts, eps, schedule).tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_eval_draws_of_an_analytic_model_match_composed_graph_bitwise(self, kind,
+                                                                         schedule, rng):
+        """A model without buffers is called on z as a constant node, in the
+        same blocks."""
+        _, enc, _ = self._model(kind, rng)
+        x = rng.uniform(-1, 1, size=3)
+        model = SmoothVectorPredictor(0.5 * x)
+        ts = rng.uniform(0.0, 1.0, size=EVAL_ROWS + 9)
+        eps = rng.standard_normal((EVAL_ROWS + 9, 3))
+        reference = composed.vloss_per_item(np.broadcast_to(x, eps.shape), model, enc, ts, eps,
+                                            schedule).data[:, 0]
+        assert _vloss_draws(x, model, enc, ts, eps, schedule).tobytes() == reference.tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_value_names_the_node(self, schedule, rng):
         class Huge(AnalyticPredictor):
@@ -430,6 +444,26 @@ class TestReconstructionLoss:
         log_probs = pixel_categorical_log_probs(z0, p0.alpha, p0.sigma_sq)
         sums = np.exp(log_probs).sum(axis=1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigma_sq", ["schedule", 1e-4, 1.0])
+    def test_log_probs_are_the_full_log_sum_exp_bitwise(self, sigma_sq, schedule, rng):
+        """exp is skipped only where it is exactly +0.0: the log-probs, and the
+        reconstruction loss picked from the logits, are the bits of the plain
+        log-sum-exp over all 256 levels."""
+        p0 = schedule.at(0.0)
+        s2 = p0.sigma_sq if sigma_sq == "schedule" else sigma_sq
+        pixels = rng.integers(0, 256, size=(3, 40))
+        z0 = p0.alpha * scale_pixels(pixels) + math.sqrt(s2) * rng.standard_normal((3, 40))
+        logits = -((z0.ravel()[:, None] - p0.alpha * scale_pixels(np.arange(256))[None, :]) ** 2
+                   ) / (2.0 * s2)
+        m = logits.max(axis=1, keepdims=True)
+        full = logits - (m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True)))
+        got = pixel_categorical_log_probs(z0.ravel(), p0.alpha, s2)
+        assert got.tobytes() == full.tobytes()
+        if sigma_sq == "schedule":
+            picked = full[np.arange(pixels.size), pixels.ravel()].reshape(3, 40)
+            assert reconstruction_loss(pixels, z0, schedule) == float(
+                np.mean(-picked.sum(axis=1)))
 
     def test_concentration_point(self, schedule):
         """z_0 placed exactly at a level's mean: that level wins, loss < 1e-6."""
@@ -656,19 +690,64 @@ class TestBatchedEvalMatchesPerDrawLoop:
         assert r_batch.uniform() == r_loop.uniform()
 
 
+def _tensors_made(call) -> int:
+    start = Tensor(0.0).node_id
+    call()
+    return Tensor(0.0).node_id - start - 1
+
+
 @pytest.mark.parametrize("make", ENCODER_FACTORIES)
 def test_elbo_bpd_tensors_do_not_grow_with_draws(make, schedule, rng):
-    """All draws of one call share one graph: a per-draw graph would make the
-    Tensor count grow with n_mc."""
+    """Evaluation runs on values: elbo_bpd makes no Tensor at all, whatever n_mc,
+    the block count (EVAL_ROWS) and the encoder."""
     model, enc = _random_model(d=3), make()
     pixels = rng.integers(0, 256, size=3)
+    for n_mc in (8, 128, EVAL_ROWS + 5):
+        assert _tensors_made(lambda: elbo_bpd(pixels, model, enc, schedule, n_mc,
+                                              np.random.default_rng(0))) == 0
 
-    def tensors_made(n_mc):
-        start = Tensor(0.0).node_id
-        elbo_bpd(pixels, model, enc, schedule, n_mc, np.random.default_rng(0))
-        return Tensor(0.0).node_id - start - 1
 
-    assert tensors_made(8) == tensors_made(128)
+@pytest.mark.parametrize("make", ENCODER_FACTORIES)
+def test_t_profile_and_latent_loss_make_no_tensors(make, schedule, rng):
+    model, enc = _random_model(d=3), make()
+    x = rng.uniform(-1, 1, size=(5, 3))
+    assert _tensors_made(lambda: t_profile(x[0], model, enc, schedule, np.array([0.2, 0.7]),
+                                           EVAL_ROWS // 2 + 3, np.random.default_rng(0))) == 0
+    assert _tensors_made(lambda: latent_loss(x, enc, schedule)) == 0
+    assert _tensors_made(lambda: latent_loss(x[0], enc, schedule)) == 0
+
+
+class TestValuePathNumerics:
+    """Evaluation records no node, so its own checks name what went non-finite:
+    the v-loss and latent values by op, and each network layer by name."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_vloss_and_latent_name_the_op(self, schedule, rng):
+        class Huge(AnalyticPredictor):
+            def predict_x(self, z, lam):
+                return np.full_like(np.asarray(z), 1e200)
+
+        x = rng.uniform(-1, 1, size=3)
+        with pytest.raises(NumericsError, match="op 'vloss'"):
+            elbo_bpd(x, Huge(), make_encoder("identity"), schedule, 8, rng, pixel_data=False)
+        with pytest.raises(NumericsError, match="op 'vloss'"):
+            continuous_vloss(x, Huge(), make_encoder("identity"), 0.5, rng.standard_normal(3),
+                             schedule)
+        with pytest.raises(NumericsError, match="op 'latent'"):
+            latent_loss(np.full(3, 1e200), NonTrainableEncoder(), schedule)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("net, layer", [("denoiser", "denoiser.in"),
+                                            ("encoder", "encoder.in")])
+    def test_nonfinite_layer_is_named(self, net, layer, schedule, rng):
+        model, enc = _random_model(d=3), _random_trainable(d=3)
+        store = model.store if net == "denoiser" else enc.inner.store
+        store.params[f"{net}.in.b"].data = np.full(16, 1e308)
+        store.params[f"{net}.in.w"].data = np.full((19, 16), 1e308)
+        with pytest.raises(NumericsError, match=f"layer '{layer}'"):
+            _vloss_draws(rng.uniform(-1, 1, size=3), model, enc, rng.uniform(0.0, 1.0, 9),
+                         rng.standard_normal((9, 3)), schedule)
 
 
 class TestMonteCarloEstimate:

@@ -156,11 +156,11 @@ class TestAncestral:
         class RecordingOracle(GaussianPosteriorOracle):
             """Records the moments of the latents it is asked to denoise."""
 
-            def predict_x(self, z, lam):
+            def predict_x(self, z, lam, out=None):
                 # a call's input has taken one step per earlier call
                 if self.calls % 16 == 1:
                     snapshots.append((lam, z.mean(axis=0), z.var(axis=0)))
-                return super().predict_x(z, lam)
+                return super().predict_x(z, lam, out)
 
         oracle = RecordingOracle(mean, c)
         config = SamplerConfig(steps=128, gap_table=oracle.gap_table, seed=2)

@@ -131,6 +131,24 @@ class TestGaussianOracle:
         assert 1.0 - GaussianPosteriorOracle([0.0], 1.0).posterior_var(point.lam) == (
             pytest.approx(0.999998068, abs=1e-9))
 
+    def test_predictor_writes_predict_x_into_one_buffer(self, rng):
+        """The sampler's in-place call: the closed form's bits, one buffer that
+        every call overwrites, and each call counted."""
+        mean, c = np.array([0.3, -0.2, 0.05]), 0.7
+        oracle = GaussianPosteriorOracle(mean, c)
+        predict_x = oracle.predictor(64)
+        first = None
+        for lam in (-4.0, 0.3, 6.5):
+            z = rng.standard_normal((64, 3))
+            a, s2 = math.sqrt(logistic(lam)), logistic(-lam)
+            expected = (a * c * z + s2 * mean) / (a * a * c + s2)
+            got = predict_x(z, lam)
+            assert got.tobytes() == expected.tobytes()
+            assert oracle.predict_x(z, lam).tobytes() == expected.tobytes()
+            first = got if first is None else first
+            assert got is first
+        assert oracle.calls == 6
+
     def test_gap_table_positive_and_shrinks(self, schedule):
         oracle = GaussianPosteriorOracle([0.0, 0.0], 1.0)
         g_coarse = oracle.gap_table(schedule.at(0.4), schedule.at(0.6))
