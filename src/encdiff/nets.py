@@ -5,18 +5,18 @@ embedding of the log-SNR λ (8 frequencies on a geometric ladder).  Output
 layers are zero-initialized, so at initialization the denoiser predicts v̂ = 0
 and the inner encoder network contributes nothing.
 
-A graph-mode MLP call (`MLP.forward`) is one node on the autodiff record, with
-a hand-written backward that does the arithmetic of the composed
-matmul/add/tanh graph in the same order, so values and gradients are
-bit-identical to that graph's.  An array input is a constant that makes no
-Tensor.  A value-mode call (`MLP.values`, the buffers form of
-`DenoiserNet.forward` and `EncoderInnerNet.forward`) records nothing and
-writes every array into buffers allocated once by its caller: the sampler's
-`DenoiserNet.predictor`, and evaluation, which runs the denoiser and the
-encoder's inner net this way and so makes no Tensor.  Both run one layer
-loop, `MLP._layers`, so their values are bit-identical.  Either call checks
-every layer's pre-activation, so also a non-finite input, and names the
-layer.
+A value-mode call (`MLP.values`, the buffers form of `DenoiserNet.forward` and
+`EncoderInnerNet.forward`) records nothing and writes every array into buffers
+allocated once by its caller.  Every inference call runs this way:
+`DenoiserNet.predict_v`, `predict_x` and `predictor`, and evaluation's
+denoiser and inner-net passes.  A graph-mode call (`MLP.forward`) serves the
+training losses alone: one node on the autodiff record, with a hand-written
+backward that does the arithmetic of the composed matmul/add/tanh graph in the
+same order, so values and gradients are bit-identical to that graph's.  An
+array input is a constant that makes no Tensor.  Both run one layer loop,
+`MLP._layers`, so their values are bit-identical; it checks each hidden
+layer's pre-activation and the output, so also a non-finite input, and names
+the layer.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -221,8 +221,9 @@ class MLP:
         """The MLP's arithmetic with parameter values data on input features h
         (B, d_in + 2·N_FREQUENCIES).
 
-        Each hidden layer's pre-activation is checked and named, and every
-        hidden layer after the first adds its tanh output to its input.
+        Each hidden layer's pre-activation and the output are checked and
+        named, and every hidden layer after the first adds its tanh output to
+        its input.
         Returns the last hidden state and the output.  With buffers (pre, hidden,
         out) from `buffers`, every array is written into them; without, each is
         a new array, and `saved` collects each hidden layer's (input, tanh
@@ -244,7 +245,16 @@ class MLP:
             h = h_next
         out = np.matmul(h, data[-2], out=out)
         np.add(out, data[-1], out=out)
+        if not all_finite(out):
+            raise NumericsError(f"non-finite values produced by layer '{self.prefix}.out'")
         return h, out
+
+    def _checked(self, x) -> np.ndarray:
+        """x as a float64 array, which must have shape (B, d_in)."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.d_in:
+            raise ValueError(f"expected input of shape (B, {self.d_in}), got {x.shape}")
+        return x
 
     def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
         """Arrays for `values` on `rows` input rows: the input features, one
@@ -256,18 +266,12 @@ class MLP:
     def values(self, x: np.ndarray, lam, buffers: tuple) -> np.ndarray:
         """The forward pass's values for x (B, d_in) computed into the first B
         rows of `buffers` (from `buffers(rows)`, rows ≥ B); records no node and
-        returns the output buffer's rows.
-
-        Bit-identical to `forward(x, lam).data`.  With no Tensor to check the
-        output, the output layer is checked and named here.
+        returns the output buffer's rows.  Bit-identical to `forward(x, lam).data`.
         """
         features, *rest = (b[:len(x)] for b in buffers)
-        features[:, :self.d_in] = x
+        features[:, :self.d_in] = self._checked(x)
         features[:, self.d_in:] = sinusoidal_embedding(lam)
-        _, out = self._layers([p.data for p in self.params], features, buffers=rest)
-        if not all_finite(out):
-            raise NumericsError(f"non-finite values produced by layer '{self.prefix}.out'")
-        return out
+        return self._layers([p.data for p in self.params], features, buffers=rest)[1]
 
     def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
         """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,).
@@ -277,9 +281,7 @@ class MLP:
         the record (made by an op or requiring a gradient).
         """
         node = x if isinstance(x, Tensor) else None
-        x = np.asarray(x if node is None else x.data, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.d_in:
-            raise ValueError(f"expected input of shape (B, {self.d_in}), got {x.shape}")
+        x = self._checked(x if node is None else x.data)
         emb = sinusoidal_embedding(lam)
         if emb.shape[0] == 1 and x.shape[0] > 1:
             emb = np.broadcast_to(emb, (x.shape[0], emb.shape[1]))
@@ -330,13 +332,13 @@ class DenoiserNet:
 
     def forward(self, z: Tensor | np.ndarray, lam, buffers: tuple | None = None
                 ) -> Tensor | np.ndarray:
-        """v̂(z, λ) as one recorded node; with buffers from `buffers(rows)`, its
-        values computed into them as an array, recording nothing.
+        """v̂(z, λ) as one recorded node, for training; with buffers from
+        `buffers(rows)`, its values computed into them as an array, recording
+        nothing.
 
-        The buffers form serves `predictor` and evaluation's v-loss.  It keeps
-        every denoiser evaluation, recorded or not, a call of this method,
-        which is what the benchmark's span tracer (perfbench/tracer.py) counts
-        as a model call.
+        The buffers form serves every inference call.  It keeps every denoiser
+        evaluation, recorded or not, a call of this method, which is what the
+        benchmark's span tracer (perfbench/tracer.py) counts as a model call.
         """
         self.calls += 1
         if buffers is None:
@@ -348,11 +350,11 @@ class DenoiserNet:
         return self.net.buffers(rows)
 
     def predict_v(self, z: np.ndarray, lam) -> np.ndarray:
-        """Inference-mode v̂ for numpy input of shape (d,) or (B, d)."""
-        z = np.asarray(z, dtype=np.float64)
-        single = z.ndim == 1
-        out = self.forward(z[None, :] if single else z, lam).data
-        return out[0] if single else out
+        """v̂ for numpy input of shape (d,) or (B, d), through the buffers form
+        of `forward` into buffers of its own; records nothing."""
+        z2 = np.atleast_2d(z)
+        out = self.forward(z2, lam, self.buffers(len(z2)))
+        return out[0] if np.ndim(z) == 1 else out
 
     def predict_x(self, z: np.ndarray, lam) -> np.ndarray:
         return _x_from_v(np.asarray(z), self.predict_v(z, lam), lam)

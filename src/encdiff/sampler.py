@@ -12,12 +12,13 @@ x̂ readout at the grid's point 1 followed by the categorical decode (argmax per
 pixel unless stochastic decoding is requested), which avoids the degenerate
 last ancestral step.
 
-The chain records nothing and allocates no array of its own size per step: a
-DenoiserNet runs through its `predictor`, into buffers allocated once per
-call, and z is updated in place: `process.generative_mean` writes μ_P over it
-and the noise is drawn into one buffer with `standard_normal(out=...)`, which
-continues the generator's stream as a fresh draw would.  The samples are the
-same bits as a chain of recorded denoiser calls and new arrays.
+The chain records nothing and allocates no array of its own size per step:
+the model runs through its `predictor(rows)`, a DenoiserNet's into buffers
+allocated once per call, and z is updated in place: `process.generative_mean`
+writes μ_P over it and the noise is drawn into one buffer with
+`standard_normal(out=...)`, which continues the generator's stream as a fresh
+draw would.  The samples are the same bits as a chain of `predict_x` calls and
+new arrays.
 
 The reverse SDE uses drift f − g²∇log p with f = (d log α/dt)·z,
 g² = −λ'σ_t², and the score proxy ∇log p(z) = −ε̂/σ_t.  The forward SDE has
@@ -94,16 +95,13 @@ def ancestral_sample(
     pixel_decode: bool = False,
     trajectory_every: int = 0,
 ) -> SampleResult:
-    """Run n_chains independent reverse chains; exactly `steps` model calls each.
-
-    A model without a `predictor(rows)`, such as verify's z-free analytic
-    models, is called through its `predict_x`.
-    """
+    """Run n_chains independent reverse chains; exactly `steps` model calls each,
+    through the model's `predictor(n_chains)`."""
     rng = np.random.default_rng(config.seed)
     T = config.steps
     z = rng.standard_normal((n_chains, d))
     noise = np.empty_like(z)
-    predict_x = model.predictor(n_chains) if hasattr(model, "predictor") else model.predict_x
+    predict_x = model.predictor(n_chains)
     trajectory = []
     points = schedule.grid(T)
     for i in range(T, 1, -1):

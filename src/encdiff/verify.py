@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, grad
+from .autodiff import grad
 from .config import RunConfig
 from .encoder import Encoder, IdentityEncoder, NonTrainableEncoder
 from .errors import NumericsError
@@ -86,8 +86,8 @@ def _report(name: str, measured: float, expected: float, tolerance: float,
 class AnalyticPredictor:
     """A closed-form x̂(z, λ); subclasses define predict_x.
 
-    It answers the calls the losses make of DenoiserNet: v̂ follows from x̂
-    through x̂ = α z − σ v̂, and the graph-mode forward enters as a constant.
+    It answers DenoiserNet's inference protocol (objective.py), with no graph
+    form: v̂ follows from x̂ through x̂ = α z − σ v̂.
     """
 
     z_independent = True
@@ -96,10 +96,18 @@ class AnalyticPredictor:
         p = point_from_lam(lam)
         return (p.alpha * np.asarray(z) - self.predict_x(z, lam)) / p.sigma
 
-    def forward(self, z: Tensor, lam: np.ndarray) -> Tensor:
+    def buffers(self, rows: int) -> None:
+        """No buffers: `forward` makes its own arrays."""
+        return None
+
+    def forward(self, z: np.ndarray, lam: np.ndarray, buffers: None) -> np.ndarray:
+        """v̂ of each row of z (B, d) at its own λ of lam (B,)."""
         # one scalar λ at a time: predict_x takes a scalar
-        return Tensor(np.stack([self.predict_v(z.data[i], float(lam_i))
-                                for i, lam_i in enumerate(lam)]))
+        return np.stack([self.predict_v(z[i], float(lam_i)) for i, lam_i in enumerate(lam)])
+
+    def predictor(self, rows: int):
+        """x̂ for (rows, d) latents: predict_x itself."""
+        return self.predict_x
 
 
 class GaussianPosteriorOracle(AnalyticPredictor):
@@ -396,45 +404,35 @@ def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: 
     loss, cause = _measure(lambda: batch_vloss_graph(x, model, encoder, ts, eps, schedule))
     if cause:
         return _report("fd_gradient", math.nan, 0.0, 1e-4, cause=f"{cause} encoder={encoder_kind}")
-    names = store.names()
-    grads = store.views(grad(loss, store.tensors()))
-
-    denoiser_coords = []
-    encoder_coords = []
-    for name in names:
-        bucket = encoder_coords if name.startswith("encoder") else denoiser_coords
-        for idx in np.ndindex(store.params[name].data.shape):
-            bucket.append((name, idx))
-    # stratify so the loss path through the encoder's dλ estimator is probed
-    probe: list[tuple] = []
-    if encoder_coords:
-        k = min(n_coords // 2, len(encoder_coords))
-        probe.extend(encoder_coords[i] for i in
-                     rng.choice(len(encoder_coords), size=k, replace=False))
-    k = min(n_coords - len(probe), len(denoiser_coords))
-    probe.extend(denoiser_coords[i] for i in
-                 rng.choice(len(denoiser_coords), size=k, replace=False))
+    grads = grad(loss, store.tensors())  # laid out like store.flat
+    # each coordinate of store.flat as name(index), in its order
+    coords = [f"{name}{idx}" for name, param in store.params.items()
+              for idx in np.ndindex(param.data.shape)]
+    on_encoder = np.array([coord.startswith("encoder") for coord in coords])
+    # stratify so the loss path through the encoder's dλ estimator is probed: the
+    # encoder's coordinates first, then the denoiser's up to n_coords in all
+    probe: list[int] = []
+    for span, share in ((np.flatnonzero(on_encoder), n_coords // 2),
+                        (np.flatnonzero(~on_encoder), n_coords)):
+        if span.size:
+            k = min(share - len(probe), span.size)
+            probe.extend(span[rng.choice(span.size, size=k, replace=False)])
     max_rel = 0.0
     worst = ""
-    n_enc_probed = 0
-    for name, idx in probe:
-        if name.startswith("encoder"):
-            n_enc_probed += 1
-        tensor = store.params[name]
-        orig = tensor.data[idx]
-        tensor.data[idx] = orig + h
+    for i in probe:
+        orig = store.flat[i]
+        store.flat[i] = orig + h
         up = loss_value()
-        tensor.data[idx] = orig - h
+        store.flat[i] = orig - h
         down = loss_value()
-        tensor.data[idx] = orig
+        store.flat[i] = orig
         fd = (up - down) / (2.0 * h)
-        an = grads[name][idx]
-        rel = abs(fd - an) / max(abs(fd), abs(an), 1e-6)
+        rel = abs(fd - grads[i]) / max(abs(fd), abs(grads[i]), 1e-6)
         if rel > max_rel:
             max_rel = rel
-            worst = f"{name}{idx}"
+            worst = coords[i]
     return _report("fd_gradient", max_rel, 0.0, 1e-4,
-                   details=f"coords={len(probe)} encoder_coords={n_enc_probed} "
+                   details=f"coords={len(probe)} encoder_coords={on_encoder[probe].sum()} "
                            f"worst={worst} encoder={encoder_kind}")
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from encdiff.autodiff import Tensor
 from encdiff.encoder import FD_REL_STEP, IdentityEncoder, NonTrainableEncoder
 from encdiff.nets import N_HIDDEN, MLP, sinusoidal_embedding
+from encdiff.verify import AnalyticPredictor
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -181,7 +182,10 @@ def vloss_per_item(x2, model, encoder, ts, eps2, schedule) -> Ref:
     lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(ts)
     x_enc, extra = loss_terms(encoder, x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
     z = alpha * x_enc + sigma * eps2
-    v_hat = ref(model.forward(z, lam))
+    if isinstance(model, AnalyticPredictor):
+        v_hat = Ref(model.forward(z.data, lam, None))  # a constant: it has no graph form
+    else:
+        v_hat = ref(model.forward(z, lam))
     v = alpha * eps2 - sigma * x_enc
     resid = v - v_hat
     if extra is not None:

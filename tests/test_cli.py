@@ -885,6 +885,8 @@ class TestVerifyCommand:
         (decay,) = [r for r in rows if r[0] == "optimal_penalty_decay"]
         assert decay[5] == "inconclusive: the loss sum overflowed (math range error)"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_embedding_fails_with_every_row(self, tmp_path, capsys):
         """At λ_min = −1e308 the trainable encoder's λ embedding overflows: its
         fd_gradient row is an inconclusive FAIL that names the layer, and every

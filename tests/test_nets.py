@@ -160,7 +160,7 @@ class TestFusedMLP:
         net = DenoiserNet(d=3, width=8, seed=0)
         w = net.store.params["denoiser.out.w"]
         w.data = np.full(w.data.shape, 1e308)
-        with pytest.raises(NumericsError, match="op 'mlp' \\(tensor 'denoiser.out'\\)"):
+        with pytest.raises(NumericsError, match="layer 'denoiser.out'"):
             net.predict_v(rng.standard_normal(shape), 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

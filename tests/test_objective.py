@@ -40,7 +40,9 @@ from encdiff.process import (
 )
 from encdiff.schedule import LogLinearSchedule
 from encdiff.train import build_model
-from encdiff.verify import AnalyticPredictor, SmoothVectorPredictor, continuous_loss_quadrature
+from encdiff.sampler import SamplerConfig, ancestral_sample, sde_step
+from encdiff.verify import (AnalyticPredictor, GaussianPosteriorOracle, SmoothVectorPredictor,
+                            continuous_loss_quadrature)
 
 
 def _random_model(d=3, width=16, seed=0, scale=0.2) -> DenoiserNet:
@@ -228,8 +230,7 @@ class TestFusedLossNodes:
     @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
     def test_eval_draws_of_an_analytic_model_match_composed_graph_bitwise(self, kind,
                                                                          schedule, rng):
-        """A model without buffers is called on z as a constant node, in the
-        same blocks."""
+        """An analytic model's v̂ is its value form, in the same blocks."""
         _, enc, _ = self._model(kind, rng)
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(0.5 * x)
@@ -241,13 +242,12 @@ class TestFusedLossNodes:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_value_names_the_node(self, schedule, rng):
-        class Huge(AnalyticPredictor):
-            def predict_x(self, z, lam):
-                return np.full_like(np.asarray(z), 1e200)
-
+        model = DenoiserNet(d=3, width=8, seed=0)
+        bias = model.store.params["denoiser.out.b"]
+        bias.data = np.full(bias.data.shape, 1e200)
         x = rng.uniform(-1, 1, size=(4, 3))
         with pytest.raises(NumericsError, match="op 'vloss'"):
-            batch_vloss_graph(x, Huge(), make_encoder("identity"), rng.uniform(0.0, 1.0, 4),
+            batch_vloss_graph(x, model, make_encoder("identity"), rng.uniform(0.0, 1.0, 4),
                               rng.standard_normal((4, 3)), schedule)
         with pytest.raises(NumericsError, match="op 'latent'"):
             batch_latent_graph(np.full((4, 3), 1e200), NonTrainableEncoder(), schedule)
@@ -715,6 +715,31 @@ def test_t_profile_and_latent_loss_make_no_tensors(make, schedule, rng):
                                            EVAL_ROWS // 2 + 3, np.random.default_rng(0))) == 0
     assert _tensors_made(lambda: latent_loss(x, enc, schedule)) == 0
     assert _tensors_made(lambda: latent_loss(x[0], enc, schedule)) == 0
+
+
+@pytest.mark.parametrize("make", ENCODER_FACTORIES)
+def test_inference_is_off_the_tape(make, schedule, rng):
+    """Only the training losses record nodes: every other call of a DenoiserNet
+    or an analytic model runs on values, and an analytic model's value form is
+    its predict_v, row by row, bit for bit."""
+    model, enc = _random_model(d=3), make()
+    x, z = rng.uniform(-1, 1, size=3), rng.standard_normal((5, 3))
+    for call in (lambda: model.predict_v(z[0], 0.3), lambda: model.predict_v(z, 0.3),
+                 lambda: model.predict_x(z[0], 0.3), lambda: model.predict_x(z, 0.3),
+                 lambda: continuous_xloss(x, model, enc, 0.4, z[0], schedule),
+                 lambda: discrete_step_terms(x, 16, model, enc, schedule,
+                                             rng=np.random.default_rng(0)),
+                 lambda: sde_step(z, 0.5, -0.01, model, schedule, np.random.default_rng(0))):
+        assert _tensors_made(call) == 0
+    ts = rng.uniform(0.0, 1.0, size=9)
+    for analytic in (SmoothVectorPredictor(0.5 * x), GaussianPosteriorOracle(0.5 * x, 0.7)):
+        assert _tensors_made(lambda: _vloss_draws(x, analytic, enc, ts, z[:1].repeat(9, 0),
+                                                  schedule)) == 0
+        assert _tensors_made(lambda: ancestral_sample(analytic, schedule, SamplerConfig(steps=8),
+                                                      n_chains=5, d=3)) == 0
+        lam = schedule.columns(ts[:5])[0]
+        rows = [analytic.predict_v(z[i], lam[i]) for i in range(5)]
+        assert analytic.forward(z, lam, analytic.buffers(5)).tobytes() == np.stack(rows).tobytes()
 
 
 class TestValuePathNumerics:

@@ -23,7 +23,8 @@ from encdiff.sampler import (
 )
 from encdiff.schedule import LogLinearSchedule, logistic, point_from_lam
 from encdiff.train import build_model
-from encdiff.verify import GaussianPosteriorOracle, sampler_moment_oracle, sde_richardson_oracle
+from encdiff.verify import (AnalyticPredictor, GaussianPosteriorOracle, sampler_moment_oracle,
+                            sde_richardson_oracle)
 
 
 class _ZeroRng:
@@ -33,8 +34,10 @@ class _ZeroRng:
         return np.zeros(shape if shape is not None else ())
 
 
-class _ZeroScoreModel:
+class _ZeroScoreModel(AnalyticPredictor):
     """x̂ = z/α, so ε̂ = 0 and the score term vanishes."""
+
+    z_independent = False
 
     def __init__(self):
         self.calls = 0
@@ -63,7 +66,9 @@ class _ShiftedGrid(LogLinearSchedule):
         return [dataclasses.replace(p, lam=p.lam + 0.25) for p in super().grid(T)]
 
 
-class _ExplodingModel:
+class _ExplodingModel(AnalyticPredictor):
+    z_independent = False
+
     def __init__(self):
         self.calls = 0
 

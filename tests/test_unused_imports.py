@@ -1,11 +1,13 @@
 """Every name a module of the package imports is used in that module, every
-import is at module level, and every module-level function and class is used
-in the package."""
+import is at module level, and every module-level function and class, and
+every method, is used in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from test_bench_targets import _load_tracer
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "encdiff"
 ALL_MODULES = sorted(SRC.glob("*.py"))
@@ -110,3 +112,29 @@ def test_every_function_and_class_is_referenced():
     assert not unreferenced, f"defined but never used in the package: {', '.join(unreferenced)}"
     stale = sorted(name for name in UNREFERENCED_API if name in referenced or name not in defined)
     assert not stale, f"allowlisted but used in the package or gone: {', '.join(stale)}"
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Each name read in node, bare or as an attribute, with its count."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_method_is_referenced():
+    """A method that nothing in the package calls is surface the package does not
+    need.  Python calls the special methods; the only others kept are the names
+    the benchmark's tracer wraps (perfbench/tracer.py's TARGETS), which it needs
+    defined.  A read inside the method's own definition does not count."""
+    pinned = {path.rpartition(".")[2] for _, path, *_ in _load_tracer().TARGETS}
+    reads = Counter()
+    methods = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads += _reads(tree)
+        methods += [(f"{path.name}:{cls.name}.{f.name}", f) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef) for f in cls.body
+                    if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__"))]
+    unreferenced = sorted(where for where, f in methods
+                          if reads[f.name] == _reads(f)[f.name] and f.name not in pinned)
+    assert not unreferenced, f"methods never used in the package: {', '.join(unreferenced)}"
