@@ -145,9 +145,6 @@ class ParamStore:
         """Each parameter's span of a buffer laid out like `flat`, in its shape."""
         return _views(flat, self._layout)
 
-    def names(self) -> list[str]:
-        return list(self.params.keys())
-
     def tensors(self) -> list[Tensor]:
         return list(self.params.values())
 

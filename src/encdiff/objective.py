@@ -319,23 +319,20 @@ def discrete_step_terms(
     encoder: Encoder,
     schedule: LogLinearSchedule,
     w: float | str = 1.0,
-    rng: np.random.Generator | None = None,
     counterterm: bool | None = None,
 ) -> list[StepTerm]:
     """Per-layer KL terms of the discrete loss on schedule.grid(T), each point encoded once.
 
     w is the variance ratio σ_Q²/σ_P² of every layer, or OPTIMAL for each
-    layer's optimum σ_P² = σ_Q² + gap/d, which needs the exact gap of a
-    z-independent model.  With rng=None (z-independent models only) the
-    z-expectation is closed-form and the result is deterministic; otherwise
-    one z-draw per layer.  counterterm=None follows the encoder's.
+    layer's optimum σ_P² = σ_Q² + gap/d.  The model must be z-independent, so
+    the z-expectation is closed-form (z_t = α_t x_t) and the terms exact.
+    counterterm=None follows the encoder's.
     """
     if T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
     optimal = _is_optimal(w)
-    if (rng is None or optimal) and not model.z_independent:
-        raise ValueError("the exact sum and the optimal weight need a z-independent "
-                         "prediction model")
+    if not model.z_independent:
+        raise ValueError("the exact discrete loss needs a z-independent prediction model")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     if counterterm is None:
@@ -345,8 +342,7 @@ def discrete_step_terms(
     x_t = encoder.encode(x, points[0])
     for sp, tp in zip(points, points[1:]):
         x_s, x_t = x_t, encoder.encode(x, tp)
-        mean_t = tp.alpha * x_t
-        z_t = mean_t if rng is None else mean_t + tp.sigma * rng.standard_normal(d)
+        z_t = tp.alpha * x_t
         x_hat = model.predict_x(z_t, tp.lam)
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
         mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
@@ -366,19 +362,9 @@ def discrete_diffusion_loss(
     encoder: Encoder,
     schedule: LogLinearSchedule,
     w: float | str = 1.0,
-    rng: np.random.Generator | None = None,
-    counterterm: bool | None = None,
-    n_passes: int = 1,
-) -> MonteCarloEstimate:
-    """Sum over layers of the per-layer KL, one z-draw per layer per pass.
-
-    With rng=None the sum is exact and takes one pass, whatever n_passes.
-    """
-    totals = []
-    for _ in range(1 if rng is None else n_passes):
-        terms = discrete_step_terms(x, T, model, encoder, schedule, w, rng, counterterm)
-        totals.append(sum(term.kl for term in terms))
-    return mc_estimate(np.array(totals))
+) -> float:
+    """The exact sum over layers of the per-layer KL (discrete_step_terms)."""
+    return float(sum(term.kl for term in discrete_step_terms(x, T, model, encoder, schedule, w)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,19 +170,21 @@ class SmoothVectorPredictor(AnalyticPredictor):
         return 0.9 * math.tanh(lam / 6.0) * self.x0 + 0.05
 
 
-class ConstantEpsErrorPredictor(AnalyticPredictor):
-    """x̂(λ) = x + ε₀ e^{−λ/2} u: a predictor whose noise-space error is the
-    constant vector ε₀·u at every λ.  Makes the per-layer optimal-variance
-    ratio uniform across layers, the cleanest demonstration of the vanishing
-    weighting penalty."""
+EPS0 = 0.1  # ε₀ of ConstantEpsErrorPredictor
 
-    def __init__(self, x: np.ndarray, u: np.ndarray, eps0: float = 0.1):
+
+class ConstantEpsErrorPredictor(AnalyticPredictor):
+    """x̂(λ) = x + ε₀ e^{−λ/2} u, ε₀ = EPS0: a predictor whose noise-space error
+    is the constant vector ε₀·u at every λ.  Makes the per-layer
+    optimal-variance ratio uniform across layers, the cleanest demonstration of
+    the vanishing weighting penalty."""
+
+    def __init__(self, x: np.ndarray, u: np.ndarray):
         self.x = np.asarray(x, dtype=np.float64)
         self.u = np.asarray(u, dtype=np.float64)
-        self.eps0 = eps0
 
     def predict_x(self, z: np.ndarray, lam: float) -> np.ndarray:
-        return self.x + self.eps0 * math.exp(-lam / 2.0) * self.u
+        return self.x + EPS0 * math.exp(-lam / 2.0) * self.u
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +193,10 @@ class ConstantEpsErrorPredictor(AnalyticPredictor):
 
 # draws mc_kl_oracle makes and scores at once, which bounds its working memory
 MC_KL_ROWS = 4096
+# the largest of sde_richardson_oracle's three forward steps
+SDE_DT0 = 1e-2
+# data dimension and network width of fd_gradient_suite's model
+FD_D, FD_WIDTH = 2, 16
 
 
 def mc_kl_oracle(q: GaussianParams, p: GaussianParams, n: int, seed: int) -> OracleReport:
@@ -288,7 +294,7 @@ def limit_convergence(model, encoder: Encoder, x: np.ndarray, T_list: list[int],
     l_inf_2 = continuous_loss_quadrature(model, encoder, x, schedule, 16)
     return _slope_report(
         "limit_convergence", -1.0, 0.3, schedule, T_list,
-        lambda T: abs(discrete_diffusion_loss(x, T, model, encoder, schedule).value - l_inf),
+        lambda T: abs(discrete_diffusion_loss(x, T, model, encoder, schedule) - l_inf),
         lambda errs: f"L_inf={l_inf:.6e} errs={['%.3e' % e for e in errs]}",
         cause=("quadrature unstable under node doubling"
                if abs(l_inf_2 - l_inf) > 1e-8 * abs(l_inf) else None))
@@ -352,15 +358,16 @@ def sampler_moment_oracle(mean, cov_scale: float, schedule: LogLinearSchedule,
 
 
 def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
-                          s: float = 0.37, dt0: float = 1e-2) -> OracleReport:
-    """Richardson check: halving dt must quarter the forward-step mean error."""
+                          s: float = 0.37) -> OracleReport:
+    """Richardson check: halving dt must quarter the forward-step mean error,
+    over steps SDE_DT0, SDE_DT0/2 and SDE_DT0/4 from t = s."""
     rng = np.random.default_rng(seed)
     d = 3
     x = rng.uniform(-1.0, 1.0, size=d)
     z = rng.standard_normal(d)
     encoder = NonTrainableEncoder()
     errs = []
-    for dt in (dt0, dt0 / 2.0, dt0 / 4.0):
+    for dt in (SDE_DT0, SDE_DT0 / 2.0, SDE_DT0 / 4.0):
         sp, tp = schedule.at(s), schedule.at(s + dt)
         exact = forward_transition(z, encoder.encode(x, tp), encoder.encode(x, sp), sp, tp).mean
         stepped, _ = sde_forward_step(z, s, dt, encoder, x, schedule)
@@ -372,31 +379,33 @@ def sde_richardson_oracle(schedule: LogLinearSchedule, seed: int = 0,
                            f"ratios={['%.3f' % r for r in ratios]}")
 
 
-def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: int, seed: int,
-                      d: int = 2, width: int = 16) -> OracleReport:
+def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: int,
+                      seed: int) -> OracleReport:
     """Central-difference check of reverse-mode gradients of the training loss.
 
     Probes >= n_coords randomly chosen parameter coordinates of a small model
-    with randomly initialized (non-zero) output layers, including the encoder
-    path through the finite-difference dy/dλ estimator.  Each probe's central
-    difference steps the coordinate by ±1e-5.  Coordinates below 1e-6 in
-    magnitude are compared against that floor.  A loss that is not finite at
-    this schedule (λ·frequency overflowing the embedding, say) makes an
-    inconclusive FAIL row.
+    (data dimension FD_D, networks FD_WIDTH wide) with randomly initialized
+    (non-zero) output layers, including the encoder path through the
+    finite-difference dy/dλ estimator.  Each probe's central difference steps
+    the coordinate by ±1e-5.  Coordinates below 1e-6 in magnitude are compared
+    against that floor.  A loss that is not finite at this schedule
+    (λ·frequency overflowing the embedding, say) makes an inconclusive FAIL
+    row.
     """
     h = 1e-5
     rng = np.random.default_rng(seed)
     model, encoder, store = build_model(
-        RunConfig(encoder=encoder_kind, denoiser_width=width, encoder_width=width, seed=seed), d)
+        RunConfig(encoder=encoder_kind, denoiser_width=FD_WIDTH, encoder_width=FD_WIDTH,
+                  seed=seed), FD_D)
     # zero-initialized output layers would zero out most gradients; randomize them
     for name, tensor in store.params.items():
         if name.endswith("out.w") or name.endswith("out.b"):
             tensor.data = 0.1 * rng.standard_normal(tensor.data.shape)
 
     B = 4
-    x = rng.uniform(-1.0, 1.0, size=(B, d))
+    x = rng.uniform(-1.0, 1.0, size=(B, FD_D))
     ts = rng.uniform(0.05, 0.95, size=B)
-    eps = rng.standard_normal((B, d))
+    eps = rng.standard_normal((B, FD_D))
 
     def loss_value() -> float:
         return float(batch_vloss_graph(x, model, encoder, ts, eps, schedule).data)
@@ -462,7 +471,7 @@ def run_all(schedule: LogLinearSchedule | None = None, seed: int = 0,
     T_list = [16, 32, 64, 128] if quick else [16, 32, 64, 128, 256, 512]
     reports.append(limit_convergence(smooth, nt, x, T_list, schedule))
     reports.append(weighted_penalty_growth(x, smooth, nt, 2.0, T_list, schedule))
-    ceps = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3), eps0=0.1)
+    ceps = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3))
     decay_T = [64, 128, 256, 512] if quick else [64, 128, 256, 512, 1024]
     reports.append(optimal_penalty_decay(x, ceps, IdentityEncoder(), decay_T, schedule))
 

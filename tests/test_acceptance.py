@@ -161,7 +161,7 @@ def test_criterion_4_continuous_limit_convergence():
     conv = limit_convergence(smooth, nt, x, [16, 32, 64, 128, 256, 512], SCHEDULE)
     growth = weighted_penalty_growth(x, smooth, nt, 2.0, [16, 32, 64, 128, 256, 512],
                                      SCHEDULE)
-    ceps = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3), eps0=0.1)
+    ceps = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3))
     decay = optimal_penalty_decay(x, ceps, IdentityEncoder(),
                                   [64, 128, 256, 512, 1024], SCHEDULE)
     _line(4, conv.passed and growth.passed and decay.passed,
@@ -237,9 +237,9 @@ def test_criterion_5_parameterization_identities():
 
 def test_criterion_6_gradient_correctness():
     t0 = time.time()
-    rep_tr = fd_gradient_suite(d=2, width=16, n_coords=250, seed=6, schedule=SCHEDULE,
+    rep_tr = fd_gradient_suite(n_coords=250, seed=6, schedule=SCHEDULE,
                                encoder_kind="trainable")
-    rep_nt = fd_gradient_suite(d=2, width=16, n_coords=150, seed=7, schedule=SCHEDULE,
+    rep_nt = fd_gradient_suite(n_coords=150, seed=7, schedule=SCHEDULE,
                                encoder_kind="nt")
     enc_probed = "encoder_coords=125" in rep_tr.details
     _line(6, rep_tr.passed and rep_nt.passed and enc_probed,
@@ -334,7 +334,7 @@ def test_criterion_9_reconstruction_latent_closed_forms():
 
 def test_criterion_10_sde_consistency():
     t0 = time.time()
-    reports = [sde_richardson_oracle(SCHEDULE, seed=seed, s=s, dt0=1e-2)
+    reports = [sde_richardson_oracle(SCHEDULE, seed=seed, s=s)
                for seed, s in ((0, 0.37), (1, 0.2), (2, 0.6))]
     ok = all(r.passed for r in reports)
     ratios = ", ".join(f"{r.measured:.2f}" for r in reports)

@@ -688,7 +688,7 @@ def test_readme_library_example_runs():
     (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
-    assert namespace["loss_w2"].value > namespace["loss_opt"].value
+    assert namespace["loss_w2"] > namespace["loss_opt"]
 
 
 class TestEvalCommand:

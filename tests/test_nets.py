@@ -245,7 +245,7 @@ class TestParamStore:
         store.add_many({"w": np.ones(2)})
         with pytest.raises(NumericsError):
             store.add_many({"bad": np.array([1.0, np.nan])})
-        assert store.names() == ["w"] and store.flat.size == 2
+        assert list(store.params) == ["w"] and store.flat.size == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_load_rejects_non_finite_arrays_before_copying(self, bad):

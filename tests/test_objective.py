@@ -306,8 +306,8 @@ class TestDiscreteLoss:
         model = _PerfectIdentityModel(x)
         enc = make_encoder("identity")
         for T in (1, 4, 32):
-            est = discrete_diffusion_loss(x, T, model, enc, schedule)
-            assert est.value == pytest.approx(0.0, abs=1e-18)
+            assert discrete_diffusion_loss(x, T, model, enc, schedule) == pytest.approx(
+                0.0, abs=1e-18)
 
     def test_fixed_w1_equals_unit_bitwise(self, schedule, rng):
         """w = 1.0 is the unweighted KL with σ_P² = σ_Q², bit for bit."""
@@ -349,39 +349,27 @@ class TestDiscreteLoss:
             discrete_diffusion_loss(x, 0, _PerfectIdentityModel(x), make_encoder("identity"),
                                     schedule)
 
-    def test_exact_needs_z_free_model(self, schedule):
-        x = np.zeros(2)
+    @pytest.mark.parametrize("w", [1.0, 2.0, OPTIMAL])
+    @pytest.mark.parametrize("loss", [discrete_step_terms, discrete_diffusion_loss],
+                             ids=lambda f: f.__name__)
+    def test_exact_loss_needs_z_free_model(self, schedule, rng, loss, w):
+        """The exact z-expectation, and with it every weight, needs a model whose
+        prediction does not depend on z."""
+        x = rng.uniform(-1, 1, size=2)
         model = DenoiserNet(d=2, width=8)
-        with pytest.raises(ValueError):
-            discrete_diffusion_loss(x, 4, model, make_encoder("identity"), schedule)
+        with pytest.raises(ValueError, match="z-independent"):
+            loss(x, 4, model, make_encoder("identity"), schedule, w)
 
     def test_counterterm_default_tracks_encoder(self, schedule, rng):
         """Identity runs without the counterterm; the damping encoder with it."""
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
-        default = discrete_diffusion_loss(x, 8, model, enc, schedule)
-        explicit_on = discrete_diffusion_loss(x, 8, model, enc, schedule, counterterm=True)
-        explicit_off = discrete_diffusion_loss(x, 8, model, enc, schedule, counterterm=False)
-        assert default.value == explicit_on.value
-        assert default.value != explicit_off.value
-
-    def test_mc_passes_track_exact(self, schedule, rng):
-        """Stochastic per-layer draws agree with the z-free exact sum within 4 SE."""
-        x = rng.uniform(-1, 1, size=3)
-        model = SmoothVectorPredictor(x)
-        enc = NonTrainableEncoder()
-        exact = discrete_diffusion_loss(x, 32, model, enc, schedule)
-        mc = discrete_diffusion_loss(x, 32, model, enc, schedule,
-                                     rng=np.random.default_rng(0), n_passes=32)
-        assert abs(mc.value - exact.value) < 4 * mc.std_error + 1e-9
-
-    def test_optimal_weight_needs_gap_for_neural_models(self, schedule, rng):
-        x = rng.uniform(-1, 1, size=2)
-        model = DenoiserNet(d=2, width=8)
-        with pytest.raises(ValueError):
-            discrete_diffusion_loss(x, 4, model, make_encoder("identity"), schedule,
-                                    OPTIMAL, rng=np.random.default_rng(0))
+        default = discrete_step_terms(x, 8, model, enc, schedule)
+        explicit_on = discrete_step_terms(x, 8, model, enc, schedule, counterterm=True)
+        explicit_off = discrete_step_terms(x, 8, model, enc, schedule, counterterm=False)
+        assert default == explicit_on
+        assert default != explicit_off
 
     def test_step_terms_structure(self, schedule, rng):
         x = rng.uniform(-1, 1, size=3)
@@ -727,8 +715,6 @@ def test_inference_is_off_the_tape(make, schedule, rng):
     for call in (lambda: model.predict_v(z[0], 0.3), lambda: model.predict_v(z, 0.3),
                  lambda: model.predict_x(z[0], 0.3), lambda: model.predict_x(z, 0.3),
                  lambda: continuous_xloss(x, model, enc, 0.4, z[0], schedule),
-                 lambda: discrete_step_terms(x, 16, model, enc, schedule,
-                                             rng=np.random.default_rng(0)),
                  lambda: sde_step(z, 0.5, -0.01, model, schedule, np.random.default_rng(0))):
         assert _tensors_made(call) == 0
     ts = rng.uniform(0.0, 1.0, size=9)

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-import is at module level, and every module-level function and class, and
-every method, is used in the package."""
+import is at module level, every module-level function and class, and every
+method, is used in the package, and every defaulted parameter takes a second
+value there."""
 
 import ast
 from collections import Counter
@@ -114,27 +115,109 @@ def test_every_function_and_class_is_referenced():
     assert not stale, f"allowlisted but used in the package or gone: {', '.join(stale)}"
 
 
-def _reads(node: ast.AST) -> Counter:
-    """Each name read in node, bare or as an attribute, with its count."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _attribute_reads(node: ast.AST) -> Counter:
+    """Each name read in node as an attribute, obj.name, with its count."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
 def test_every_method_is_referenced():
     """A method that nothing in the package calls is surface the package does not
-    need.  Python calls the special methods; the only others kept are the names
-    the benchmark's tracer wraps (perfbench/tracer.py's TARGETS), which it needs
-    defined.  A read inside the method's own definition does not count."""
-    pinned = {path.rpartition(".")[2] for _, path, *_ in _load_tracer().TARGETS}
+    need.  A method is only ever called as obj.name, so only attribute reads
+    count: a local variable of the same name does not.  Python calls the special
+    methods; the only others kept are the methods the benchmark's tracer wraps
+    (perfbench/tracer.py's TARGETS), which it needs defined.  A read inside the
+    method's own definition does not count."""
+    pinned = {path for _, path, *_ in _load_tracer().TARGETS}
     reads = Counter()
     methods = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        reads += _reads(tree)
-        methods += [(f"{path.name}:{cls.name}.{f.name}", f) for cls in ast.walk(tree)
+        reads += _attribute_reads(tree)
+        methods += [(path.name, f"{cls.name}.{f.name}", f) for cls in ast.walk(tree)
                     if isinstance(cls, ast.ClassDef) for f in cls.body
                     if isinstance(f, ast.FunctionDef)
                     and not (f.name.startswith("__") and f.name.endswith("__"))]
-    unreferenced = sorted(where for where, f in methods
-                          if reads[f.name] == _reads(f)[f.name] and f.name not in pinned)
+    unreferenced = sorted(f"{module}:{name}" for module, name, f in methods
+                          if reads[f.name] == _attribute_reads(f)[f.name] and name not in pinned)
     assert not unreferenced, f"methods never used in the package: {', '.join(unreferenced)}"
+
+
+# defaulted parameters that no call in the package sets, each kept for a caller outside it
+ONE_VALUE_PARAMETERS = {
+    "objective.discrete_diffusion_loss.w": "README's weighted-loss example sets the paper's "
+                                           "weight w",
+    "verify.sde_richardson_oracle.s": "acceptance criterion 10 runs s = 0.37, 0.2 and 0.6",
+    "cli.main.argv": "the console script calls main() with none, the tests with theirs",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None, str]]:
+    """Each defaulted parameter of fn: its name, its position in a call (None for
+    keyword-only; a method's self or cls takes none) and its default's dump."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(arg.arg, i - bound, ast.dump(default)) for i, (arg, default)
+           in enumerate(zip(positional[first:], fn.args.defaults), start=first)]
+    return out + [(arg.arg, None, ast.dump(default))
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                  if default is not None]
+
+
+def _callee(call: ast.Call, cls: ast.ClassDef | None) -> str | None:
+    """The name a call reaches a definition by: f(...), obj.f(...), a class's
+    name for its __init__, and super().__init__(...) for the base class's."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "__init__" and isinstance(func.value, ast.Call) and cls is not None:
+        base = cls.bases[0]
+        return base.id if isinstance(base, ast.Name) else base.attr
+    return func.attr
+
+
+def _walk_calls(node: ast.AST, cls: ast.ClassDef | None = None):
+    """(callee, call) for each call in node, knowing the class it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield _callee(child, cls), child
+        yield from _walk_calls(child, child if isinstance(child, ast.ClassDef) else cls)
+
+
+def test_every_defaulted_parameter_takes_a_second_value():
+    """A defaulted parameter that every call in the package leaves at its default,
+    or sets to the same literal, is an option with one value in use: a constant.
+    A call sets it by keyword or by position; a call of a class's name, or
+    super().__init__ in a subclass, sets its __init__'s."""
+    params = []  # (callee name, where, parameter, position, default)
+    calls = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module = path.stem
+        calls += _walk_calls(tree)
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                params += [(fn.name, f"{module}.{fn.name}", *p) for p in _defaulted(fn, False)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                params += [(cls.name if fn.name == "__init__" else fn.name,
+                            f"{module}.{cls.name}.{fn.name}", *p)
+                           for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                           for p in _defaulted(fn, True)]
+
+    def set_by(call: ast.Call, name: str, position: int | None, default: str) -> bool:
+        given = [kw.value for kw in call.keywords if kw.arg == name]
+        if position is not None and position < len(call.args) \
+                and not any(isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+            given.append(call.args[position])
+        return any(ast.dump(value) != default for value in given)
+
+    one_value = {f"{where}.{name}" for callee, where, name, position, default in params
+                 if not any(set_by(call, name, position, default)
+                            for c, call in calls if c == callee)}
+    unlisted = sorted(one_value - ONE_VALUE_PARAMETERS.keys())
+    assert not unlisted, f"parameters with one value in use: {', '.join(unlisted)}"
+    stale = sorted(ONE_VALUE_PARAMETERS.keys() - one_value)
+    assert not stale, f"allowlisted but set in the package or gone: {', '.join(stale)}"

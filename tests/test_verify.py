@@ -187,7 +187,7 @@ class TestConvergenceOracles:
 
     def test_optimal_penalty_decay_slope(self, schedule, rng):
         x = rng.uniform(-1, 1, size=3)
-        model = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3), eps0=0.1)
+        model = ConstantEpsErrorPredictor(x, rng.uniform(-1, 1, size=3))
         report = optimal_penalty_decay(x, model, IdentityEncoder(),
                                        [64, 128, 256, 512, 1024], schedule)
         assert report.passed, report.details
@@ -352,7 +352,7 @@ class TestFdGradientSuite:
         ts = rng.uniform(0.05, 0.95, size=4)
         eps = rng.standard_normal((4, 2))
         is_enc = np.concatenate([np.full(store.params[name].data.size, name.startswith("encoder"))
-                                 for name in store.names()])
+                                 for name in store.params])
         enc_flat, den_flat = np.flatnonzero(is_enc), np.flatnonzero(~is_enc)
         after_setup = rng.bit_generator.state
         probed = set()
@@ -399,7 +399,7 @@ class TestFdGradientSuite:
         x = rng.uniform(-1, 1, size=(2, 2))
         loss = batch_vloss_graph(x, model, make_encoder("identity"),
                                  np.array([0.3, 0.7]), rng.standard_normal((2, 2)), schedule)
-        enc_names = [n for n in store.names() if n.startswith("encoder")]
+        enc_names = [n for n in store.params if n.startswith("encoder")]
         assert enc_names
         with pytest.raises(UnusedParameterError) as info:
             grad(loss, store.tensors())
