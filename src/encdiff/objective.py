@@ -43,7 +43,13 @@ s_k² the sample variance of stratum k.
 The discrete-T loss sums, over the layers of `LogLinearSchedule.grid(T)`, KL
 divergences between the reverse posterior and the generative transition, with
 an optional unequal-variance weighting: a variance ratio w = σ_Q²/σ_P²
-contributes (d/2)(w − 1 − log w) per layer on top of the mean-gap term.
+contributes (d/2)(w − 1 − log w) per layer on top of the mean-gap term.  Each
+point is encoded once: `encode` runs per point and the model's `predict_x` per
+layer, since both take one point (the analytic models' math.exp and math.tanh
+are not numpy's bits).  The rest, the reverse-posterior and generative means,
+σ_P², the KL and the penalty, runs once over all layers through the process
+helpers' layer axis, the same bits as one layer at a time.  An error at layer
+k surfaces only when the algebra of the layers before k raises none.
 """
 
 from __future__ import annotations
@@ -64,9 +70,10 @@ from .process import (
     kl_isotropic,
     optimal_sigma_p,
     reverse_posterior,
+    squared_gap,
     weighting_penalty,
 )
-from .schedule import LogLinearSchedule, SchedulePoint
+from .schedule import LogLinearSchedule, SchedulePoint, stack
 
 LN2 = math.log(2.0)
 
@@ -77,20 +84,17 @@ class MonteCarloEstimate:
 
     value: float
     std_error: float
-    n_samples: int
 
     def __post_init__(self):
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
 
 
 def mc_estimate(values: np.ndarray) -> MonteCarloEstimate:
     values = np.asarray(values, dtype=np.float64)
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MonteCarloEstimate(value=float(values.mean()), std_error=se, n_samples=n)
+    return MonteCarloEstimate(value=float(values.mean()), std_error=se)
 
 
 def _stratified_times(u: np.ndarray) -> np.ndarray:
@@ -118,7 +122,7 @@ def stratified_estimate(draws: np.ndarray) -> MonteCarloEstimate:
     tail = draws[last:]
     dev = tail - tail.mean()
     var = (gaps @ gaps + dev @ dev * tail.size / (tail.size - 1)) / (n * n)
-    return MonteCarloEstimate(value=float(draws.mean()), std_error=math.sqrt(var), n_samples=n)
+    return MonteCarloEstimate(value=float(draws.mean()), std_error=math.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -337,22 +341,35 @@ def discrete_step_terms(
     d = x.size
     if counterterm is None:
         counterterm = encoder.counterterm
-    terms: list[StepTerm] = []
     points = schedule.grid(T)
-    x_t = encoder.encode(x, points[0])
-    for sp, tp in zip(points, points[1:]):
-        x_s, x_t = x_t, encoder.encode(x, tp)
-        z_t = tp.alpha * x_t
-        x_hat = model.predict_x(z_t, tp.lam)
+    x_enc, z, x_hat = np.empty((T + 1, d)), np.empty((T, d)), np.empty((T, d))
+
+    def layer_terms(n: int) -> tuple[np.ndarray, ...]:
+        """(kl, penalty, w), each (n, 1), of the first n layers, all at once."""
+        sp, tp = stack(points[:n]), stack(points[1:n + 1])
+        x_s, x_t, z_t = x_enc[:n], x_enc[1:n + 1], z[:n]
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
-        mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
-        sigma2_p = (optimal_sigma_p(q.var, float(np.sum((mu_p - q.mean) ** 2)), d)
-                    if optimal else q.var / w)
+        mu_p = generative_mean(z_t, x_hat[:n], sp, tp, counterterm=counterterm)
+        sigma2_p = optimal_sigma_p(q.var, squared_gap(mu_p, q.mean), d) if optimal else q.var / w
         w_layer = q.var / sigma2_p
         kl = kl_isotropic(q, GaussianParams(mean=mu_p, var=sigma2_p), d)
-        terms.append(StepTerm(s=sp.t, t=tp.t, kl=kl, penalty=weighting_penalty(w_layer, d),
-                              w=w_layer))
-    return terms
+        return kl, weighting_penalty(w_layer, d), w_layer
+
+    # the model and the encoder take one point at a time; the layer each call
+    # belongs to decides, as for a loop over layers, which error surfaces first
+    n = 0  # layers whose end points are encoded and whose x̂ is predicted
+    try:
+        x_enc[0] = encoder.encode(x, points[0])
+        for n, tp in enumerate(points[1:]):
+            x_enc[n + 1] = encoder.encode(x, tp)
+            z[n] = tp.alpha * x_enc[n + 1]
+            x_hat[n] = model.predict_x(z[n], tp.lam)
+    except Exception:
+        if n:
+            layer_terms(n)  # a ValueError of an earlier layer comes first
+        raise
+    rows = np.hstack(layer_terms(T)).tolist()  # each layer's kl, penalty and w
+    return [StepTerm(sp.t, tp.t, *row) for sp, tp, row in zip(points, points[1:], rows)]
 
 
 def discrete_diffusion_loss(

@@ -11,6 +11,7 @@ pure noise.
 `LogLinearSchedule.at` evaluates one time as a `SchedulePoint`, `grid` the points
 of the T-layer hierarchy that the discrete loss, the sampler and the oracles walk,
 and `columns` a batch of times as arrays, entry for entry bit-identical to `at`.
+`stack` turns a list of points into one point of (n, 1) columns.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class SchedulePoint:
 
     Fields satisfy alpha² + sigma² = 1 and snr = alpha²/sigma² = exp(lam).
     `lam_prime` is dλ/dt, constant (and negative) for the linear schedule.
+    The fields are floats, or (n, 1) columns in a point made by `stack`.
     """
 
     t: float
@@ -127,6 +129,14 @@ class LogLinearSchedule:
         alpha = np.sqrt(np.where(lam >= 0.0, inv, ratio))[:, None]
         sigma = np.sqrt(np.where(lam <= 0.0, inv, ratio))[:, None]
         return lam, alpha, sigma, alpha * alpha, sigma * sigma
+
+
+def stack(points: list[SchedulePoint]) -> SchedulePoint:
+    """The points as one SchedulePoint whose fields are (n, 1) columns, row i the
+    fields of points[i] bit for bit: the layer-axis form the process helpers
+    (process.py) broadcast against (n, d) rows."""
+    table = np.array([(p.t, p.lam, p.lam_prime, p.alpha, p.sigma, p.snr) for p in points])
+    return SchedulePoint(*table.T[:, :, None])
 
 
 def point_from_lam(lam: float, lam_prime: float = 0.0, t: float = float("nan")) -> SchedulePoint:

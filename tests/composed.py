@@ -1,10 +1,13 @@
 """The composed-graph reference: generic elementwise Tensor ops, and the MLP,
-v-loss and latent term built from them one op per node.
+v-loss and latent term built from them one op per node; and the discrete loss
+one layer at a time.
 
 encdiff records each of those as one node with a hand-written backward that
 repeats the composed graph's arithmetic in its order.  The tests compare the
 fused nodes with the graphs built here, value and gradient, bit for bit where
-the order is kept.
+the order is kept.  Likewise encdiff runs the discrete loss's Gaussian algebra
+once over all layers, and the tests compare it with `discrete_step_terms`
+here, which calls the scalar process helpers layer by layer.
 
 `Ref` is a Tensor with the operators; wrap a Tensor that encdiff made (a
 network's node, a parameter) with `ref` before using it as a left operand.
@@ -19,6 +22,9 @@ import numpy as np
 from encdiff.autodiff import Tensor
 from encdiff.encoder import FD_REL_STEP, IdentityEncoder, NonTrainableEncoder
 from encdiff.nets import N_HIDDEN, MLP, sinusoidal_embedding
+from encdiff.objective import StepTerm
+from encdiff.process import (OPTIMAL, GaussianParams, generative_mean, kl_isotropic,
+                             optimal_sigma_p, reverse_posterior, weighting_penalty)
 from encdiff.verify import AnalyticPredictor
 
 
@@ -205,3 +211,27 @@ def latent(x2, encoder, schedule) -> Ref:
     const = x2.shape[1] * (p1.sigma_sq - p1.log_sigma_sq - 1.0)
     sq = encode_t(encoder, x2, p1).square().sum(axis=1, keepdims=True)
     return (0.5 * p1.alpha_sq) * sq.mean() + 0.5 * const
+
+
+def discrete_step_terms(x, T, model, encoder, schedule, w, counterterm) -> list[StepTerm]:
+    """The discrete loss's per-layer KL terms, one layer at a time through the
+    scalar process helpers: each point encoded once, the model's x̂ at
+    z_t = α_t x_t, σ_P² = σ_Q²/w or the layer's optimum."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.size
+    terms = []
+    points = schedule.grid(T)
+    x_t = encoder.encode(x, points[0])
+    for sp, tp in zip(points, points[1:]):
+        x_s, x_t = x_t, encoder.encode(x, tp)
+        z_t = tp.alpha * x_t
+        x_hat = model.predict_x(z_t, tp.lam)
+        q = reverse_posterior(z_t, x_t, x_s, sp, tp)
+        mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
+        sigma2_p = (optimal_sigma_p(q.var, float(np.sum((mu_p - q.mean) ** 2)), d)
+                    if w == OPTIMAL else q.var / w)
+        w_layer = q.var / sigma2_p
+        kl = kl_isotropic(q, GaussianParams(mean=mu_p, var=sigma2_p), d)
+        terms.append(StepTerm(s=sp.t, t=tp.t, kl=kl, penalty=weighting_penalty(w_layer, d),
+                              w=w_layer))
+    return terms

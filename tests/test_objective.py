@@ -2,11 +2,13 @@
 latent and reconstruction closed forms, ELBO bookkeeping."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import composed
+from encdiff import objective, process
 from encdiff.autodiff import Tensor, grad
 from encdiff.config import RunConfig
 from encdiff.data import scale_pixels
@@ -342,6 +344,56 @@ class TestDiscreteLoss:
         assert encoded_at == schedule.grid(T)
         assert [(term.s, term.t) for term in terms] == [
             (s.t, t.t) for s, t in zip(encoded_at, encoded_at[1:])]
+
+    @pytest.mark.parametrize("counterterm", [None, True, False])
+    @pytest.mark.parametrize("w", [1.0, 2.0, OPTIMAL])
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_layer_axis_equals_per_layer_reference(self, kind, w, counterterm, schedule):
+        """The Gaussian algebra over all layers at once gives the per-layer
+        reference's terms bit for bit, for d on both sides of the 8 terms that
+        numpy's pairwise sum adds in one unrolled block."""
+        for d in (1, 3, 8, 9):
+            x = np.random.default_rng(d).uniform(-1, 1, size=d)
+            enc = _random_trainable(d=d) if kind == "trainable" else make_encoder(kind)
+            model = SmoothVectorPredictor(x)
+            for T in (1, 2, 17, 256):
+                assert discrete_step_terms(x, T, model, enc, schedule, w, counterterm) == \
+                    composed.discrete_step_terms(
+                        x, T, model, enc, schedule, w,
+                        enc.counterterm if counterterm is None else counterterm)
+
+    @pytest.mark.parametrize("w", [2.0, OPTIMAL])
+    def test_process_calls_do_not_grow_with_T(self, w, schedule, rng, monkeypatch):
+        """T layers make T predict_x calls, and a fixed number of calls to each
+        process helper, whatever T is."""
+        names = ("transition_coefficients", "reverse_posterior", "generative_mean",
+                 "optimal_sigma_p", "squared_gap", "kl_isotropic", "weighting_penalty")
+        calls = Counter()
+        for module in (objective, process):
+            for name in names:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        x = rng.uniform(-1, 1, size=3)
+        model = SmoothVectorPredictor(x)
+        predict_x, predicted = model.predict_x, []
+
+        def counted_predict_x(z, lam):
+            predicted.append(lam)
+            return predict_x(z, lam)
+
+        model.predict_x = counted_predict_x
+        per_T = []
+        for T in (4, 64):
+            calls.clear()
+            predicted.clear()
+            discrete_step_terms(x, T, model, NonTrainableEncoder(), schedule, w)
+            assert len(predicted) == T
+            per_T.append(dict(calls))
+        assert per_T[0] == per_T[1]
+        assert per_T[0]["transition_coefficients"] == 2 and per_T[0]["weighting_penalty"] == 2
 
     def test_T_zero_rejected(self, schedule, rng):
         x = np.zeros(2)
@@ -764,9 +816,7 @@ class TestValuePathNumerics:
 class TestMonteCarloEstimate:
     def test_validation(self):
         with pytest.raises(ValueError):
-            MonteCarloEstimate(value=0.0, std_error=-1.0, n_samples=3)
-        with pytest.raises(ValueError):
-            MonteCarloEstimate(value=0.0, std_error=0.0, n_samples=0)
+            MonteCarloEstimate(value=0.0, std_error=-1.0)
 
     def test_se_scaling(self, rng):
         """Standard error of the estimator shrinks like 1/sqrt(n)."""

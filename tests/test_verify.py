@@ -281,6 +281,15 @@ class TestDegenerateSchedules:
             optimal_penalty_decay(x, ConstantEpsErrorPredictor(x, np.ones(3)), IdentityEncoder(),
                                   [None, 128, 256, 512], schedule)
 
+    def test_an_earlier_degenerate_layer_decides_before_an_overflowing_predictor(self):
+        """At (400, −1420) optimal_penalty_decay's first layer has σ_Q² = 0 and its
+        predictor overflows at the last layer: the earlier layer decides the cause,
+        as it would one layer at a time, although the loss predicts every layer's
+        x̂ before it does any layer's Gaussian algebra."""
+        reports = {r.name: r for r in run_all(LogLinearSchedule(400.0, -1420.0), quick=True)}
+        assert reports["optimal_penalty_decay"].details == (
+            "inconclusive: degenerate transition s=0 -> t=0.015625 (T=64 layer 1): sigma2_q=0")
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_fd_loss_is_inconclusive(self):
