@@ -95,7 +95,9 @@ class ParamStore:
     All parameter values live in one flat float64 buffer, `flat`, in the order
     they were added; each Parameter's data is a view of its span.  The Adam
     moments live in `m_flat` and `v_flat` with the same layout, and `m`/`v`
-    map each name to its view, so the optimizer works on whole buffers.
+    map each name to its view, so the optimizer works on whole buffers.  Each
+    accepted optimizer step replaces `m_flat` and `v_flat` with new arrays,
+    so read the moments through the store, not through a held reference.
     """
 
     def __init__(self):

@@ -310,11 +310,14 @@ class TestOptimizer:
         store.add_many({"a": np.array([[0.5, -1.0], [2.0, 0.25]])})
         store.add_many({"b": np.array([1.0, -3.0])})
         optimizer_step(store, np.array([0.1, 0.1, 0.1, 0.1, 0.2, -0.3]), lr=0.01)
-        before = [np.array(buf) for buf in (store.flat, store.m_flat, store.v_flat)]
+        buffers = (store.flat, store.m_flat, store.v_flat)
+        before = [np.array(buf) for buf in buffers]
         with pytest.raises(NumericsError, match="parameter 'b'"):
             optimizer_step(store, np.concatenate([np.full(4, 0.1), bad]), lr=0.01)
-        for buf, old in zip((store.flat, store.m_flat, store.v_flat), before):
-            assert buf.tobytes() == old.tobytes()
+        # a rejected step neither writes the moments nor replaces them
+        for name, buf, old in zip(("flat", "m_flat", "v_flat"), buffers, before):
+            assert getattr(store, name) is buf, name
+            assert buf.tobytes() == old.tobytes(), name
         assert store.step == 1
 
     def test_matches_per_parameter_update_bitwise(self, rng):
@@ -323,21 +326,41 @@ class TestOptimizer:
         DenoiserNet(d=3, width=8, seed=0, store=store)
         ref = {name: [np.array(t.data), np.zeros(t.data.shape), np.zeros(t.data.shape)]
                for name, t in store.params.items()}
-        lr = 0.01
-        for step in range(1, 6):
-            g_flat = rng.standard_normal(store.n_scalars())
-            grads = {name: g.copy() for name, g in store.views(g_flat).items()}
-            optimizer_step(store, g_flat, lr)
-            c1, c2 = 1.0 - BETA1**step, 1.0 - BETA2**step
-            for name, (p, m, v) in ref.items():
-                g = grads[name]
-                m[...] = BETA1 * m + (1.0 - BETA1) * g
-                v[...] = BETA2 * v + (1.0 - BETA2) * g * g
-                p[...] = p - lr * ((m / c1) / (np.sqrt(v / c2) + EPS_HAT))
-        for name, (p, m, v) in ref.items():
-            assert store.params[name].data.tobytes() == p.tobytes()
-            assert store.m[name].tobytes() == m.tobytes()
-            assert store.v[name].tobytes() == v.tobytes()
+        _assert_steps_match_reference(store, ref, rng, stop=6)
+
+    def test_matches_per_parameter_update_bitwise_once_c1_rounds_to_one(self, rng):
+        """From t = 356 the bias correction 1 − β1^t is exactly 1.0 and the
+        update skips dividing by it; the bits still match the reference."""
+        assert 1.0 - BETA1**355 != 1.0 == 1.0 - BETA1**356
+        store = ParamStore()
+        DenoiserNet(d=3, width=8, seed=0, store=store)
+        _randomize_output_layer(store, rng)
+        store.m_flat[...] = 0.1 * rng.standard_normal(store.n_scalars())
+        store.v_flat[...] = 0.01 * rng.random(store.n_scalars())
+        store.step = 350
+        ref = {name: [np.array(t.data), np.array(store.m[name]), np.array(store.v[name])]
+               for name, t in store.params.items()}
+        _assert_steps_match_reference(store, ref, rng, stop=361)
+        assert store.step == 360
+
+    def test_accepted_step_adopts_new_moments_as_views(self, rng):
+        """Parameters stay views of `flat`, and the moment views read the new
+        buffers at each parameter's offset."""
+        store = ParamStore()
+        DenoiserNet(d=3, width=8, seed=0, store=store)
+        EncoderInnerNet(d=3, width=8, seed=1, store=store)
+        for _ in range(3):
+            old_m, old_v = store.m_flat, store.v_flat
+            optimizer_step(store, rng.standard_normal(store.n_scalars()), lr=0.01)
+            assert store.m_flat is not old_m and store.v_flat is not old_v
+            offset = 0
+            for name, t in store.params.items():
+                assert t.data.base is store.flat, name
+                for view, flat in ((store.m[name], store.m_flat), (store.v[name], store.v_flat)):
+                    assert np.shares_memory(view, flat), name
+                    assert view.__array_interface__["data"][0] == (
+                        flat.__array_interface__["data"][0] + 8 * offset), name
+                offset += t.data.size
 
     def test_gradient_of_the_wrong_length_rejected(self):
         """A gradient missing for some parameter is a buffer of the wrong length."""
@@ -351,8 +374,11 @@ class TestOptimizer:
     def test_bad_lr_rejected(self):
         store = ParamStore()
         store.add_many({"w": np.array([1.0])})
-        with pytest.raises(ValueError):
-            optimizer_step(store, np.array([0.1]), lr=0.0)
+        for lr in (0.0, -0.1, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="learning rate"):
+                optimizer_step(store, np.array([0.1]), lr=lr)
+        assert store.step == 0
+        assert store.flat.tobytes() == np.array([1.0]).tobytes()
 
     def test_deterministic_trajectory(self, rng):
         def run() -> np.ndarray:
@@ -364,6 +390,26 @@ class TestOptimizer:
             return store.params["w"].data
 
         np.testing.assert_array_equal(run(), run())
+
+
+def _assert_steps_match_reference(store: ParamStore, ref: dict, rng, stop: int) -> None:
+    """Step the store and a per-parameter reference [θ, m, v] from store.step + 1
+    to stop − 1 with the same gradients, then compare them bit for bit."""
+    lr = 0.01
+    for step in range(store.step + 1, stop):
+        g_flat = rng.standard_normal(store.n_scalars())
+        grads = {name: g.copy() for name, g in store.views(g_flat).items()}
+        optimizer_step(store, g_flat, lr)
+        c1, c2 = 1.0 - BETA1**step, 1.0 - BETA2**step
+        for name, (p, m, v) in ref.items():
+            g = grads[name]
+            m[...] = BETA1 * m + (1.0 - BETA1) * g
+            v[...] = BETA2 * v + (1.0 - BETA2) * g * g
+            p[...] = p - lr * ((m / c1) / (np.sqrt(v / c2) + EPS_HAT))
+    for name, (p, m, v) in ref.items():
+        assert store.params[name].data.tobytes() == p.tobytes()
+        assert store.m[name].tobytes() == m.tobytes()
+        assert store.v[name].tobytes() == v.tobytes()
 
 
 class TestCheckpoint:
@@ -382,7 +428,7 @@ class TestCheckpoint:
         assert ckpt.config_text == config.to_text()
         assert ckpt.config_hash == config.hash()
         for name, arr in store.state_arrays().items():
-            assert np.array_equal(ckpt.arrays[name], arr)
+            assert ckpt.arrays[name].tobytes() == arr.tobytes()
 
     def test_restore_into_fresh_store_bit_exact(self, tmp_path, rng):
         def build():
@@ -405,6 +451,13 @@ class TestCheckpoint:
         assert fresh.step == 3
         for t in fresh.params.values():
             assert t.data.base is fresh.flat
+        # the restored store steps on exactly as the one that was saved
+        for _ in range(2):
+            g = rng.standard_normal(store.n_scalars())
+            optimizer_step(store, g.copy())
+            optimizer_step(fresh, g)
+        for name in ("flat", "m_flat", "v_flat"):
+            assert getattr(fresh, name).tobytes() == getattr(store, name).tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = os.path.join(tmp_path, "bogus.ckpt")
