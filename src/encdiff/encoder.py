@@ -24,10 +24,11 @@ pass: batch_latent_graph and latent_loss (objective.py) are their own loss
 function, apart from the v-loss.
 
 Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
-which `loss_terms` returns: the encoded data x_enc, the extra residual as a
-function of the x-prediction x̂, and in graph mode x_enc's node and the
-encoder's own vector-Jacobian rule for the extra, which the v-loss node's
-hand-written backward calls:
+which `loss_terms(x2, point)` returns for rows x2 at one schedule point (a
+float point, or `columns`' point of per-row columns): the encoded data x_enc,
+the extra residual as a function of the x-prediction x̂, and in graph mode
+x_enc's node and the encoder's own vector-Jacobian rule for the extra, which
+the v-loss node's hand-written backward calls:
 
     identity     None  (no extra term)
     nt           x̂ − x_enc
@@ -43,8 +44,9 @@ other view: `encode`, `y` and the dλ views are numpy values computed with no
 node, the same bits as the graph views' data, and the dλ views' `_t` forms
 are constants over them, as for the other encoders.
 
-`counterterm` says whether the generative mean carries the counterterm by
-default: off for identity, on for the encoders that move x_t.
+`counterterm` says whether the generative mean carries the counterterm: the
+discrete loss follows it, and the sampler by default.  It is off for identity
+and on for the encoders that move x_t.
 """
 
 from __future__ import annotations
@@ -92,8 +94,7 @@ class IdentityEncoder:
     def buffers(self, rows: int) -> None:
         return None
 
-    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float, buffers: None = None) -> Terms:
+    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None) -> Terms:
         return Terms(x2)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
@@ -123,9 +124,8 @@ class NonTrainableEncoder:
     def buffers(self, rows: int) -> None:
         return None
 
-    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float, buffers: None = None) -> Terms:
-        x_enc = alpha_sq * x2
+    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None) -> Terms:
+        x_enc = point.alpha_sq * x2
         return Terms(x_enc, lambda x_hat: x_hat - x_enc)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
@@ -160,13 +160,12 @@ class TrainableEncoder:
         net's, for its stacked pass over 3·rows."""
         return self.inner.buffers(3 * rows)
 
-    def loss_terms(self, x2: np.ndarray, lam: np.ndarray, alpha_sq: np.ndarray,
-                   sigma_sq: np.ndarray, lam_prime: float,
+    def loss_terms(self, x2: np.ndarray, point: SchedulePoint,
                    buffers: tuple | None = None) -> Terms:
         """The terms with their nodes; with buffers from `buffers(rows)`, their
         values alone, computed through them with no node."""
-        stacked, y, dy, h = self._fd_pass(x2, lam, lam_prime, buffers)
-        x_enc = _x_t(x2, y, alpha_sq, sigma_sq)
+        stacked, y, dy, h = self._fd_pass(x2, point, buffers)
+        x_enc = _x_t(x2, y, point)
         extra = lambda x_hat: x_hat - x_enc + y - dy  # noqa: E731
         if buffers is not None:
             return Terms(x_enc, extra)
@@ -176,14 +175,15 @@ class TrainableEncoder:
             g_up = (-g) * (0.5 / h)
             return (np.concatenate([g, g_up, -g_up]),)
 
-        return Terms(x_enc, extra, _x_t_node(x_enc, stacked, sigma_sq), (stacked,),
+        return Terms(x_enc, extra, _x_t_node(x_enc, stacked, point), (stacked,),
                      extra_backward)
 
-    def _fd_pass(self, x2: np.ndarray, lam, lam_prime: float, buffers: tuple | None = None):
-        """One pass over x2 stacked at λ, λ + h and λ − h (λ scalar or per row):
-        its node (with buffers from `buffers(rows)`, its output array), y,
-        dy/dλ and h."""
-        h = _fd_step(lam_prime)
+    def _fd_pass(self, x2: np.ndarray, point: SchedulePoint, buffers: tuple | None):
+        """One pass over x2 stacked at λ, λ + h and λ − h (a float point's λ, or
+        a column point's per row): its node (with buffers from `buffers(rows)`,
+        its output array), y, dy/dλ and h."""
+        h = _fd_step(point.lam_prime)
+        lam = np.ravel(point.lam)
         lam_rows = np.empty((3, len(x2)))
         lam_rows[0], lam_rows[1], lam_rows[2] = lam, lam + h, lam - h
         stacked = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel(), buffers)
@@ -203,8 +203,7 @@ class TrainableEncoder:
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         x2 = np.atleast_2d(x)
-        return _shaped_like(x, self._fd_pass(x2, point.lam, point.lam_prime,
-                                             self.buffers(len(x2)))[2])
+        return _shaped_like(x, self._fd_pass(x2, point, self.buffers(len(x2)))[2])
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return Tensor(self.dy_dlambda(x, point))
@@ -213,19 +212,18 @@ class TrainableEncoder:
         self.calls += 1
         x2 = np.atleast_2d(x)
         inner = self.y_t(x2, point)
-        return _x_t_node(_x_t(x2, inner.data, point.alpha_sq, point.sigma_sq), inner,
-                         point.sigma_sq)
+        return _x_t_node(_x_t(x2, inner.data, point), inner, point)
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
         x2 = np.atleast_2d(x)
-        return _shaped_like(x, _x_t(x2, self._y(x2, point.lam), point.alpha_sq, point.sigma_sq))
+        return _shaped_like(x, _x_t(x2, self._y(x2, point.lam), point))
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""
         self.calls += 1
         x2 = np.atleast_2d(x)
-        _, y, dy, _ = self._fd_pass(x2, point.lam, point.lam_prime, self.buffers(len(x2)))
+        _, y, dy, _ = self._fd_pass(x2, point, self.buffers(len(x2)))
         a2s2 = point.alpha_sq * point.sigma_sq
         return _shaped_like(x, a2s2 * x2 + point.sigma_sq * dy - a2s2 * y)
 
@@ -233,19 +231,19 @@ class TrainableEncoder:
         return Tensor(self.encode_dlambda(x, point))
 
 
-def _x_t(x2: np.ndarray, y: np.ndarray, alpha_sq, sigma_sq) -> np.ndarray:
+def _x_t(x2: np.ndarray, y: np.ndarray, point: SchedulePoint) -> np.ndarray:
     """The trainable encoder's x_t = α² x + σ² y."""
-    return x2 * alpha_sq + y * sigma_sq
+    return x2 * point.alpha_sq + y * point.sigma_sq
 
 
-def _x_t_node(x_t: np.ndarray, inner: Tensor, sigma_sq) -> Tensor:
+def _x_t_node(x_t: np.ndarray, inner: Tensor, point: SchedulePoint) -> Tensor:
     """x_t as a node on an inner-net node whose first row block is the y it
     was made from; the node's other blocks get no gradient from x_t."""
     n = len(x_t)
 
     def backward(g):
         g_inner = np.zeros_like(inner.data)
-        g_inner[:n] = g * sigma_sq
+        g_inner[:n] = g * point.sigma_sq
         return (g_inner,)
 
     return Tensor(x_t, _parents=(inner,), _op="encode", _backward=backward)

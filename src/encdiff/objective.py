@@ -15,8 +15,11 @@ model's `predict_x`.
 Every prediction model (nets.DenoiserNet, verify's analytic ones) answers one
 protocol on values: `z_independent`, `predict_v`, `predict_x`,
 `predictor(rows)` for the sampler, and `buffers(rows)` with
-`forward(z, λ, buffers)`, v̂ of a block of rows.  The v-loss arithmetic is
-written once, in `_vloss_values`, and the latent term's in `_latent_value`.
+`forward(z, λ, buffers)`, v̂ of a block of rows, with λ a (B,) array.  The
+v-loss arithmetic is written once, in `_vloss_values`, and the latent term's
+in `_latent_value`.  A block's schedule values are one `SchedulePoint` of
+(B, 1) columns, `LogLinearSchedule.columns` at its times, which
+`_vloss_values` and the encoder's `loss_terms` take whole.
 Evaluation (`_vloss_draws`, and through it `elbo_bpd`, `t_profile` and
 `continuous_vloss`; `latent_loss`) runs them on values, in EVAL_ROWS-row
 blocks through buffers allocated once per call, and makes no Tensor; neither
@@ -48,8 +51,10 @@ point is encoded once: `encode` runs per point and the model's `predict_x` per
 layer, since both take one point (the analytic models' math.exp and math.tanh
 are not numpy's bits).  The rest, the reverse-posterior and generative means,
 σ_P², the KL and the penalty, runs once over all layers through the process
-helpers' layer axis, the same bits as one layer at a time.  An error at layer
-k surfaces only when the algebra of the layers before k raises none.
+helpers' layer axis, on `columns` of the grid's times, the same bits as one
+layer at a time.  The generative mean carries the counterterm when the
+encoder's `counterterm` says so.  An error at layer k surfaces only when the
+algebra of the layers before k raises none.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ from .process import (
     squared_gap,
     weighting_penalty,
 )
-from .schedule import LogLinearSchedule, SchedulePoint, stack
+from .schedule import LogLinearSchedule, SchedulePoint
 
 LN2 = math.log(2.0)
 
@@ -127,49 +132,43 @@ def stratified_estimate(draws: np.ndarray) -> MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term loss decomposition in nats, plus the bits-per-dimension total."""
+    """Per-term loss decomposition in nats of d-dimensional data, with the
+    total in nats and in bits per dimension."""
 
     diffusion: float
     latent: float
     reconstruction: float
-    total_nats: float
-    bpd: float
+    d: int
     diffusion_stderr: float = 0.0
 
-    @classmethod
-    def from_components(cls, diffusion: float, latent: float, reconstruction: float,
-                        d: int, diffusion_stderr: float = 0.0) -> "LossBreakdown":
-        total = diffusion + latent + reconstruction
-        return cls(
-            diffusion=diffusion,
-            latent=latent,
-            reconstruction=reconstruction,
-            total_nats=total,
-            bpd=total / (d * LN2),
-            diffusion_stderr=diffusion_stderr,
-        )
+    @property
+    def total_nats(self) -> float:
+        return self.diffusion + self.latent + self.reconstruction
+
+    @property
+    def bpd(self) -> float:
+        return self.total_nats / (self.d * LN2)
 
 
 # ---------------------------------------------------------------------------
 # Continuous-time losses
 # ---------------------------------------------------------------------------
 
-def _vloss_values(terms: Terms, predict_v, eps2: np.ndarray, cols: tuple,
-                  lam_prime: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vloss_values(terms: Terms, predict_v, eps2: np.ndarray,
+                  p: SchedulePoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The v-loss arithmetic of one block of rows, for training and evaluation
     alike: the residual, the weight and the per-item integrand, shape (B, 1).
 
-    cols are the schedule's columns at the rows' times, terms the encoder's
-    (encoder.Terms), and predict_v(z) gives v̂ at z = α x_enc + σ ε.  A
-    non-finite integrand is a NumericsError naming op 'vloss'.
+    p is the schedule's point of columns at the rows' times, terms the
+    encoder's (encoder.Terms), and predict_v(z) gives v̂ at z = α x_enc + σ ε.
+    A non-finite integrand is a NumericsError naming op 'vloss'.
     """
-    lam, alpha, sigma, alpha_sq, sigma_sq = cols
-    z = terms.x_enc * alpha + sigma * eps2
+    z = terms.x_enc * p.alpha + p.sigma * eps2
     v_hat = predict_v(z)
-    resid = (alpha * eps2 - terms.x_enc * sigma) - v_hat
+    resid = (p.alpha * eps2 - terms.x_enc * p.sigma) - v_hat
     if terms.extra is not None:
-        resid = resid + terms.extra(z * alpha - v_hat * sigma) * sigma
-    weight = -0.5 * lam_prime * alpha_sq
+        resid = resid + terms.extra(z * p.alpha - v_hat * p.sigma) * p.sigma
+    weight = -0.5 * p.lam_prime * p.alpha_sq
     per_item = (resid * resid).sum(axis=1, keepdims=True) * weight
     if not all_finite(per_item):
         raise NumericsError("non-finite values produced by op 'vloss'")
@@ -194,18 +193,17 @@ def batch_vloss_graph(
     arithmetic the backward repeats in its order.
     """
     x2 = np.asarray(x, dtype=np.float64)
-    cols = lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(np.asarray(ts))
-    terms = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+    p = schedule.columns(np.asarray(ts))
+    terms = encoder.loss_terms(x2, p)
     x_node = Tensor(terms.x_enc) if terms.node is None else terms.node
     nodes = []
 
     def predict_v(z):
-        z_node = Tensor(z, _parents=(x_node,), _op="z", _backward=lambda g: (g * alpha,))
-        nodes.extend((model.forward(z_node, lam), z_node))
+        z_node = Tensor(z, _parents=(x_node,), _op="z", _backward=lambda g: (g * p.alpha,))
+        nodes.extend((model.forward(z_node, p.lam[:, 0]), z_node))
         return nodes[0].data
 
-    resid, weight, per_item = _vloss_values(terms, predict_v, np.asarray(eps, dtype=np.float64),
-                                            cols, schedule.lam_prime)
+    resid, weight, per_item = _vloss_values(terms, predict_v, np.asarray(eps, dtype=np.float64), p)
     n = len(per_item)
 
     def backward(g):
@@ -213,10 +211,10 @@ def batch_vloss_graph(
         # resid = α ε − σ x_enc − v̂ [+ σ·extra]
         g_v = -g_resid
         if terms.extra is None:
-            return (g_v, None, g_v * sigma)
+            return (g_v, None, g_v * p.sigma)
         # the extra is x̂ − x_enc plus the encoder's own terms, and x̂ = α z − σ v̂
-        g_extra = g_resid * sigma
-        return ((-g_extra) * sigma + g_v, g_extra * alpha, (-g_extra) + g_v * sigma,
+        g_extra = g_resid * p.sigma
+        return ((-g_extra) * p.sigma + g_v, g_extra * p.alpha, (-g_extra) + g_v * p.sigma,
                 *terms.backward(g_extra))
 
     return Tensor(per_item.sum() * (1.0 / n), _parents=(*nodes, x_node, *terms.parents),
@@ -260,12 +258,10 @@ def _vloss_draws(
     out = np.empty(len(ts))
     for start in range(0, len(ts), EVAL_ROWS):
         block = slice(start, start + EVAL_ROWS)
-        cols = lam, _, _, alpha_sq, sigma_sq = schedule.columns(ts[block])
-        x2 = np.broadcast_to(x, eps[block].shape)
-        terms = encoder.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime,
-                                   encoder_buffers)
-        out[block] = _vloss_values(terms, lambda z: model.forward(z, lam, model_buffers),
-                                   eps[block], cols, schedule.lam_prime)[2][:, 0]
+        p = schedule.columns(ts[block])
+        terms = encoder.loss_terms(np.broadcast_to(x, eps[block].shape), p, encoder_buffers)
+        out[block] = _vloss_values(terms, lambda z: model.forward(z, p.lam[:, 0], model_buffers),
+                                   eps[block], p)[2][:, 0]
     return out
 
 
@@ -323,14 +319,13 @@ def discrete_step_terms(
     encoder: Encoder,
     schedule: LogLinearSchedule,
     w: float | str = 1.0,
-    counterterm: bool | None = None,
 ) -> list[StepTerm]:
     """Per-layer KL terms of the discrete loss on schedule.grid(T), each point encoded once.
 
     w is the variance ratio σ_Q²/σ_P² of every layer, or OPTIMAL for each
     layer's optimum σ_P² = σ_Q² + gap/d.  The model must be z-independent, so
     the z-expectation is closed-form (z_t = α_t x_t) and the terms exact.
-    counterterm=None follows the encoder's.
+    The generative mean carries the counterterm when the encoder's does.
     """
     if T < 1:
         raise ValueError(f"T must be a positive integer, got {T}")
@@ -339,17 +334,16 @@ def discrete_step_terms(
         raise ValueError("the exact discrete loss needs a z-independent prediction model")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
-    if counterterm is None:
-        counterterm = encoder.counterterm
     points = schedule.grid(T)
+    ts = np.arange(T + 1) / T  # the grid's times
     x_enc, z, x_hat = np.empty((T + 1, d)), np.empty((T, d)), np.empty((T, d))
 
     def layer_terms(n: int) -> tuple[np.ndarray, ...]:
         """(kl, penalty, w), each (n, 1), of the first n layers, all at once."""
-        sp, tp = stack(points[:n]), stack(points[1:n + 1])
+        sp, tp = schedule.columns(ts[:n]), schedule.columns(ts[1:n + 1])
         x_s, x_t, z_t = x_enc[:n], x_enc[1:n + 1], z[:n]
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
-        mu_p = generative_mean(z_t, x_hat[:n], sp, tp, counterterm=counterterm)
+        mu_p = generative_mean(z_t, x_hat[:n], sp, tp, counterterm=encoder.counterterm)
         sigma2_p = optimal_sigma_p(q.var, squared_gap(mu_p, q.mean), d) if optimal else q.var / w
         w_layer = q.var / sigma2_p
         kl = kl_isotropic(q, GaussianParams(mean=mu_p, var=sigma2_p), d)
@@ -522,13 +516,8 @@ def elbo_bpd(
     diff = stratified_estimate(draws)
     latent = latent_loss(x_real, encoder, schedule)
     recon = sampled_reconstruction_loss(x_real, encoder, schedule, rng) if pixel_data else 0.0
-    return LossBreakdown.from_components(
-        diffusion=diff.value,
-        latent=latent,
-        reconstruction=recon,
-        d=d,
-        diffusion_stderr=diff.std_error,
-    )
+    return LossBreakdown(diffusion=diff.value, latent=latent, reconstruction=recon, d=d,
+                         diffusion_stderr=diff.std_error)
 
 
 def t_profile(

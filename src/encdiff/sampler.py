@@ -8,9 +8,10 @@ the standard-normal prior and applies
     z_s = μ_P(z_t, x̂) + σ_P ε
 
 for layers i = T..2 of `LogLinearSchedule.grid(T)`; the final layer is a direct
-x̂ readout at the grid's point 1 followed by the categorical decode (argmax per
-pixel unless stochastic decoding is requested), which avoids the degenerate
-last ancestral step.
+x̂ readout at the grid's point 1, which avoids the degenerate last ancestral
+step.  Pixels are then the per-pixel categorical's argmax (`unscale_pixels`),
+or with stochastic decoding a draw from it at the grid's point 0
+(`decode_pixels`).
 
 The chain records nothing and allocates no array of its own size per step:
 the model runs through its `predictor(rows)`, a DenoiserNet's into buffers
@@ -66,20 +67,12 @@ class SampleResult:
     trajectory: list  # (t, mean latent norm) rows
 
 
-def decode_pixels(x_out: np.ndarray, rng: np.random.Generator | None = None,
-                  stochastic: bool = False, sigma0_sq: float | None = None,
-                  alpha0: float = 1.0) -> np.ndarray:
-    """Map model-space values to pixels via the per-pixel categorical.
-
-    The argmax of N(z; α_0·scale(v), σ_0²) over v is the nearest quantization
-    level; stochastic decoding instead samples the categorical.
-    """
-    if not stochastic:
-        return unscale_pixels(x_out)
-    if rng is None or sigma0_sq is None:
-        raise ValueError("stochastic decode requires an rng and sigma0_sq")
+def decode_pixels(x_out: np.ndarray, rng: np.random.Generator, p0: SchedulePoint) -> np.ndarray:
+    """Sample pixels from the per-pixel categorical N(α_0 x_out; α_0·scale(v), σ_0²)
+    over v, at the schedule point p0 of t = 0.  Its argmax is the nearest
+    quantization level, `unscale_pixels`."""
     flat = x_out.reshape(-1)
-    log_probs = pixel_categorical_log_probs(alpha0 * flat, alpha0, sigma0_sq)
+    log_probs = pixel_categorical_log_probs(p0.alpha * flat, p0.alpha, p0.sigma_sq)
     u = rng.uniform(size=(flat.size, 1))
     cdf = np.cumsum(np.exp(log_probs), axis=1)
     v = (u > cdf).sum(axis=1)
@@ -122,8 +115,8 @@ def ancestral_sample(
     x_out = np.array(predict_x(z, points[1].lam))
     pixels = None
     if pixel_decode:
-        pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,
-                               sigma0_sq=points[0].sigma_sq, alpha0=points[0].alpha)
+        pixels = (decode_pixels(x_out, rng, points[0]) if config.stochastic_decode
+                  else unscale_pixels(x_out))
     return SampleResult(x_out=x_out, pixels=pixels, latent_final=z, trajectory=trajectory)
 
 

@@ -8,10 +8,10 @@ with the variance-preserving convention α_t² = 1 − σ_t² = logistic(λ_t), 
 SNR(t) = α_t²/σ_t² = exp(λ_t).  t = 0 is (almost) clean data, t = 1 is (almost)
 pure noise.
 
-`LogLinearSchedule.at` evaluates one time as a `SchedulePoint`, `grid` the points
-of the T-layer hierarchy that the discrete loss, the sampler and the oracles walk,
-and `columns` a batch of times as arrays, entry for entry bit-identical to `at`.
-`stack` turns a list of points into one point of (n, 1) columns.
+`LogLinearSchedule.at` evaluates one time as a `SchedulePoint` of floats, `grid`
+the points of the T-layer hierarchy that the discrete loss, the sampler and the
+oracles walk, and `columns` a batch of times as one point of (B, 1) columns, row
+for row bit-identical to `at`: one type for one time or many.
 """
 
 from __future__ import annotations
@@ -43,9 +43,10 @@ def logistic(x: float) -> float:
 class SchedulePoint:
     """The noise process seen at a single time t.
 
-    Fields satisfy alpha² + sigma² = 1 and snr = alpha²/sigma² = exp(lam).
+    Fields satisfy alpha² + sigma² = 1 and alpha²/sigma² = exp(lam).
     `lam_prime` is dλ/dt, constant (and negative) for the linear schedule.
-    The fields are floats, or (n, 1) columns in a point made by `stack`.
+    The fields are floats, or (n, 1) columns in a point made by `columns`, whose
+    lam_prime stays a float; `snr` and `log_sigma_sq` take float points only.
     """
 
     t: float
@@ -53,7 +54,6 @@ class SchedulePoint:
     lam_prime: float
     alpha: float
     sigma: float
-    snr: float
 
     @property
     def alpha_sq(self) -> float:
@@ -62,6 +62,10 @@ class SchedulePoint:
     @property
     def sigma_sq(self) -> float:
         return self.sigma * self.sigma
+
+    @property
+    def snr(self) -> float:
+        return math.exp(self.lam)
 
     @property
     def log_sigma_sq(self) -> float:
@@ -107,12 +111,13 @@ class LogLinearSchedule:
         """The T-layer hierarchy's points i/T, i = 0..T; layer i runs from point i − 1 to i."""
         return [self.at(i / T) for i in range(T + 1)]
 
-    def columns(self, ts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The schedule at every time of a 1-D array ts ⊂ [0, 1], as arrays.
+    def columns(self, ts: np.ndarray) -> SchedulePoint:
+        """The schedule at every time of a 1-D array ts ⊂ [0, 1], as one point.
 
-        Returns (lam, alpha, sigma, alpha_sq, sigma_sq): lam is (B,), the rest
-        are (B, 1) columns that broadcast against (B, d) rows.  Row i equals the
-        fields of `at(ts[i])` bit for bit.
+        Its t, lam, alpha and sigma are (B, 1) columns that broadcast against
+        (B, d) rows, and lam_prime is the float: the layer-axis form the
+        process helpers (process.py) take.  Row i equals the fields of
+        `at(ts[i])` bit for bit.
         """
         ts = np.asarray(ts, dtype=np.float64)
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):
@@ -128,15 +133,8 @@ class LogLinearSchedule:
         ratio = e / one_plus_e
         alpha = np.sqrt(np.where(lam >= 0.0, inv, ratio))[:, None]
         sigma = np.sqrt(np.where(lam <= 0.0, inv, ratio))[:, None]
-        return lam, alpha, sigma, alpha * alpha, sigma * sigma
-
-
-def stack(points: list[SchedulePoint]) -> SchedulePoint:
-    """The points as one SchedulePoint whose fields are (n, 1) columns, row i the
-    fields of points[i] bit for bit: the layer-axis form the process helpers
-    (process.py) broadcast against (n, d) rows."""
-    table = np.array([(p.t, p.lam, p.lam_prime, p.alpha, p.sigma, p.snr) for p in points])
-    return SchedulePoint(*table.T[:, :, None])
+        return SchedulePoint(t=ts[:, None], lam=lam[:, None], lam_prime=self.lam_prime,
+                             alpha=alpha, sigma=sigma)
 
 
 def point_from_lam(lam: float, lam_prime: float = 0.0, t: float = float("nan")) -> SchedulePoint:
@@ -146,4 +144,4 @@ def point_from_lam(lam: float, lam_prime: float = 0.0, t: float = float("nan")) 
     points here, and the prediction models take their α and σ from here.
     """
     return SchedulePoint(t=t, lam=lam, lam_prime=lam_prime, alpha=math.sqrt(logistic(lam)),
-                         sigma=math.sqrt(logistic(-lam)), snr=math.exp(lam))
+                         sigma=math.sqrt(logistic(-lam)))

@@ -4,8 +4,8 @@ reconstruction terms tracked for reporting.
 Each step draws one (t, ε) pair per datapoint, builds the differentiable batch
 loss, and applies one adaptive-moment update to the denoiser parameters (and,
 for the trainable encoder, the inner-network parameters through the same
-loss).  A non-finite loss or gradient aborts the run with the last good
-checkpoint retained on disk.
+loss).  A non-finite loss, gradient or logged metric aborts the run with the
+last finite parameters saved to the checkpoint, and its error names the step.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
     if state.dataset.kind == PIXELS:
         # metrics only: a handful of items keeps logging cheap on image data
         recon = sampled_reconstruction_loss(x_batch[:8], state.encoder, state.schedule, rng)
-    return LossBreakdown.from_components(diffusion=diffusion, latent=latent,
-                                         reconstruction=recon, d=x_batch.shape[1])
+    return LossBreakdown(diffusion=diffusion, latent=latent, reconstruction=recon,
+                         d=x_batch.shape[1])
 
 
 def _write_checkpoint(state: TrainState, path: str) -> None:
@@ -132,6 +132,7 @@ def train(config: RunConfig, progress=None) -> TrainState:
         x_batch = next(stream)
         ts = rng.uniform(0.0, 1.0, size=x_batch.shape[0])
         eps = rng.standard_normal(x_batch.shape)
+        log = step == 0 or (step + 1) % config.log_every == 0 or step == config.steps - 1
         try:
             loss = batch_vloss_graph(x_batch, model, encoder, ts, eps, schedule)
             objective = loss
@@ -140,16 +141,16 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
             optimizer_step(store, grad(objective, store.tensors()), config.lr)
-        except NumericsError:
+            metrics = _loss_metrics(x_batch, state, float(loss.data), metrics_rng) if log else None
+        except NumericsError as err:
             # parameters are still finite here: forward ops reject non-finite
-            # values before any state is touched, and the optimizer rejects
-            # non-finite gradients before mutating.  Save them for post-mortem.
+            # values before any state is touched, the optimizer rejects
+            # non-finite gradients before mutating, and the metrics follow an
+            # accepted update.  Save them for post-mortem.
             _write_checkpoint(state, ckpt_path)
             flush_curve()
-            raise
-        diffusion = float(loss.data)
-        if step == 0 or (step + 1) % config.log_every == 0 or step == config.steps - 1:
-            metrics = _loss_metrics(x_batch, state, diffusion, metrics_rng)
+            raise NumericsError(f"training step {step + 1}: {err}") from err
+        if metrics is not None:
             state.log_rows.append((store.step, metrics.diffusion, metrics.latent,
                                    metrics.reconstruction, metrics.total_nats, metrics.bpd))
             if progress is not None:

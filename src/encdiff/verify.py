@@ -321,7 +321,7 @@ def optimal_penalty_decay(x: np.ndarray, model, encoder: Encoder,
     return _slope_report(
         "optimal_penalty_decay", -1.0, 0.3, schedule, T_list,
         lambda T: sum(term.penalty for term in discrete_step_terms(
-            x, T, model, encoder, schedule, OPTIMAL, counterterm=False)),
+            x, T, model, encoder, schedule, OPTIMAL)),
         lambda totals: f"totals={['%.3e' % p for p in totals]}")
 
 

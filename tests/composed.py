@@ -166,27 +166,30 @@ def mlp_forward(net: MLP, x: Tensor, lam) -> Ref:
     return h @ p[-2] + p[-1]
 
 
-def loss_terms(encoder, x2, lam, alpha_sq, sigma_sq, lam_prime):
-    """x_enc as a node and the extra residual as a function of the x̂ node."""
+def loss_terms(encoder, x2, p):
+    """x_enc as a node and the extra residual as a function of the x̂ node, at
+    the point p of (B, 1) columns."""
     if isinstance(encoder, IdentityEncoder):
         return Ref(x2), None
     if isinstance(encoder, NonTrainableEncoder):
-        x_enc = Ref(alpha_sq * x2)
+        x_enc = Ref(p.alpha_sq * x2)
         return x_enc, lambda x_hat: x_hat - x_enc
     n = len(x2)
-    h = FD_REL_STEP * abs(lam_prime)
+    lam = p.lam[:, 0]
+    h = FD_REL_STEP * abs(p.lam_prime)
     stacked = ref(encoder.inner.forward(np.concatenate([x2] * 3),
                                         np.concatenate([lam, lam + h, lam - h])))
     y, y_up, y_down = (stacked.rows(k * n, (k + 1) * n) for k in range(3))
     dy = (y_up - y_down) * (0.5 / h)
-    x_enc = alpha_sq * Ref(x2) + sigma_sq * y
+    x_enc = p.alpha_sq * Ref(x2) + p.sigma_sq * y
     return x_enc, lambda x_hat: x_hat - x_enc + y - dy
 
 
 def vloss_per_item(x2, model, encoder, ts, eps2, schedule) -> Ref:
     """Per-item diffusion integrand, shape (B, 1)."""
-    lam, alpha, sigma, alpha_sq, sigma_sq = schedule.columns(ts)
-    x_enc, extra = loss_terms(encoder, x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+    p = schedule.columns(ts)
+    lam, alpha, sigma = p.lam[:, 0], p.alpha, p.sigma
+    x_enc, extra = loss_terms(encoder, x2, p)
     z = alpha * x_enc + sigma * eps2
     if isinstance(model, AnalyticPredictor):
         v_hat = Ref(model.forward(z.data, lam, None))  # a constant: it has no graph form
@@ -196,7 +199,7 @@ def vloss_per_item(x2, model, encoder, ts, eps2, schedule) -> Ref:
     resid = v - v_hat
     if extra is not None:
         resid = resid + sigma * extra(alpha * z - sigma * v_hat)
-    weight = -0.5 * schedule.lam_prime * alpha_sq
+    weight = -0.5 * p.lam_prime * p.alpha_sq
     return resid.square().sum(axis=1, keepdims=True) * weight
 
 
@@ -213,10 +216,11 @@ def latent(x2, encoder, schedule) -> Ref:
     return (0.5 * p1.alpha_sq) * sq.mean() + 0.5 * const
 
 
-def discrete_step_terms(x, T, model, encoder, schedule, w, counterterm) -> list[StepTerm]:
+def discrete_step_terms(x, T, model, encoder, schedule, w) -> list[StepTerm]:
     """The discrete loss's per-layer KL terms, one layer at a time through the
     scalar process helpers: each point encoded once, the model's x̂ at
-    z_t = α_t x_t, σ_P² = σ_Q²/w or the layer's optimum."""
+    z_t = α_t x_t, the counterterm when the encoder's is on, σ_P² = σ_Q²/w or
+    the layer's optimum."""
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     terms = []
@@ -227,7 +231,7 @@ def discrete_step_terms(x, T, model, encoder, schedule, w, counterterm) -> list[
         z_t = tp.alpha * x_t
         x_hat = model.predict_x(z_t, tp.lam)
         q = reverse_posterior(z_t, x_t, x_s, sp, tp)
-        mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=counterterm)
+        mu_p = generative_mean(z_t, x_hat, sp, tp, counterterm=encoder.counterterm)
         sigma2_p = (optimal_sigma_p(q.var, float(np.sum((mu_p - q.mean) ** 2)), d)
                     if w == OPTIMAL else q.var / w)
         w_layer = q.var / sigma2_p

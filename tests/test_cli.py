@@ -209,13 +209,32 @@ class TestTrainCommand:
         assert main(args) == EXIT_CONFIG_ERROR
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_numerical_blowup_exits_3_and_keeps_checkpoint(self, tmp_path):
+    def test_numerical_blowup_exits_3_and_keeps_checkpoint(self, tmp_path, capsys):
         out = str(tmp_path / "blowup")
         args = _train_args(out, steps=50, extra=["--lr", "1e150"])
         assert main(args) == EXIT_NUMERICS
         # parameters in the retained checkpoint are finite (pre-abort state)
         model, _encoder, store, _config, _schedule = restore(
             os.path.join(out, "model.ckpt"))
+        for tensor in store.tensors():
+            assert np.all(np.isfinite(tensor.data))
+        # the abort names the step that failed: the one after the retained state
+        err = capsys.readouterr().err
+        assert f"numerical abort: training step {store.step + 1}: " in err, err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_abort_in_the_step_metrics_names_the_step_and_keeps_checkpoint(self, tmp_path,
+                                                                          capsys):
+        """At this lr the first update is accepted with finite parameters whose
+        logged metrics overflow: the abort names that step, and the checkpoint
+        holds the parameters after its update."""
+        out = str(tmp_path / "blowup")
+        args = _train_args(out, encoder="trainable", steps=50, extra=["--lr", "1e308"])
+        assert main(args) == EXIT_NUMERICS
+        err = capsys.readouterr().err
+        assert "numerical abort: training step 1: " in err and "'encoder.out'" in err, err
+        _model, _encoder, store, _config, _schedule = restore(os.path.join(out, "model.ckpt"))
+        assert store.step == 1
         for tensor in store.tensors():
             assert np.all(np.isfinite(tensor.data))
 

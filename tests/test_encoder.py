@@ -159,15 +159,15 @@ class TestStackedInnerPass:
         enc = _randomized_trainable(rng, d=4, width=16)
         params = enc.inner.store.tensors()
         x2 = rng.uniform(-1, 1, size=(7, 4))
-        lam, _, _, alpha_sq, sigma_sq = schedule.columns(rng.uniform(0.0, 1.0, size=7))
+        p = schedule.columns(rng.uniform(0.0, 1.0, size=7))
         x_hat = rng.standard_normal((7, 4))
 
-        y, dy, x_enc, extra = self._separate_terms(enc, x2, lam, alpha_sq, sigma_sq,
-                                                   schedule.lam_prime)
+        y, dy, x_enc, extra = self._separate_terms(enc, x2, p.lam[:, 0], p.alpha_sq, p.sigma_sq,
+                                                   p.lam_prime)
         loss = self._loss(x_enc, extra, Ref(x_hat))
         expected_grads = enc.inner.store.views(grad(loss, params)).values()
 
-        terms = enc.loss_terms(x2, lam, alpha_sq, sigma_sq, schedule.lam_prime)
+        terms = enc.loss_terms(x2, p)
         # extra(x̂) − x̂ + x_enc = y − dy/dλ; x_enc gives y back through its σ² factor
         np.testing.assert_allclose(terms.x_enc, x_enc.data, rtol=1e-12, atol=0)
         np.testing.assert_allclose(terms.extra(x_hat) - x_hat + terms.x_enc, (y - dy).data,
@@ -255,7 +255,7 @@ class TestGraphViews:
         dy = enc.dy_dlambda(x2, p)
         # the same pass over the λ, λ + h and λ − h blocks as loss_terms makes
         assert passes == [15]
-        _, _, dy_terms, _ = enc._fd_pass(x2, p.lam, p.lam_prime)
+        _, _, dy_terms, _ = enc._fd_pass(x2, p, None)
         assert dy.tobytes() == dy_terms.tobytes()
 
 

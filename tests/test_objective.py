@@ -269,7 +269,7 @@ class TestAlternativeFormulaRoutes:
         model = SmoothVectorPredictor(x)
         enc = NonTrainableEncoder()
         for T in (4, 16, 64):
-            terms = discrete_step_terms(x, T, model, enc, schedule, counterterm=True)
+            terms = discrete_step_terms(x, T, model, enc, schedule)
             for term in terms:
                 sp, tp = schedule.at(term.s), schedule.at(term.t)
                 x_s, x_t = enc.encode(x, sp), enc.encode(x, tp)
@@ -351,16 +351,19 @@ class TestDiscreteLoss:
     def test_layer_axis_equals_per_layer_reference(self, kind, w, counterterm, schedule):
         """The Gaussian algebra over all layers at once gives the per-layer
         reference's terms bit for bit, for d on both sides of the 8 terms that
-        numpy's pairwise sum adds in one unrolled block."""
+        numpy's pairwise sum adds in one unrolled block.  Both follow the
+        encoder's `counterterm`: None keeps the kind's own, True or False sets
+        it on the encoder, so both forms of the generative mean run for every
+        kind."""
         for d in (1, 3, 8, 9):
             x = np.random.default_rng(d).uniform(-1, 1, size=d)
             enc = _random_trainable(d=d) if kind == "trainable" else make_encoder(kind)
+            if counterterm is not None:
+                enc.counterterm = counterterm
             model = SmoothVectorPredictor(x)
             for T in (1, 2, 17, 256):
-                assert discrete_step_terms(x, T, model, enc, schedule, w, counterterm) == \
-                    composed.discrete_step_terms(
-                        x, T, model, enc, schedule, w,
-                        enc.counterterm if counterterm is None else counterterm)
+                assert discrete_step_terms(x, T, model, enc, schedule, w) == \
+                    composed.discrete_step_terms(x, T, model, enc, schedule, w)
 
     @pytest.mark.parametrize("w", [2.0, OPTIMAL])
     def test_process_calls_do_not_grow_with_T(self, w, schedule, rng, monkeypatch):
@@ -413,15 +416,23 @@ class TestDiscreteLoss:
             loss(x, 4, model, make_encoder("identity"), schedule, w)
 
     def test_counterterm_default_tracks_encoder(self, schedule, rng):
-        """Identity runs without the counterterm; the damping encoder with it."""
+        """Identity runs without the counterterm; the damping encoder with it:
+        each layer's KL is the one of that form of the generative mean, and
+        not the other's."""
         x = rng.uniform(-1, 1, size=3)
         model = SmoothVectorPredictor(x)
-        enc = NonTrainableEncoder()
-        default = discrete_step_terms(x, 8, model, enc, schedule)
-        explicit_on = discrete_step_terms(x, 8, model, enc, schedule, counterterm=True)
-        explicit_off = discrete_step_terms(x, 8, model, enc, schedule, counterterm=False)
-        assert default == explicit_on
-        assert default != explicit_off
+        for kind, on in (("identity", False), ("nt", True)):
+            enc = make_encoder(kind)
+            for term in discrete_step_terms(x, 8, model, enc, schedule):
+                sp, tp = schedule.at(term.s), schedule.at(term.t)
+                x_s, x_t = enc.encode(x, sp), enc.encode(x, tp)
+                z_t = tp.alpha * x_t
+                x_hat = model.predict_x(z_t, tp.lam)
+                q = reverse_posterior(z_t, x_t, x_s, sp, tp)
+                kl = {flag: kl_isotropic(q, GaussianParams(
+                    mean=generative_mean(z_t, x_hat, sp, tp, counterterm=flag), var=q.var), 3)
+                    for flag in (False, True)}
+                assert term.kl == kl[on] != kl[not on], kind
 
     def test_step_terms_structure(self, schedule, rng):
         x = rng.uniform(-1, 1, size=3)
@@ -671,8 +682,8 @@ def _reference_elbo_bpd(x, model, enc, schedule, n_mc, rng, pixel_data):
         p0 = schedule.at(0.0)
         z0 = p0.alpha * enc.encode(x_real, p0) + p0.sigma * rng.standard_normal(d)
         recon = reconstruction_loss(x, z0, schedule)
-    return LossBreakdown.from_components(value, latent_loss(x_real, enc, schedule), recon,
-                                         d, diffusion_stderr=math.sqrt(var))
+    return LossBreakdown(value, latent_loss(x_real, enc, schedule), recon, d,
+                         diffusion_stderr=math.sqrt(var))
 
 
 def _reference_t_profile(x, model, enc, schedule, t_grid, n_eps, rng):
@@ -775,7 +786,7 @@ def test_inference_is_off_the_tape(make, schedule, rng):
                                                   schedule)) == 0
         assert _tensors_made(lambda: ancestral_sample(analytic, schedule, SamplerConfig(steps=8),
                                                       n_chains=5, d=3)) == 0
-        lam = schedule.columns(ts[:5])[0]
+        lam = schedule.columns(ts[:5]).lam[:, 0]
         rows = [analytic.predict_v(z[i], lam[i]) for i in range(5)]
         assert analytic.forward(z, lam, analytic.buffers(5)).tobytes() == np.stack(rows).tobytes()
 
@@ -827,9 +838,13 @@ class TestMonteCarloEstimate:
 
 
 def test_loss_breakdown_invariants():
-    bd = LossBreakdown.from_components(diffusion=2.0, latent=0.5, reconstruction=0.25, d=4)
+    bd = LossBreakdown(diffusion=2.0, latent=0.5, reconstruction=0.25, d=4)
     assert bd.total_nats == 2.75
     assert bd.bpd == pytest.approx(2.75 / (4 * math.log(2)))
+    # the totals are derived in one order: (diffusion + latent) + reconstruction, / (d ln 2)
+    bd = LossBreakdown(diffusion=0.1, latent=0.2, reconstruction=0.3, d=3)
+    assert bd.total_nats == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert bd.bpd == bd.total_nats / (3 * math.log(2))
 
 
 def test_t_profile_rows(schedule, rng):

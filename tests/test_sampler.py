@@ -9,9 +9,11 @@ import pytest
 
 from encdiff.autodiff import Tensor
 from encdiff.config import RunConfig
+from encdiff.data import scale_pixels, unscale_pixels
 from encdiff.encoder import NonTrainableEncoder, make_encoder
 from encdiff.errors import NumericsError
 from encdiff.nets import DenoiserNet
+from encdiff.objective import pixel_categorical_log_probs
 from encdiff.process import generative_mean, optimal_sigma_p, transition_coefficients
 from encdiff.sampler import (
     SamplerConfig,
@@ -189,22 +191,22 @@ class TestAncestral:
 
 
 class TestDecode:
-    def test_mode_decode_is_nearest_level(self):
-        from encdiff.data import scale_pixels
-
+    def test_mode_decode_is_nearest_level(self, schedule):
+        """The sampler's argmax decode, unscale_pixels, is the nearest level and
+        the mode of the categorical that decode_pixels samples."""
         levels = scale_pixels(np.arange(256))
         # values chosen off the midpoints between adjacent levels (ties are
         # implementation-defined)
         x = np.array([[-1.0, -0.999, 0.01, 0.32, 1.0]])
-        pixels = decode_pixels(x)
+        pixels = unscale_pixels(x)
         expected = np.abs(x[..., None] - levels).argmin(axis=-1)
         np.testing.assert_array_equal(pixels, expected.astype(np.uint8))
+        p0 = schedule.at(0.0)
+        log_probs = pixel_categorical_log_probs(p0.alpha * x[0], p0.alpha, p0.sigma_sq)
+        np.testing.assert_array_equal(pixels[0], log_probs.argmax(axis=1))
 
     def test_stochastic_decode_concentrates(self, schedule, rng):
-        p0 = schedule.at(0.0)
-        x = np.array([[0.5]])
-        pixels = decode_pixels(x, rng=rng, stochastic=True, sigma0_sq=p0.sigma_sq,
-                               alpha0=p0.alpha)
+        pixels = decode_pixels(np.array([[0.5]]), rng, schedule.at(0.0))
         assert abs(int(pixels[0, 0]) - 191) <= 1
 
 
@@ -297,8 +299,8 @@ def _recorded_sample(model, schedule, config, n_chains, d, pixel_decode, traject
     x_out = model.predict_x(z, points[1].lam)
     pixels = None
     if pixel_decode:
-        pixels = decode_pixels(x_out, rng=rng, stochastic=config.stochastic_decode,
-                               sigma0_sq=points[0].sigma_sq, alpha0=points[0].alpha)
+        pixels = (decode_pixels(x_out, rng, points[0]) if config.stochastic_decode
+                  else unscale_pixels(x_out))
     return x_out, pixels, z, trajectory
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from encdiff.errors import ConfigError
-from encdiff.schedule import LogLinearSchedule, logistic
+from encdiff.schedule import LogLinearSchedule, SchedulePoint, logistic
 
 # independently evaluated logistic values (40-digit arithmetic), frozen
 LOGISTIC_M13_3 = 1.6744904055114538875e-6
@@ -62,7 +62,8 @@ class TestEval:
 
 
 class TestColumns:
-    """The array-valued schedule equals `at` entry for entry, bit for bit."""
+    """The schedule at a batch of times is one point of columns that equals
+    `at` row for row, bit for bit."""
 
     @pytest.mark.parametrize("endpoints", [(13.3, -5.0), (1.0, -1.0), (600.0, -600.0),
                                            (5.0, 1.0), (-1.0, -7.0)])
@@ -70,13 +71,17 @@ class TestColumns:
         sched = LogLinearSchedule(*endpoints)
         ts = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=300),
                              np.linspace(0.0, 1.0, 101)])
-        lam, *cols = sched.columns(ts)
-        assert lam.shape == ts.shape
-        assert all(col.shape == (ts.size, 1) for col in cols)
+        cols = sched.columns(ts)
+        assert isinstance(cols, SchedulePoint)
+        assert type(cols.lam_prime) is float
+        names = [f.name for f in dataclasses.fields(SchedulePoint) if f.name != "lam_prime"]
+        assert all(getattr(cols, name).shape == (ts.size, 1) for name in names)
         for i, t in enumerate(ts):
             p = sched.at(float(t))
-            got = (lam[i], *(col[i, 0] for col in cols))
-            assert got == (p.lam, p.alpha, p.sigma, p.alpha_sq, p.sigma_sq), t
+            row = {name: getattr(cols, name)[i, 0] for name in names}
+            assert row == {name: getattr(p, name) for name in names}, t
+            assert cols.lam_prime == p.lam_prime
+            assert (cols.alpha_sq[i, 0], cols.sigma_sq[i, 0]) == (p.alpha_sq, p.sigma_sq), t
 
     @pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan])
     def test_domain_errors(self, schedule, bad):
@@ -108,6 +113,7 @@ class TestInvariants:
         for t in np.linspace(0.0, 1.0, 101):
             p = schedule.at(float(t))
             assert p.snr == pytest.approx(p.alpha_sq / p.sigma_sq, rel=1e-9)
+            assert p.snr == math.exp(p.lam)
 
     def test_lambda_affine_in_t(self, schedule, rng):
         for _ in range(200):
