@@ -3,15 +3,14 @@
 A Tensor wraps an ndarray and records the op that produced it; backward() walks
 the recorded graph once, in reverse topological order.  Every parent is made
 before its children, so sorting the reachable nodes by creation number gives
-a topological order.  There are no elementwise ops: each step of a loss is
-one node with a hand-written backward, made by the code that owns the step.
-A network call is one node (nets.MLP), whose array input is a constant
-rather than a parent; the v-loss and the latent term are one node each
-(objective.py), and so is the trainable encoder's x_t (encoder.py).  The one
-op left is `+` of two Tensors of one shape, which adds the latent term to the
-v-loss.  A node none of whose parents is on the record (requires a gradient,
-or was made by a node that keeps its backward) is a constant: it drops its
-backward, so no consumer computes a gradient for it.
+a topological order.  No network call is a node: each training loss is one
+node over the parameters, whose hand-written backward composes the networks'
+vector-Jacobian functions (objective.py, nets.MLP.forward), and so is the
+trainable encoder's x_t at t = 1 (encoder.py).  The one op left is `+` of two
+Tensors of one shape, which adds the latent term to the v-loss.  A node none
+of whose parents is on the record (requires a gradient, or was made by a node
+that keeps its backward) is a constant: it drops its backward, so no consumer
+computes a gradient for it.
 
 grad() returns the gradients of all requested parameters in one flat buffer,
 each parameter's raveled gradient in its span, in the order given; for a

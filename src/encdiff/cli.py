@@ -315,7 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the finite checks decide every abort; numpy's warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -14,35 +14,34 @@ it coincides with the non-trainable one bit-for-bit.  Exact λ-derivatives
     d x_tr / dλ = α² σ² x + σ² dy/dλ − α² σ² y
 
 dy/dλ is realized as a symmetric finite difference of the inner network with
-step h = 1e-3 · |dλ/dt|, built from ordinary forward values so that
-reverse-mode differentiation of any loss flows through the estimator without
-second-order machinery.  The rows at λ, λ + h and λ − h go through the inner
-network as one stacked pass (`_fd_pass`, the only one) whose output is split
-back into row blocks; the v-loss terms, encode_dlambda and dy_dlambda all read
-their y and dy/dλ from it.  The latent term's rows at t = 1 are a separate
-pass: batch_latent_graph and latent_loss (objective.py) are their own loss
-function, apart from the v-loss.
+step h = 1e-3 · |dλ/dt|, built from ordinary forward values so that the
+training loss's gradient flows through the estimator by the inner net's
+vector-Jacobian function, with no second-order machinery.  The rows at λ,
+λ + h and λ − h go through the inner network as one stacked pass (`_fd_pass`,
+the only one) whose output is split back into row blocks; the v-loss terms,
+encode_dlambda and dy_dlambda all read their y and dy/dλ from it.  The latent
+term's rows at t = 1 are a separate pass: batch_latent_graph and latent_loss
+(objective.py) are their own loss function, apart from the v-loss.
 
 Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
 which `loss_terms(x2, point)` returns for rows x2 at one schedule point (a
 float point, or `columns`' point of per-row columns): the encoded data x_enc,
-the extra residual as a function of the x-prediction x̂, and in graph mode
-x_enc's node and the encoder's own vector-Jacobian rule for the extra, which
-the v-loss node's hand-written backward calls:
+the extra residual as a function of the x-prediction x̂, and for training
+the encoder's parameters with the backward that the v-loss node's backward
+calls:
 
     identity     None  (no extra term)
     nt           x̂ − x_enc
     trainable    x̂ − x_enc + y − dy/dλ
 
-Only the trainable encoder's x_enc and extra depend on nodes (its inner net's
-stacked pass); the others' x_enc is a constant.  Given buffers from
-`buffers(rows)`, the trainable encoder's `loss_terms` runs the stacked pass
-into them and returns the same values with no node, which is how evaluation
-calls it.  The latent term's graph reads the encoded data at t = 1 from
-`encode_t`, one node over the inner net's node.  No loss differentiates any
-other view: `encode`, `y` and the dλ views are numpy values computed with no
-node, the same bits as the graph views' data, and the dλ views' `_t` forms
-are constants over them, as for the other encoders.
+Only the trainable encoder's x_enc and extra depend on parameters, through
+its inner net's stacked pass, which with buffers from `buffers(rows)` runs
+into them for the values alone, as evaluation calls it.  The latent term
+reads the encoded data at t = 1 from `encode_t`, one node over the inner
+net's parameters.  No loss differentiates any other view: `encode`, `y` and
+the dλ views are numpy values, the same bits as `encode_t`'s data, and `y_t`
+and the dλ views' `_t` forms are constants over them, as `encode_t` is for
+the other encoders.
 
 `counterterm` says whether the generative mean carries the counterterm: the
 discrete loss follows it, and the sampler by default.  It is off for identity
@@ -68,18 +67,15 @@ class Terms(NamedTuple):
 
     x_enc is the encoded data, (B, d).  extra maps the x-prediction x̂ (an
     array) to the encoder's extra residual, x̂ − x_enc plus terms of the
-    encoder's own (None: no extra term).  In graph mode the trainable encoder
-    also gives x_enc's node (None for the encoders without parameters, whose
-    x_enc is a constant) and the nodes its own terms depend on, parents, with
-    backward(g) returning the parents' gradients from the gradient g on the
-    extra.
+    encoder's own (None: no extra term).  For training, the trainable encoder
+    also gives the parameters both depend on, params, and backward(g_x,
+    g_extra), their gradients from the gradients on x_enc and on the extra.
     """
 
     x_enc: np.ndarray
     extra: Callable[[np.ndarray], np.ndarray] | None = None
-    node: Tensor | None = None
-    parents: tuple[Tensor, ...] = ()
-    backward: Callable[[np.ndarray], tuple[np.ndarray, ...]] = lambda g: ()
+    params: tuple[Tensor, ...] = ()
+    backward: Callable[[np.ndarray, np.ndarray], list[np.ndarray]] | None = None
 
 
 class IdentityEncoder:
@@ -162,41 +158,43 @@ class TrainableEncoder:
 
     def loss_terms(self, x2: np.ndarray, point: SchedulePoint,
                    buffers: tuple | None = None) -> Terms:
-        """The terms with their nodes; with buffers from `buffers(rows)`, their
-        values alone, computed through them with no node."""
-        stacked, y, dy, h = self._fd_pass(x2, point, buffers)
+        """The terms with the inner net's parameters and their backward; with
+        buffers from `buffers(rows)`, their values alone, computed in them."""
+        vjp, y, dy, h = self._fd_pass(x2, point, buffers)
         x_enc = _x_t(x2, y, point)
         extra = lambda x_hat: x_hat - x_enc + y - dy  # noqa: E731
         if buffers is not None:
             return Terms(x_enc, extra)
 
-        def extra_backward(g):
-            # the encoder's own terms of the extra: y − dy/dλ
-            g_up = (-g) * (0.5 / h)
-            return (np.concatenate([g, g_up, -g_up]),)
+        def backward(g_x, g_extra):
+            # the extra's own terms, y − dy/dλ, reach all three row blocks,
+            # then x_enc = α² x + σ² y adds to the first
+            g_up = (-g_extra) * (0.5 / h)
+            g_x_rows = np.zeros((3 * len(x2), g_x.shape[1]))
+            g_x_rows[:len(x2)] = g_x * point.sigma_sq
+            return vjp(np.concatenate([g_extra, g_up, -g_up]) + g_x_rows, False)[0]
 
-        return Terms(x_enc, extra, _x_t_node(x_enc, stacked, point), (stacked,),
-                     extra_backward)
+        return Terms(x_enc, extra, self.inner.net.params, backward)
 
     def _fd_pass(self, x2: np.ndarray, point: SchedulePoint, buffers: tuple | None):
         """One pass over x2 stacked at λ, λ + h and λ − h (a float point's λ, or
-        a column point's per row): its node (with buffers from `buffers(rows)`,
-        its output array), y, dy/dλ and h."""
+        a column point's per row): its vector-Jacobian function (None when it
+        runs in buffers from `buffers(rows)`), y, dy/dλ and h."""
         h = _fd_step(point.lam_prime)
         lam = np.ravel(point.lam)
         lam_rows = np.empty((3, len(x2)))
         lam_rows[0], lam_rows[1], lam_rows[2] = lam, lam + h, lam - h
-        stacked = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel(), buffers)
-        out = stacked if buffers is not None else stacked.data
+        out = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel(), buffers)
+        out, vjp = (out, None) if buffers is not None else out
         y, y_up, y_down = out.reshape(3, len(x2), -1)
-        return stacked, y, _central_difference(y_up, y_down, h), h
+        return vjp, y, _central_difference(y_up, y_down, h), h
 
     def _y(self, x2: np.ndarray, lam) -> np.ndarray:
         """y(x2, λ) as values, through buffers of this call."""
         return self.inner.forward(x2, lam, self.inner.buffers(len(x2)))
 
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        return self.inner.forward(np.atleast_2d(x), point.lam)
+        return Tensor(self._y(np.atleast_2d(x), point.lam))
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         return _shaped_like(x, self._y(np.atleast_2d(x), point.lam))
@@ -209,10 +207,12 @@ class TrainableEncoder:
         return Tensor(self.dy_dlambda(x, point))
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
+        """x_t as one node over the inner net's parameters."""
         self.calls += 1
         x2 = np.atleast_2d(x)
-        inner = self.y_t(x2, point)
-        return _x_t_node(_x_t(x2, inner.data, point), inner, point)
+        y, vjp = self.inner.forward(x2, point.lam)
+        return Tensor(_x_t(x2, y, point), _parents=self.inner.net.params, _op="encode",
+                      _backward=lambda g: vjp(g * point.sigma_sq, False)[0])
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -234,19 +234,6 @@ class TrainableEncoder:
 def _x_t(x2: np.ndarray, y: np.ndarray, point: SchedulePoint) -> np.ndarray:
     """The trainable encoder's x_t = α² x + σ² y."""
     return x2 * point.alpha_sq + y * point.sigma_sq
-
-
-def _x_t_node(x_t: np.ndarray, inner: Tensor, point: SchedulePoint) -> Tensor:
-    """x_t as a node on an inner-net node whose first row block is the y it
-    was made from; the node's other blocks get no gradient from x_t."""
-    n = len(x_t)
-
-    def backward(g):
-        g_inner = np.zeros_like(inner.data)
-        g_inner[:n] = g * point.sigma_sq
-        return (g_inner,)
-
-    return Tensor(x_t, _parents=(inner,), _op="encode", _backward=backward)
 
 
 Encoder = IdentityEncoder | NonTrainableEncoder | TrainableEncoder

@@ -6,17 +6,16 @@ layers are zero-initialized, so at initialization the denoiser predicts v̂ = 0
 and the inner encoder network contributes nothing.
 
 A value-mode call (`MLP.values`, the buffers form of `DenoiserNet.forward` and
-`EncoderInnerNet.forward`) records nothing and writes every array into buffers
-allocated once by its caller.  Every inference call runs this way:
-`DenoiserNet.predict_v`, `predict_x` and `predictor`, and evaluation's
-denoiser and inner-net passes.  A graph-mode call (`MLP.forward`) serves the
-training losses alone: one node on the autodiff record, with a hand-written
-backward that does the arithmetic of the composed matmul/add/tanh graph in the
-same order, so values and gradients are bit-identical to that graph's.  An
-array input is a constant that makes no Tensor.  Both run one layer loop,
-`MLP._layers`, so their values are bit-identical; it checks each hidden
-layer's pre-activation and the output, so also a non-finite input, and names
-the layer.
+`EncoderInnerNet.forward`) writes every array into buffers allocated once by
+its caller.  Every inference call runs this way: `DenoiserNet.predict_v`,
+`predict_x` and `predictor`, and evaluation's denoiser and inner-net passes.
+A training-mode call (`MLP.forward`, and those two methods without buffers)
+returns the output and a vector-Jacobian function with the composed
+matmul/add/tanh graph's arithmetic in its order, so values and gradients
+are bit-identical to that graph's.  Neither mode makes a Tensor.  Both run
+one layer loop, `MLP._layers`, which checks each hidden layer's
+pre-activation and the output, so also a non-finite input, and names the
+layer.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -212,7 +211,7 @@ class MLP:
             values.update(_linear_init(layer, width, width, rng))
         values.update(_linear_init(f"{prefix}.out", width, d_in, rng, zero=True))
         params = store.add_many(values)
-        # (W_in, b_in, W_h1, b_h1, ..., W_out, b_out): the order of the node's parents
+        # (W_in, b_in, W_h1, b_h1, ..., W_out, b_out): the order of vjp's gradients
         self.params: tuple[Parameter, ...] = tuple(params.values())
 
     def _layers(self, data: list[np.ndarray], h: np.ndarray, saved: list | None = None,
@@ -264,34 +263,33 @@ class MLP:
 
     def values(self, x: np.ndarray, lam, buffers: tuple) -> np.ndarray:
         """The forward pass's values for x (B, d_in) computed into the first B
-        rows of `buffers` (from `buffers(rows)`, rows ≥ B); records no node and
-        returns the output buffer's rows.  Bit-identical to `forward(x, lam).data`.
+        rows of `buffers` (from `buffers(rows)`, rows ≥ B); returns the output
+        buffer's rows.  Bit-identical to `forward(x, lam)[0]`.
         """
         features, *rest = (b[:len(x)] for b in buffers)
         features[:, :self.d_in] = self._checked(x)
         features[:, self.d_in:] = sinusoidal_embedding(lam)
         return self._layers([p.data for p in self.params], features, buffers=rest)[1]
 
-    def forward(self, x: Tensor | np.ndarray, lam) -> Tensor:
-        """Graph-mode forward pass; x is (B, d_in), lam scalar or (B,).
-
-        Records one node whose parents are every weight and bias, and x if x is
-        a node; an array x is a constant.  x gets a gradient only when it is on
-        the record (made by an op or requiring a gradient).
+    def forward(self, x: np.ndarray, lam):
+        """Training-mode forward pass of x (B, d_in), lam scalar or (B,): the
+        output and vjp(g, need_gx), which maps the output's gradient g to the
+        weights' and biases' gradients, in `params` order, and x's when
+        need_gx is set (otherwise None), with the composed matmul/add/tanh
+        graph's arithmetic in its order.  Neither makes a Tensor.
         """
-        node = x if isinstance(x, Tensor) else None
-        x = self._checked(x if node is None else x.data)
+        x = self._checked(x)
         emb = sinusoidal_embedding(lam)
         if emb.shape[0] == 1 and x.shape[0] > 1:
             emb = np.broadcast_to(emb, (x.shape[0], emb.shape[1]))
         data = [p.data for p in self.params]
-        # per hidden layer: its input and its tanh output, which backward reads
+        # per hidden layer: its input and its tanh output, which vjp reads
         saved: list[tuple[np.ndarray, np.ndarray]] = []
         h, out = self._layers(data, np.concatenate([x, emb], axis=1), saved)
-        need_gx = node is not None and (node._backward is not None or node.requires_grad)
         d_in = self.d_in
 
-        def backward(g):
+        def vjp(g: np.ndarray, need_gx: bool) -> tuple[list[np.ndarray], np.ndarray | None]:
+            # x's gradient, then the parameters' in order
             grads = [None] * (len(data) + 1)
             # output layer: b gets the rows' sum, W gets hᵀg, h gets g Wᵀ
             grads[-1] = g.sum(axis=0)
@@ -307,10 +305,9 @@ class MLP:
                     g = g + ga @ data[2 * k].T
                 elif need_gx:
                     grads[0] = (ga @ data[0].T)[:, :d_in]
-            return grads[1:] if node is None else grads
+            return grads[1:], grads[0]
 
-        return Tensor(out, name=f"{self.prefix}.out", _op="mlp", _backward=backward,
-                      _parents=self.params if node is None else (node, *self.params))
+        return out, vjp
 
 
 class DenoiserNet:
@@ -329,14 +326,12 @@ class DenoiserNet:
         self.net = MLP(self.store, "denoiser", d, width, rng)
         self.calls = 0
 
-    def forward(self, z: Tensor | np.ndarray, lam, buffers: tuple | None = None
-                ) -> Tensor | np.ndarray:
-        """v̂(z, λ) as one recorded node, for training; with buffers from
-        `buffers(rows)`, its values computed into them as an array, recording
-        nothing.
+    def forward(self, z: np.ndarray, lam, buffers: tuple | None = None):
+        """v̂(z, λ) and its vector-Jacobian function (`MLP.forward`), for
+        training; with buffers from `buffers(rows)`, its values alone,
+        computed into them, for every inference call.
 
-        The buffers form serves every inference call.  It keeps every denoiser
-        evaluation, recorded or not, a call of this method, which is what the
+        Every denoiser evaluation is a call of this method, which is what the
         benchmark's span tracer (perfbench/tracer.py) counts as a model call.
         """
         self.calls += 1
@@ -389,10 +384,9 @@ class EncoderInnerNet:
         rng = np.random.default_rng(seed)
         self.net = MLP(self.store, "encoder", d, width, rng)
 
-    def forward(self, x: Tensor | np.ndarray, lam, buffers: tuple | None = None
-                ) -> Tensor | np.ndarray:
-        """y(x, λ) as one recorded node; with buffers from `buffers(rows)`, its
-        values computed into them as an array, recording nothing."""
+    def forward(self, x: np.ndarray, lam, buffers: tuple | None = None):
+        """y(x, λ) and its vector-Jacobian function (`MLP.forward`); with
+        buffers from `buffers(rows)`, its values alone, computed into them."""
         if buffers is None:
             return self.net.forward(x, lam)
         return self.net.values(x, lam, buffers)

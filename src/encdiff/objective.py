@@ -23,18 +23,17 @@ in `_latent_value`.  A block's schedule values are one `SchedulePoint` of
 Evaluation (`_vloss_draws`, and through it `elbo_bpd`, `t_profile` and
 `continuous_vloss`; `latent_loss`) runs them on values, in EVAL_ROWS-row
 blocks through buffers allocated once per call, and makes no Tensor; neither
-do the x-form and discrete losses.  Only training calls the graph form
-`forward(z, λ)`, which a DenoiserNet alone has: the v-loss of a batch is one
-node on the autodiff record, and the latent term one more; each wraps the same
-value computation and adds a hand-written backward that repeats the composed
-elementwise graph's arithmetic in its order, so values and gradients are the
-same bits as that graph's (kept as a reference in the tests).  The v-loss
-node's parents are the denoiser's node, the z it was fed, and the encoder's
-x_enc and extra-term nodes; the encoder answers for its own part through
-`loss_terms` (values, and in graph mode nodes and a vector-Jacobian rule; see
-encoder.Terms), so nothing here depends on the encoder's kind.  A non-finite
-v-loss or latent value is a NumericsError naming op 'vloss' or 'latent' on
-either path.
+do the x-form and discrete losses.  Only training calls the training form
+`forward(z, λ)`, which a DenoiserNet alone has: v̂ and its vector-Jacobian
+function.  The v-loss of a batch is one node on the autodiff record over the
+denoiser's and the encoder's parameters, and the latent term one more; each
+wraps the same value computation, and its hand-written backward composes the
+networks' vector-Jacobian functions with the composed elementwise graph's
+arithmetic in its order, so values and gradients are the same bits as that
+graph's (kept as a reference in the tests).  The encoder answers for its own
+part through `loss_terms` (see encoder.Terms), so nothing here depends on the
+encoder's kind.  A non-finite v-loss or latent value is a NumericsError
+naming op 'vloss' or 'latent' on either path.
 
 Training draws t uniformly.  Evaluation (`elbo_bpd`) stratifies its n draws
 of t in pairs: K = n // 2 strata of width n_k / n cover [0, 1] in order, each
@@ -186,22 +185,21 @@ def batch_vloss_graph(
     """Mean single-sample diffusion loss over a batch; differentiable. x is (B, d).
 
     One node whose value is `_vloss_values`' and whose parents are the
-    denoiser's node, z, the encoder's x_enc and the nodes of the encoder's own
-    extra terms (see encoder.Terms).  z is a node on x_enc, so the denoiser's
-    input gradient reaches the encoder and adds to x_enc's gradient before
-    x_enc's backward runs, as in the composed elementwise graph, whose
-    arithmetic the backward repeats in its order.
+    denoiser's parameters and the encoder's (see encoder.Terms).  Its backward
+    composes the denoiser's vector-Jacobian function with the encoder's and
+    repeats the composed elementwise graph's arithmetic in its order: z's
+    gradient is the v-loss's share plus the denoiser's input gradient, and it
+    adds to x_enc's gradient before the encoder's backward runs.
     """
     x2 = np.asarray(x, dtype=np.float64)
     p = schedule.columns(np.asarray(ts))
     terms = encoder.loss_terms(x2, p)
-    x_node = Tensor(terms.x_enc) if terms.node is None else terms.node
-    nodes = []
+    vjps = []
 
     def predict_v(z):
-        z_node = Tensor(z, _parents=(x_node,), _op="z", _backward=lambda g: (g * p.alpha,))
-        nodes.extend((model.forward(z_node, p.lam[:, 0]), z_node))
-        return nodes[0].data
+        v_hat, vjp = model.forward(z, p.lam[:, 0])
+        vjps.append(vjp)
+        return v_hat
 
     resid, weight, per_item = _vloss_values(terms, predict_v, np.asarray(eps, dtype=np.float64), p)
     n = len(per_item)
@@ -211,13 +209,17 @@ def batch_vloss_graph(
         # resid = α ε − σ x_enc − v̂ [+ σ·extra]
         g_v = -g_resid
         if terms.extra is None:
-            return (g_v, None, g_v * p.sigma)
+            return vjps[0](g_v, False)[0]
         # the extra is x̂ − x_enc plus the encoder's own terms, and x̂ = α z − σ v̂
         g_extra = g_resid * p.sigma
-        return ((-g_extra) * p.sigma + g_v, g_extra * p.alpha, (-g_extra) + g_v * p.sigma,
-                *terms.backward(g_extra))
+        g_params, g_in = vjps[0]((-g_extra) * p.sigma + g_v, terms.backward is not None)
+        if terms.backward is None:
+            return g_params
+        # z = α x_enc + σ ε gets the extra's share, then the denoiser's input gradient
+        g_x = ((-g_extra) + g_v * p.sigma) + (g_extra * p.alpha + g_in) * p.alpha
+        return (*g_params, *terms.backward(g_x, g_extra))
 
-    return Tensor(per_item.sum() * (1.0 / n), _parents=(*nodes, x_node, *terms.parents),
+    return Tensor(per_item.sum() * (1.0 / n), _parents=(*model.net.params, *terms.params),
                   _op="vloss", _backward=backward)
 
 

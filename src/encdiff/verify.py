@@ -86,8 +86,8 @@ def _report(name: str, measured: float, expected: float, tolerance: float,
 class AnalyticPredictor:
     """A closed-form x̂(z, λ); subclasses define predict_x.
 
-    It answers DenoiserNet's inference protocol (objective.py), with no graph
-    form: v̂ follows from x̂ through x̂ = α z − σ v̂.
+    It answers DenoiserNet's inference protocol (objective.py), with no
+    training form: v̂ follows from x̂ through x̂ = α z − σ v̂.
     """
 
     z_independent = True

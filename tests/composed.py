@@ -2,15 +2,19 @@
 v-loss and latent term built from them one op per node; and the discrete loss
 one layer at a time.
 
-encdiff records each of those as one node with a hand-written backward that
-repeats the composed graph's arithmetic in its order.  The tests compare the
-fused nodes with the graphs built here, value and gradient, bit for bit where
-the order is kept.  Likewise encdiff runs the discrete loss's Gaussian algebra
-once over all layers, and the tests compare it with `discrete_step_terms`
-here, which calls the scalar process helpers layer by layer.
+encdiff runs an MLP as values plus a vector-Jacobian function, and records
+each loss as one node over the parameters, whose hand-written backward
+composes those functions and repeats the composed graph's arithmetic in its
+order.  The tests compare them with the graphs built here, value and
+gradient, bit for bit where the order is kept.  Every MLP here is
+`mlp_forward`'s, so the reference calls no network of encdiff's.  Likewise
+encdiff runs the discrete loss's Gaussian algebra once over all layers, and
+the tests compare it with `discrete_step_terms` here, which calls the scalar
+process helpers layer by layer.
 
 `Ref` is a Tensor with the operators; wrap a Tensor that encdiff made (a
-network's node, a parameter) with `ref` before using it as a left operand.
+loss or encode_t node, a parameter) with `ref` before using it as a left
+operand.
 """
 
 from __future__ import annotations
@@ -177,8 +181,8 @@ def loss_terms(encoder, x2, p):
     n = len(x2)
     lam = p.lam[:, 0]
     h = FD_REL_STEP * abs(p.lam_prime)
-    stacked = ref(encoder.inner.forward(np.concatenate([x2] * 3),
-                                        np.concatenate([lam, lam + h, lam - h])))
+    stacked = mlp_forward(encoder.inner.net, Ref(np.concatenate([x2] * 3)),
+                          np.concatenate([lam, lam + h, lam - h]))
     y, y_up, y_down = (stacked.rows(k * n, (k + 1) * n) for k in range(3))
     dy = (y_up - y_down) * (0.5 / h)
     x_enc = p.alpha_sq * Ref(x2) + p.sigma_sq * y
@@ -194,7 +198,7 @@ def vloss_per_item(x2, model, encoder, ts, eps2, schedule) -> Ref:
     if isinstance(model, AnalyticPredictor):
         v_hat = Ref(model.forward(z.data, lam, None))  # a constant: it has no graph form
     else:
-        v_hat = ref(model.forward(z, lam))
+        v_hat = mlp_forward(model.net, z, lam)
     v = alpha * eps2 - sigma * x_enc
     resid = v - v_hat
     if extra is not None:
@@ -206,7 +210,8 @@ def vloss_per_item(x2, model, encoder, ts, eps2, schedule) -> Ref:
 def encode_t(encoder, x2, point) -> Ref:
     if isinstance(encoder, (IdentityEncoder, NonTrainableEncoder)):
         return Ref(encoder.encode(x2, point))
-    return point.alpha_sq * Ref(x2) + point.sigma_sq * ref(encoder.inner.forward(x2, point.lam))
+    return point.alpha_sq * Ref(x2) + point.sigma_sq * mlp_forward(encoder.inner.net, Ref(x2),
+                                                                   point.lam)
 
 
 def latent(x2, encoder, schedule) -> Ref:

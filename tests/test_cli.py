@@ -270,18 +270,35 @@ class TestTrainCommand:
 _ALLOCATION_LIMIT = 2_000_000_000  # bytes of address space for the child below
 
 
-def _main_with_memory_limit(args: list[str]) -> subprocess.CompletedProcess:
-    """Run encdiff's main(args) in a child process whose address space is capped."""
-    code = ("import resource, sys\n"
-            f"resource.setrlimit(resource.RLIMIT_AS, ({_ALLOCATION_LIMIT}, {_ALLOCATION_LIMIT}))\n"
-            "from encdiff.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
+def _main_in_child(args: list[str], setup: str = "") -> subprocess.CompletedProcess:
+    """Run encdiff's main(args) in a child process, after the statements setup."""
+    code = f"import sys\n{setup}from encdiff.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     package_root = str(Path(encdiff.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [package_root,
                                                        os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def _main_with_memory_limit(args: list[str]) -> subprocess.CompletedProcess:
+    """Run encdiff's main(args) in a child process whose address space is capped."""
+    return _main_in_child(args, "import resource\nresource.setrlimit(resource.RLIMIT_AS, "
+                                f"({_ALLOCATION_LIMIT}, {_ALLOCATION_LIMIT}))\n")
+
+
+def test_numerical_abort_prints_one_line(tmp_path):
+    """From the command line, an overflow that aborts training leaves one stderr
+    line, the abort that names its step and layer: numpy's floating-point
+    warnings, which would come first with their source lines, are silenced."""
+    result = _main_in_child(["train", "--dataset", "gaussian2d", "--encoder", "trainable",
+                             "--lr", "1e308", "--steps", "3", "--n-points", "64",
+                             "--denoiser-width", "8", "--encoder-width", "8",
+                             "--out-dir", str(tmp_path / "out")])
+    assert result.returncode == EXIT_NUMERICS, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical abort: training step 1: "), \
+        result.stderr
 
 
 class TestImpossibleAllocation:
@@ -1035,16 +1052,15 @@ def test_train_function_initial_total_recorded(tmp_path):
 
 
 @pytest.mark.parametrize("encoder, per_step", [
-    ("trainable", 9), ("nt", 4), ("identity", 4)])
+    ("trainable", 4), ("nt", 1), ("identity", 1)])
 def test_tensors_per_training_step(tmp_path, encoder, per_step):
-    """Each MLP call is one graph node, and so are the v-loss and the latent
-    term; an array fed to an MLP is a constant, not a leaf Tensor.  A step
-    makes x_enc, z, the denoiser's node and the v-loss node; the trainable
-    encoder adds its stacked inner pass, and the latent term's inner pass,
-    encode_t node and latent node, and the sum of the two losses.  Tensors are
-    counted with the node-id counter, as the benchmark's tensor probe counts
-    them; a run of 3 steps makes one step's Tensors more than a run of 2, since
-    both log and save at their first and last steps."""
+    """The v-loss is one node over the parameters, and no network call makes
+    a Tensor: a step makes the v-loss node alone.  The trainable encoder adds
+    the latent term's encode_t node over its inner net's parameters, the
+    latent node and the sum of the two losses.  Tensors are counted with the
+    node-id counter, as the benchmark's tensor probe counts them; a run of 3
+    steps makes one step's Tensors more than a run of 2, since both log and
+    save at their first and last steps."""
     from encdiff.autodiff import Tensor
 
     def tensors_made(steps: int) -> int:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from composed import Ref, ref
+import composed
+from composed import Ref, mlp_forward, ref
 from encdiff.autodiff import Tensor, grad
 from encdiff.encoder import (
     FD_REL_STEP,
@@ -136,8 +137,9 @@ class TestStackedInnerPass:
     @staticmethod
     def _separate_terms(enc, x2, lam, alpha_sq, sigma_sq, lam_prime):
         h = FD_REL_STEP * abs(lam_prime)
-        y = ref(enc.inner.forward(x2, lam))
-        dy = (ref(enc.inner.forward(x2, lam + h)) - enc.inner.forward(x2, lam - h)) * (0.5 / h)
+        y = mlp_forward(enc.inner.net, Ref(x2), lam)
+        dy = (mlp_forward(enc.inner.net, Ref(x2), lam + h)
+              - mlp_forward(enc.inner.net, Ref(x2), lam - h)) * (0.5 / h)
         x_enc = alpha_sq * Ref(x2) + sigma_sq * y
         return y, dy, x_enc, (lambda x_hat: x_hat - x_enc + y - dy)
 
@@ -147,13 +149,14 @@ class TestStackedInnerPass:
 
     @staticmethod
     def _terms_loss(terms, x_hat):
-        """_loss of the encoder's terms as one node: the extra is x̂ − x_enc plus
-        the encoder's own terms, whose rule is terms.backward."""
+        """_loss of the encoder's terms as one node over its parameters: the
+        extra is x̂ − x_enc plus the encoder's own terms, and terms.backward
+        maps the gradients on x_enc and on the extra to the parameters'."""
         x_enc = terms.x_enc
         e = terms.extra(x_hat)
         value = ((e * e).sum() + (x_enc * x_hat).sum()) * 0.5
-        return Tensor(value, _parents=(terms.node, *terms.parents),
-                      _backward=lambda g: ((g * 0.5) * x_hat - g * e, *terms.backward(g * e)))
+        return Tensor(value, _parents=terms.params,
+                      _backward=lambda g: terms.backward((g * 0.5) * x_hat - g * e, g * e))
 
     def test_matches_separate_passes(self, schedule, rng):
         enc = _randomized_trainable(rng, d=4, width=16)
@@ -191,10 +194,10 @@ class TestStackedInnerPass:
 
 
 class TestGraphViews:
-    """encode_t is one node over the inner net's node; its value and gradient
-    equal those of the composed graph that the same inner pass makes.  The
-    numpy views are the data of the graph ones, and the dλ views are
-    constants over their numpy values."""
+    """encode_t is one node over the inner net's parameters; its value and
+    gradient equal those of the composed graph.  The numpy views are the data
+    of the graph ones, and y_t and the dλ views are constants over their numpy
+    values."""
 
     # the graph view with a gradient rule besides loss_terms (TestStackedInnerPass)
     @pytest.mark.parametrize("view", ["encode_t"])
@@ -205,10 +208,11 @@ class TestGraphViews:
         p = schedule.at(0.45)
         weights = rng.standard_normal((5, 3))
         fused = getattr(enc, view)(x2, p)
-        composed = p.alpha_sq * Ref(x2) + p.sigma_sq * ref(enc.inner.forward(x2, p.lam))
-        assert fused.data.tobytes() == composed.data.tobytes()
+        reference = composed.encode_t(enc, x2, p)
+        assert fused._parents == enc.inner.net.params
+        assert fused.data.tobytes() == reference.data.tobytes()
         g_fused = grad((ref(fused) * weights).sum(), params)
-        g_composed = grad((composed * weights).sum(), params)
+        g_composed = grad((reference * weights).sum(), params)
         assert np.any(g_fused != 0.0)
         np.testing.assert_array_equal(g_fused, g_composed)
 
@@ -223,7 +227,7 @@ class TestGraphViews:
         assert value.shape == shape
         assert value.tobytes() == node.data.reshape(shape).tobytes()
 
-    @pytest.mark.parametrize("view", ["dy_dlambda_t", "encode_dlambda_t"])
+    @pytest.mark.parametrize("view", ["y_t", "dy_dlambda_t", "encode_dlambda_t"])
     def test_dlambda_views_are_constants(self, view, schedule, rng):
         enc = _randomized_trainable(rng, d=3, width=8)
         x2 = rng.uniform(-1, 1, size=(5, 3))

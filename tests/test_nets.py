@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from composed import mlp_forward, ref
+from composed import mlp_forward
 from encdiff.autodiff import Tensor, grad
 from encdiff.checkpoint import Checkpoint, load, save
 from encdiff.config import RunConfig
@@ -66,7 +66,7 @@ class TestDenoiser:
         _randomize_output_layer(net.store, rng)
         z = rng.standard_normal((3, 2))
         lams = np.array([-1.0, 2.0, 5.0])
-        batched = net.forward(z, lams).data
+        batched = net.forward(z, lams)[0]
         for i, lam in enumerate(lams):
             row = net.predict_v(z[i], float(lam))
             np.testing.assert_allclose(batched[i], row, rtol=1e-12, atol=1e-14)
@@ -81,59 +81,62 @@ def _randomized_mlp(kind: str, rng) -> MLP:
 
 
 class TestFusedMLP:
-    """One MLP call is one graph node whose values and gradients equal those of
-    the composed-op graph bit for bit."""
+    """One MLP call returns its output and a vector-Jacobian function, whose
+    gradients equal those of the composed-op graph bit for bit; it makes no
+    Tensor."""
 
     @staticmethod
-    def _loss(out: Tensor, weights: np.ndarray) -> Tensor:
-        out = ref(out)
-        return (out * weights).sum() + out.square().sum()
+    def _composed_grads(net: MLP, x: np.ndarray, lam, g: np.ndarray, need_gx: bool):
+        """The composed graph's output, and grad()'s flat buffer of x's
+        gradient (when need_gx) and the parameters' for output gradient g."""
+        x_node = Tensor(x, requires_grad=need_gx, name="x")
+        composed = mlp_forward(net, x_node, lam)
+        targets = [x_node, *net.params] if need_gx else net.params
+        return composed.data, grad((composed * g).sum(), targets)
 
     @pytest.mark.parametrize("kind", ["denoiser", "encoder"])
     @pytest.mark.parametrize("rows", [1, 7])
     def test_matches_composed_graph_bitwise(self, kind, rows, rng):
         net = _randomized_mlp(kind, rng)
-        x = Tensor(rng.standard_normal((rows, 3)), requires_grad=True, name="x")
+        x = rng.standard_normal((rows, 3))
         # stacked rows carry one λ each, as in the encoder's stacked pass
         lam = rng.uniform(-5.0, 13.0, size=rows) if rows > 1 else 2.5
-        weights = rng.standard_normal((rows, 3))
-        fused = net.forward(x, lam)
-        composed = mlp_forward(net, x, lam)
-        assert fused._op == "mlp" and fused._parents == (x, *net.params)
-        assert fused.data.tobytes() == composed.data.tobytes()
-        targets = [x, *net.params]
-        g_fused = grad(self._loss(fused, weights), targets)
-        g_composed = grad(self._loss(composed, weights), targets)
-        assert np.any(g_fused[:x.data.size] != 0.0)
-        assert g_fused.tobytes() == g_composed.tobytes()
+        g = rng.standard_normal((rows, 3))
+        out, vjp = net.forward(x, lam)
+        for need_gx in (True, False):
+            composed, expected = self._composed_grads(net, x, lam, g, need_gx)
+            assert out.tobytes() == composed.tobytes()
+            grads, gx = vjp(g, need_gx)
+            assert (gx is None) is not need_gx
+            got = np.concatenate([part.ravel() for part in ([gx] if need_gx else []) + grads])
+            assert np.any(got != 0.0)
+            assert got.tobytes() == expected.tobytes()
 
     def test_constant_input_gets_no_gradient(self, rng):
-        net = _randomized_mlp("encoder", rng)
-        x = Tensor(rng.standard_normal((4, 3)))
-        out = net.forward(x, 1.0)
-        g = rng.standard_normal(out.shape)
-        fused_grads = out._backward(g)
-        assert fused_grads[0] is None
-        composed = mlp_forward(net, Tensor(x.data, requires_grad=True), 1.0)
-        reference = grad((composed * g).sum(), net.params)
-        assert np.concatenate([pg.ravel() for pg in fused_grads[1:]]).tobytes() == \
-            reference.tobytes()
-
-    def test_array_input_is_a_constant_not_a_parent(self, rng):
-        """An array input makes no leaf Tensor: the node's parents are the
-        weights and biases alone, with the values and gradients of a constant
-        Tensor input."""
+        """Without need_gx the input's gradient is never formed, and the
+        parameters' gradients are the same bits as with it."""
         net = _randomized_mlp("encoder", rng)
         x = rng.standard_normal((4, 3))
-        out = net.forward(x, 1.0)
-        leaf_out = net.forward(Tensor(x), 1.0)
-        assert out._parents == net.params
-        assert out.data.tobytes() == leaf_out.data.tobytes()
+        out, vjp = net.forward(x, 1.0)
         g = rng.standard_normal(out.shape)
-        grads = out._backward(g)
-        leaf_grads = leaf_out._backward(g)
+        grads, gx = vjp(g, False)
+        assert gx is None
         assert len(grads) == len(net.params)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, leaf_grads[1:]))
+        _, reference = self._composed_grads(net, x, 1.0, g, need_gx=False)
+        assert np.concatenate([pg.ravel() for pg in grads]).tobytes() == reference.tobytes()
+        with_gx = vjp(g, True)[0]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, with_gx))
+
+    def test_array_input_is_a_constant_not_a_parent(self, rng):
+        """The forward pass and its vector-Jacobian function take and return
+        arrays and make no Tensor."""
+        net = _randomized_mlp("encoder", rng)
+        x = rng.standard_normal((4, 3))
+        start = Tensor(0.0).node_id
+        out, vjp = net.forward(x, 1.0)
+        grads, gx = vjp(rng.standard_normal(out.shape), True)
+        assert Tensor(0.0).node_id == start + 1
+        assert all(type(a) is np.ndarray for a in (out, gx, *grads))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -501,4 +504,4 @@ def _randomize_output_layer(store: ParamStore, rng: np.random.Generator) -> None
 def test_inner_net_zero_at_init(rng):
     inner = EncoderInnerNet(d=2, width=8, seed=0)
     x = rng.uniform(-1, 1, size=(5, 2))
-    np.testing.assert_array_equal(inner.forward(x, 3.0).data, np.zeros((5, 2)))
+    np.testing.assert_array_equal(inner.forward(x, 3.0)[0], np.zeros((5, 2)))

@@ -121,13 +121,27 @@ def _attribute_reads(node: ast.AST) -> Counter:
                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
 
 
+# methods that nothing in the package calls, each kept only because the
+# benchmark's tracer wraps it by name (perfbench/tracer.py's TARGETS), which
+# needs it defined
+TRACER_PINNED_METHODS = {
+    "IdentityEncoder.encode_dlambda_t": "the tracer wraps every encoder's encode methods",
+    "NonTrainableEncoder.encode_dlambda_t": "the tracer wraps every encoder's encode methods",
+    "TrainableEncoder.encode_dlambda_t": "the tracer wraps every encoder's encode methods",
+    "TrainableEncoder.dy_dlambda_t": "the tracer wraps the trainable encoder's views",
+    "TrainableEncoder.y": "the tracer wraps the trainable encoder's views",
+    "TrainableEncoder.y_t": "the tracer wraps the trainable encoder's views",
+    "Tensor.reachable_ids": "the tracer counts its calls as graph walks",
+}
+
+
 def test_every_method_is_referenced():
     """A method that nothing in the package calls is surface the package does not
     need.  A method is only ever called as obj.name, so only attribute reads
     count: a local variable of the same name does not.  Python calls the special
-    methods; the only others kept are the methods the benchmark's tracer wraps
-    (perfbench/tracer.py's TARGETS), which it needs defined.  A read inside the
-    method's own definition does not count."""
+    methods; the only others kept are TRACER_PINNED_METHODS, exactly, each of
+    which the tracer must still wrap.  A read inside the method's own definition
+    does not count."""
     pinned = {path for _, path, *_ in _load_tracer().TARGETS}
     reads = Counter()
     methods = []
@@ -138,9 +152,15 @@ def test_every_method_is_referenced():
                     if isinstance(cls, ast.ClassDef) for f in cls.body
                     if isinstance(f, ast.FunctionDef)
                     and not (f.name.startswith("__") and f.name.endswith("__"))]
-    unreferenced = sorted(f"{module}:{name}" for module, name, f in methods
-                          if reads[f.name] == _attribute_reads(f)[f.name] and name not in pinned)
+    unread = {name: module for module, name, f in methods
+              if reads[f.name] == _attribute_reads(f)[f.name]}
+    unreferenced = sorted(f"{module}:{name}" for name, module in unread.items()
+                          if name not in TRACER_PINNED_METHODS)
     assert not unreferenced, f"methods never used in the package: {', '.join(unreferenced)}"
+    stale = sorted(name for name in TRACER_PINNED_METHODS
+                   if name not in unread or name not in pinned)
+    assert not stale, ("allowlisted but used in the package, gone or not traced: "
+                       + ", ".join(stale))
 
 
 # defaulted parameters that no call in the package sets, each kept for a caller outside it
