@@ -19,9 +19,12 @@ training loss's gradient flows through the estimator by the inner net's
 vector-Jacobian function, with no second-order machinery.  The rows at λ,
 λ + h and λ − h go through the inner network as one stacked pass (`_fd_pass`,
 the only one) whose output is split back into row blocks; the v-loss terms,
-encode_dlambda and dy_dlambda all read their y and dy/dλ from it.  The latent
-term's rows at t = 1 are a separate pass: batch_latent_graph and latent_loss
-(objective.py) are their own loss function, apart from the v-loss.
+encode_dlambda and dy_dlambda all read their y and dy/dλ from it.  It embeds
+its λ rows once, and `Terms.emb` hands the λ rows' part to the denoiser.
+Given the latent point, `loss_terms` also encodes the first row there, after
+the 3·B stacked rows, for elbo_bpd's latent term.  Training's latent term
+(batch_latent_graph) and latent_loss stay their own pass, through encode_t
+and encode, so that the training gradients keep their bits.
 
 Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
 which `loss_terms(x2, point)` returns for rows x2 at one schedule point (a
@@ -36,8 +39,8 @@ calls:
 
 Only the trainable encoder's x_enc and extra depend on parameters, through
 its inner net's stacked pass, which with buffers from `buffers(rows)` runs
-into them for the values alone, as evaluation calls it.  The latent term
-reads the encoded data at t = 1 from `encode_t`, one node over the inner
+into them for the values alone, as evaluation calls it.  Training's latent
+term reads the encoded data at t = 1 from `encode_t`, one node over the inner
 net's parameters.  No loss differentiates any other view: `encode`, `y` and
 the dλ views are numpy values, the same bits as `encode_t`'s data, and `y_t`
 and the dλ views' `_t` forms are constants over them, as `encode_t` is for
@@ -56,7 +59,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nets import EncoderInnerNet
+from .nets import EncoderInnerNet, sinusoidal_embedding
 from .schedule import LogLinearSchedule, SchedulePoint
 
 FD_REL_STEP = 1e-3
@@ -70,12 +73,17 @@ class Terms(NamedTuple):
     encoder's own (None: no extra term).  For training, the trainable encoder
     also gives the parameters both depend on, params, and backward(g_x,
     g_extra), their gradients from the gradients on x_enc and on the extra.
+    emb is the rows' λ-embedding when the encoder computed it (the trainable
+    one's stacked pass), for the denoiser to reuse, and x1 the first row
+    encoded at the latent point, (1, d), when `loss_terms` was given one.
     """
 
     x_enc: np.ndarray
     extra: Callable[[np.ndarray], np.ndarray] | None = None
     params: tuple[Tensor, ...] = ()
     backward: Callable[[np.ndarray, np.ndarray], list[np.ndarray]] | None = None
+    emb: np.ndarray | None = None
+    x1: np.ndarray | None = None
 
 
 class IdentityEncoder:
@@ -90,8 +98,9 @@ class IdentityEncoder:
     def buffers(self, rows: int) -> None:
         return None
 
-    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None) -> Terms:
-        return Terms(x2)
+    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None,
+                   p1: SchedulePoint | None = None) -> Terms:
+        return Terms(x2, x1=None if p1 is None else x2[:1])
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -120,9 +129,11 @@ class NonTrainableEncoder:
     def buffers(self, rows: int) -> None:
         return None
 
-    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None) -> Terms:
+    def loss_terms(self, x2: np.ndarray, point: SchedulePoint, buffers: None = None,
+                   p1: SchedulePoint | None = None) -> Terms:
         x_enc = point.alpha_sq * x2
-        return Terms(x_enc, lambda x_hat: x_hat - x_enc)
+        return Terms(x_enc, lambda x_hat: x_hat - x_enc,
+                     x1=None if p1 is None else p1.alpha_sq * x2[:1])
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
@@ -153,18 +164,21 @@ class TrainableEncoder:
 
     def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
         """Arrays for loss_terms' value form on up to `rows` rows: the inner
-        net's, for its stacked pass over 3·rows."""
-        return self.inner.buffers(3 * rows)
+        net's, for its stacked pass over 3·rows and the latent row."""
+        return self.inner.buffers(3 * rows + 1)
 
     def loss_terms(self, x2: np.ndarray, point: SchedulePoint,
-                   buffers: tuple | None = None) -> Terms:
+                   buffers: tuple | None = None, p1: SchedulePoint | None = None) -> Terms:
         """The terms with the inner net's parameters and their backward; with
-        buffers from `buffers(rows)`, their values alone, computed in them."""
-        vjp, y, dy, h = self._fd_pass(x2, point, buffers)
+        buffers from `buffers(rows)`, their values alone, computed in them,
+        and with a float point p1 also x2's first row encoded at p1, from one
+        more row of the same pass."""
+        vjp, emb, y, dy, h, y1 = self._fd_pass(x2, point, buffers, p1)
         x_enc = _x_t(x2, y, point)
         extra = lambda x_hat: x_hat - x_enc + y - dy  # noqa: E731
+        emb = emb[:len(x2)]  # the rows at λ, which the denoiser reads
         if buffers is not None:
-            return Terms(x_enc, extra)
+            return Terms(x_enc, extra, emb=emb, x1=None if p1 is None else _x_t(x2[:1], y1, p1))
 
         def backward(g_x, g_extra):
             # the extra's own terms, y − dy/dλ, reach all three row blocks,
@@ -174,20 +188,32 @@ class TrainableEncoder:
             g_x_rows[:len(x2)] = g_x * point.sigma_sq
             return vjp(np.concatenate([g_extra, g_up, -g_up]) + g_x_rows, False)[0]
 
-        return Terms(x_enc, extra, self.inner.net.params, backward)
+        return Terms(x_enc, extra, self.inner.net.params, backward, emb)
 
-    def _fd_pass(self, x2: np.ndarray, point: SchedulePoint, buffers: tuple | None):
+    def _fd_pass(self, x2: np.ndarray, point: SchedulePoint, buffers: tuple | None,
+                 p1: SchedulePoint | None = None):
         """One pass over x2 stacked at λ, λ + h and λ − h (a float point's λ, or
-        a column point's per row): its vector-Jacobian function (None when it
-        runs in buffers from `buffers(rows)`), y, dy/dλ and h."""
+        a column point's per row), then, with a float point p1, x2's first row
+        at p1's λ: its vector-Jacobian function (None when it runs in buffers
+        from `buffers(rows)`), the embedding of its λ rows, y, dy/dλ, h, and y
+        at p1 (None without p1)."""
         h = _fd_step(point.lam_prime)
         lam = np.ravel(point.lam)
-        lam_rows = np.empty((3, len(x2)))
-        lam_rows[0], lam_rows[1], lam_rows[2] = lam, lam + h, lam - h
-        out = self.inner.forward(np.concatenate([x2] * 3), lam_rows.ravel(), buffers)
+        n = len(x2)
+        # the draw rows come first, so they keep the matmul kernel of a pass without the
+        # latent row, and with it their bits when 3·n is a multiple of the kernel's 4 rows
+        lam_rows = np.empty(3 * n + (p1 is not None))
+        lam_rows[:n], lam_rows[n:2 * n], lam_rows[2 * n:3 * n] = lam, lam + h, lam - h
+        x_rows = [x2] * 3
+        if p1 is not None:
+            lam_rows[3 * n] = p1.lam
+            x_rows.append(x2[:1])
+        emb = sinusoidal_embedding(lam_rows)
+        out = self.inner.forward(np.concatenate(x_rows), lam_rows, buffers, emb)
         out, vjp = (out, None) if buffers is not None else out
-        y, y_up, y_down = out.reshape(3, len(x2), -1)
-        return vjp, y, _central_difference(y_up, y_down, h), h
+        y, y_up, y_down = out[:3 * n].reshape(3, n, -1)
+        return (vjp, emb, y, _central_difference(y_up, y_down, h), h,
+                None if p1 is None else out[3 * n:])
 
     def _y(self, x2: np.ndarray, lam) -> np.ndarray:
         """y(x2, λ) as values, through buffers of this call."""
@@ -201,7 +227,7 @@ class TrainableEncoder:
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         x2 = np.atleast_2d(x)
-        return _shaped_like(x, self._fd_pass(x2, point, self.buffers(len(x2)))[2])
+        return _shaped_like(x, self._fd_pass(x2, point, self.buffers(len(x2)))[3])
 
     def dy_dlambda_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         return Tensor(self.dy_dlambda(x, point))
@@ -223,7 +249,7 @@ class TrainableEncoder:
         """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""
         self.calls += 1
         x2 = np.atleast_2d(x)
-        _, y, dy, _ = self._fd_pass(x2, point, self.buffers(len(x2)))
+        _, _, y, dy, _, _ = self._fd_pass(x2, point, self.buffers(len(x2)))
         a2s2 = point.alpha_sq * point.sigma_sq
         return _shaped_like(x, a2s2 * x2 + point.sigma_sq * dy - a2s2 * y)
 

@@ -15,7 +15,9 @@ matmul/add/tanh graph's arithmetic in its order, so values and gradients
 are bit-identical to that graph's.  Neither mode makes a Tensor.  Both run
 one layer loop, `MLP._layers`, which checks each hidden layer's
 pre-activation and the output, so also a non-finite input, and names the
-layer.
+layer.  Both take λ's embedding from the caller when it has one: the
+trainable encoder's stacked pass embeds its λ rows once and the denoiser
+reads the λ rows' part, so a block of rows is embedded once.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -261,25 +263,29 @@ class MLP:
         return (np.empty((rows, self.d_in + 2 * N_FREQUENCIES)), np.empty((rows, width)),
                 np.empty((rows, width)), np.empty((rows, self.d_in)))
 
-    def values(self, x: np.ndarray, lam, buffers: tuple) -> np.ndarray:
+    def values(self, x: np.ndarray, lam, buffers: tuple,
+               emb: np.ndarray | None = None) -> np.ndarray:
         """The forward pass's values for x (B, d_in) computed into the first B
         rows of `buffers` (from `buffers(rows)`, rows ≥ B); returns the output
-        buffer's rows.  Bit-identical to `forward(x, lam)[0]`.
+        buffer's rows.  Bit-identical to `forward(x, lam)[0]`.  emb is
+        sinusoidal_embedding(lam) when the caller has it already.
         """
         features, *rest = (b[:len(x)] for b in buffers)
         features[:, :self.d_in] = self._checked(x)
-        features[:, self.d_in:] = sinusoidal_embedding(lam)
+        features[:, self.d_in:] = sinusoidal_embedding(lam) if emb is None else emb
         return self._layers([p.data for p in self.params], features, buffers=rest)[1]
 
-    def forward(self, x: np.ndarray, lam):
+    def forward(self, x: np.ndarray, lam, emb: np.ndarray | None = None):
         """Training-mode forward pass of x (B, d_in), lam scalar or (B,): the
         output and vjp(g, need_gx), which maps the output's gradient g to the
         weights' and biases' gradients, in `params` order, and x's when
         need_gx is set (otherwise None), with the composed matmul/add/tanh
-        graph's arithmetic in its order.  Neither makes a Tensor.
+        graph's arithmetic in its order.  Neither makes a Tensor.  emb is
+        sinusoidal_embedding(lam) when the caller has it already.
         """
         x = self._checked(x)
-        emb = sinusoidal_embedding(lam)
+        if emb is None:
+            emb = sinusoidal_embedding(lam)
         if emb.shape[0] == 1 and x.shape[0] > 1:
             emb = np.broadcast_to(emb, (x.shape[0], emb.shape[1]))
         data = [p.data for p in self.params]
@@ -326,18 +332,20 @@ class DenoiserNet:
         self.net = MLP(self.store, "denoiser", d, width, rng)
         self.calls = 0
 
-    def forward(self, z: np.ndarray, lam, buffers: tuple | None = None):
+    def forward(self, z: np.ndarray, lam, buffers: tuple | None = None,
+                emb: np.ndarray | None = None):
         """v̂(z, λ) and its vector-Jacobian function (`MLP.forward`), for
         training; with buffers from `buffers(rows)`, its values alone,
-        computed into them, for every inference call.
+        computed into them, for every inference call.  emb is λ's embedding
+        when the caller has it (encoder.Terms).
 
         Every denoiser evaluation is a call of this method, which is what the
         benchmark's span tracer (perfbench/tracer.py) counts as a model call.
         """
         self.calls += 1
         if buffers is None:
-            return self.net.forward(z, lam)
-        return self.net.values(z, lam, buffers)
+            return self.net.forward(z, lam, emb)
+        return self.net.values(z, lam, buffers, emb)
 
     def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
         """Arrays for the buffers form of `forward` on up to `rows` rows."""
@@ -384,12 +392,14 @@ class EncoderInnerNet:
         rng = np.random.default_rng(seed)
         self.net = MLP(self.store, "encoder", d, width, rng)
 
-    def forward(self, x: np.ndarray, lam, buffers: tuple | None = None):
+    def forward(self, x: np.ndarray, lam, buffers: tuple | None = None,
+                emb: np.ndarray | None = None):
         """y(x, λ) and its vector-Jacobian function (`MLP.forward`); with
-        buffers from `buffers(rows)`, its values alone, computed into them."""
+        buffers from `buffers(rows)`, its values alone, computed into them.
+        emb is λ's embedding when the caller has it already."""
         if buffers is None:
-            return self.net.forward(x, lam)
-        return self.net.values(x, lam, buffers)
+            return self.net.forward(x, lam, emb)
+        return self.net.values(x, lam, buffers, emb)
 
     def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
         """Arrays for the buffers form of `forward` on up to `rows` rows."""

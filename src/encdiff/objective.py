@@ -23,7 +23,12 @@ in `_latent_value`.  A block's schedule values are one `SchedulePoint` of
 Evaluation (`_vloss_draws`, and through it `elbo_bpd`, `t_profile` and
 `continuous_vloss`; `latent_loss`) runs them on values, in EVAL_ROWS-row
 blocks through buffers allocated once per call, and makes no Tensor; neither
-do the x-form and discrete losses.  Only training calls the training form
+do the x-form and discrete losses.  The denoiser reuses the encoder's
+λ-embedding of the block when there is one (`Terms.emb`).  `elbo_bpd`'s
+latent term is `_latent_value` of the item's t = 1 row, which rides the first
+block's encoder pass: `latent_loss`'s bits for identity and nt, within a few
+ulp of the inner net's t = 1 output for the trainable encoder (see README).
+Only training calls the training form
 `forward(z, λ)`, which a DenoiserNet alone has: v̂ and its vector-Jacobian
 function.  The v-loss of a batch is one node on the autodiff record over the
 denoiser's and the encoder's parameters, and the latent term one more; each
@@ -197,7 +202,7 @@ def batch_vloss_graph(
     vjps = []
 
     def predict_v(z):
-        v_hat, vjp = model.forward(z, p.lam[:, 0])
+        v_hat, vjp = model.forward(z, p.lam[:, 0], emb=terms.emb)
         vjps.append(vjp)
         return v_hat
 
@@ -233,7 +238,7 @@ def continuous_vloss(
 ) -> float:
     """Single-draw v-parameterized diffusion integrand at time t (nonnegative)."""
     return float(_vloss_draws(np.asarray(x, dtype=np.float64), model, encoder, np.array([t]),
-                              np.asarray(eps, dtype=np.float64)[None, :], schedule)[0])
+                              np.asarray(eps, dtype=np.float64)[None, :], schedule)[0][0])
 
 
 # (t, ε) draws evaluated per _vloss_values call, so eval memory stays bounded for any n_mc
@@ -247,24 +252,31 @@ def _vloss_draws(
     ts: np.ndarray,
     eps: np.ndarray,
     schedule: LogLinearSchedule,
-) -> np.ndarray:
-    """Diffusion integrand of one datapoint x (d,) at each draw (ts[j], eps[j]), shape (n,).
+    p1: SchedulePoint | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Diffusion integrand of one datapoint x (d,) at each draw (ts[j], eps[j]),
+    shape (n,), and with the latent point p1, x encoded at p1, (1, d).
 
     Values only: the model's and the encoder's buffers are allocated here,
     once, for EVAL_ROWS-row blocks, and each block's v̂ is the value form
-    `model.forward(z, lam, buffers)`; no node is recorded.
+    `model.forward(z, lam, buffers, emb)`; no node is recorded.  The first
+    block's `loss_terms` encodes x at p1 too, in the same pass.
     """
     rows = min(len(ts), EVAL_ROWS)
     model_buffers = model.buffers(rows)
     encoder_buffers = encoder.buffers(rows)
-    out = np.empty(len(ts))
+    out, x1 = np.empty(len(ts)), None
     for start in range(0, len(ts), EVAL_ROWS):
         block = slice(start, start + EVAL_ROWS)
         p = schedule.columns(ts[block])
-        terms = encoder.loss_terms(np.broadcast_to(x, eps[block].shape), p, encoder_buffers)
-        out[block] = _vloss_values(terms, lambda z: model.forward(z, p.lam[:, 0], model_buffers),
-                                   eps[block], p)[2][:, 0]
-    return out
+        terms = encoder.loss_terms(np.broadcast_to(x, eps[block].shape), p, encoder_buffers,
+                                   None if start else p1)
+        if not start:
+            x1 = terms.x1
+        out[block] = _vloss_values(
+            terms, lambda z: model.forward(z, p.lam[:, 0], model_buffers, terms.emb),
+            eps[block], p)[2][:, 0]
+    return out, x1
 
 
 def continuous_xloss(
@@ -505,7 +517,8 @@ def elbo_bpd(
     the standard error sqrt(Σ_k w_k² s_k² / n_k), w_k = n_k / n_mc
     (`stratified_estimate`).  n_mc = 2 or 3 is one stratum, that is, plain MC.
 
-    For integer pixel data the reconstruction term uses a single z_0 draw; for
+    The latent term reads the item's t = 1 row of the first block's encoder
+    pass (`_vloss_draws`).  For integer pixel data the reconstruction term uses a single z_0 draw; for
     real-valued data it is zero (no quantized likelihood is defined).
     """
     if n_mc < 2:
@@ -514,9 +527,10 @@ def elbo_bpd(
     d = x_real.size
     ts = _stratified_times(rng.uniform(size=n_mc))
     eps = rng.standard_normal((n_mc, d))
-    draws = _vloss_draws(x_real, model, encoder, ts, eps, schedule)
+    p1 = schedule.at(1.0)
+    draws, x1 = _vloss_draws(x_real, model, encoder, ts, eps, schedule, p1)
     diff = stratified_estimate(draws)
-    latent = latent_loss(x_real, encoder, schedule)
+    latent = float(_latent_value(x1, p1))
     recon = sampled_reconstruction_loss(x_real, encoder, schedule, rng) if pixel_data else 0.0
     return LossBreakdown(diffusion=diff.value, latent=latent, reconstruction=recon, d=d,
                          diffusion_stderr=diff.std_error)
@@ -535,7 +549,7 @@ def t_profile(
     x_real = np.asarray(x, dtype=np.float64)
     t_grid = np.asarray(t_grid, dtype=np.float64)
     eps = rng.standard_normal((t_grid.size * n_eps, x_real.size))
-    draws = _vloss_draws(x_real, model, encoder, np.repeat(t_grid, n_eps), eps, schedule)
+    draws = _vloss_draws(x_real, model, encoder, np.repeat(t_grid, n_eps), eps, schedule)[0]
     rows = []
     for t, vals in zip(t_grid, draws.reshape(t_grid.size, n_eps)):
         est = mc_estimate(vals)

@@ -86,11 +86,15 @@ def _write_checkpoint(state: TrainState, path: str) -> None:
 def restore(path: str) -> tuple[DenoiserNet, Encoder, ParamStore, RunConfig, LogLinearSchedule]:
     """Rebuild model, encoder and optimizer state from a checkpoint file.
 
-    The run is described by the checkpoint's config text alone; the data
-    dimension is the size of the denoiser's output bias.
+    The run is described by the checkpoint's config text alone, whose hash
+    must be the stored config_hash; the data dimension is the size of the
+    denoiser's output bias.
     """
     ckpt = load_checkpoint(path)
     config = RunConfig.from_text(ckpt.config_text).validate()
+    if ckpt.config_hash != config.hash():
+        raise ConfigError(f"checkpoint config_hash {ckpt.config_hash!r} is not the hash of its "
+                          f"config text, {config.hash()!r}: {path}")
     out_b = ckpt.arrays.get("param/denoiser.out.b")
     if out_b is None or out_b.ndim != 1 or out_b.size < 1:
         raise ConfigError(f"not a model checkpoint (no 1-D array 'param/denoiser.out.b' "

@@ -100,8 +100,10 @@ class AnalyticPredictor:
         """No buffers: `forward` makes its own arrays."""
         return None
 
-    def forward(self, z: np.ndarray, lam: np.ndarray, buffers: None) -> np.ndarray:
-        """v̂ of each row of z (B, d) at its own λ of lam (B,)."""
+    def forward(self, z: np.ndarray, lam: np.ndarray, buffers: None,
+                emb: np.ndarray | None = None) -> np.ndarray:
+        """v̂ of each row of z (B, d) at its own λ of lam (B,); a closed form
+        reads λ itself, not its embedding emb."""
         # one scalar λ at a time: predict_x takes a scalar
         return np.stack([self.predict_v(z[i], float(lam_i)) for i, lam_i in enumerate(lam)])
 

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from encdiff.autodiff import grad
 from encdiff.config import RunConfig
 from encdiff.data import scale_pixels
 from encdiff.encoder import IdentityEncoder, NonTrainableEncoder, make_encoder

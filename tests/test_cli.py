@@ -120,6 +120,21 @@ def _edited_header(**fields):
     return _header_edit(lambda header: header.update(fields))
 
 
+def _edited_config(header, text: str) -> None:
+    """Replace a header's config text, and its config_hash with the text's
+    hash when the text parses, so that the checkpoint still restores."""
+    header["config_text"] = text
+    try:
+        header["config_hash"] = RunConfig.from_text(text).hash()
+    except ConfigError:
+        pass
+
+
+def _appended_bytes(raw: bytes) -> bytes:
+    """A complete checkpoint with 17 bytes after its last tensor."""
+    return raw + bytes(17)
+
+
 def _edited_tensor(tensor, **fields):
     """Edit that replaces the given fields of the named tensor's entry."""
     def change(header):
@@ -141,6 +156,13 @@ def _appended_tensor(shape):
         offset = last["offset"] + 8 * int(np.prod(last["shape"]))
         header["tensors"].append({"name": "extra", "shape": shape, "offset": offset})
     return _header_edit(change)
+
+
+# the error that cases whose file passes every other check must name
+_NAMED_FAULTS = {
+    "trailing-bytes": "checkpoint has 17 bytes after its last tensor",
+    "wrong-config-hash": "checkpoint config_hash 'deadbeef' is not the hash of its config text",
+}
 
 
 def _removed_config_key(header):
@@ -314,13 +336,14 @@ class TestImpossibleAllocation:
         assert not out.exists()
 
     def test_eval_of_checkpoint_asking_for_it(self, trained_run, tmp_path):
-        edit = _edited_header(config_text="[model]\ndenoiser_width = 3000000\n")
+        edit = _header_edit(lambda h: _edited_config(h, "[model]\ndenoiser_width = 3000000\n"))
         path = tmp_path / "wide.ckpt"
         path.write_bytes(edit(Path(trained_run, "model.ckpt").read_bytes()))
         out = tmp_path / "out"
         result = _main_with_memory_limit(["eval", str(path), "--out-dir", str(out)])
         assert result.returncode == EXIT_CONFIG_ERROR, result.stderr
         assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("config error: out of memory")
         assert not out.exists()
 
 
@@ -376,7 +399,7 @@ class TestConfigFile:
         pytest.param(_raw_checkpoint(_FULL_HEADER.replace(b'"offset": 0', b'"at": 0')),
                      id="tensor-entry-missing-key"),
         pytest.param(_raw_checkpoint(_FULL_HEADER), id="payload-missing"),
-        pytest.param(_raw_checkpoint(_FULL_HEADER) + bytes(17), id="trailing-bytes"),
+        pytest.param(_appended_bytes, id="trailing-bytes"),
         pytest.param(_raw_checkpoint(b"{}", header_len=1000), id="header-past-end"),
         pytest.param(_edited_header(format_version=1), id="format-version-1"),
         pytest.param(_edited_header(step=-1), id="step-negative"),
@@ -396,13 +419,16 @@ class TestConfigFile:
                      id="config-text-percent-sign"),
         pytest.param(_appended_tensor([-1, 2]), id="shape-negative"),
         pytest.param(_header_edit(_removed_config_key), id="removed-config-key"),
+        pytest.param(_edited_header(config_hash="deadbeef"), id="wrong-config-hash"),
     ])
-    def test_malformed_checkpoint_rejected(self, trained_run, tmp_path, raw):
+    def test_malformed_checkpoint_rejected(self, trained_run, tmp_path, capsys, request, raw):
         if callable(raw):
             raw = raw(Path(trained_run, "model.ckpt").read_bytes())
         path = tmp_path / "bad.ckpt"
         path.write_bytes(raw)
         assert main(["eval", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert _NAMED_FAULTS.get(request.node.callspec.id, "config error: ") in err, err
 
     def test_hash_stable(self):
         assert RunConfig().hash() == RunConfig().hash()
@@ -623,8 +649,7 @@ def test_fuzzed_cli_exits_with_a_documented_code(trained_run, cli_fuzz_dir, call
     nothing else.  Relative paths land in a scratch directory."""
     command, flags, config = call
     if command in _CHECKPOINT_COMMANDS:
-        edit = _header_edit(lambda h: h.update(config_text=_with_values(h["config_text"],
-                                                                         config)))
+        edit = _header_edit(lambda h: _edited_config(h, _with_values(h["config_text"], config)))
         source = cli_fuzz_dir / "fuzzed.ckpt"
         source.write_bytes(edit(Path(trained_run, "model.ckpt").read_bytes()))
         source_args = [str(source)]

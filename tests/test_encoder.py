@@ -259,7 +259,7 @@ class TestGraphViews:
         dy = enc.dy_dlambda(x2, p)
         # the same pass over the λ, λ + h and λ − h blocks as loss_terms makes
         assert passes == [15]
-        _, _, dy_terms, _ = enc._fd_pass(x2, p, None)
+        dy_terms = enc._fd_pass(x2, p, None)[3]
         assert dy.tobytes() == dy_terms.tobytes()
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import composed
-from encdiff import objective, process
+from encdiff import encoder as encoder_module, nets, objective, process
 from encdiff.autodiff import Tensor, grad
 from encdiff.config import RunConfig
 from encdiff.data import scale_pixels
@@ -41,7 +41,7 @@ from encdiff.process import (
     reverse_posterior,
 )
 from encdiff.schedule import LogLinearSchedule
-from encdiff.train import build_model
+from encdiff.train import build_model, train
 from encdiff.sampler import SamplerConfig, ancestral_sample, sde_step
 from encdiff.verify import (AnalyticPredictor, GaussianPosteriorOracle, SmoothVectorPredictor,
                             continuous_loss_quadrature)
@@ -227,7 +227,7 @@ class TestFusedLossNodes:
         eps = rng.standard_normal((EVAL_ROWS + 9, 3))
         reference = composed.vloss_per_item(np.broadcast_to(x, eps.shape), model, enc, ts, eps,
                                             schedule).data[:, 0]
-        assert _vloss_draws(x, model, enc, ts, eps, schedule).tobytes() == reference.tobytes()
+        assert _vloss_draws(x, model, enc, ts, eps, schedule)[0].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
     def test_eval_draws_of_an_analytic_model_match_composed_graph_bitwise(self, kind,
@@ -240,7 +240,7 @@ class TestFusedLossNodes:
         eps = rng.standard_normal((EVAL_ROWS + 9, 3))
         reference = composed.vloss_per_item(np.broadcast_to(x, eps.shape), model, enc, ts, eps,
                                             schedule).data[:, 0]
-        assert _vloss_draws(x, model, enc, ts, eps, schedule).tobytes() == reference.tobytes()
+        assert _vloss_draws(x, model, enc, ts, eps, schedule)[0].tobytes() == reference.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_value_names_the_node(self, schedule, rng):
@@ -607,6 +607,114 @@ class TestElboBpd:
                          np.random.default_rng(0), pixel_data=False)
 
 
+def _counting(monkeypatch, counts: Counter) -> None:
+    """Count the calls of both networks' forward and of the λ-embedding, which
+    the trainable encoder's stacked pass calls itself."""
+    for owner, name, key in ((nets.EncoderInnerNet, "forward", "inner"),
+                             (nets.DenoiserNet, "forward", "denoiser"),
+                             (nets, "sinusoidal_embedding", "embedding"),
+                             (encoder_module, "sinusoidal_embedding", "embedding")):
+        def counted(*args, _f=getattr(owner, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _random_gauss2d_model(kind: str, rng, encoder_width: int = 32):
+    """A gauss2d-sized model (d = 2, denoiser width 64) with random parameters."""
+    model, enc, store = build_model(RunConfig(encoder=kind, denoiser_width=64,
+                                              encoder_width=encoder_width), 2)
+    for param in store.tensors():
+        param.data = 0.3 * rng.standard_normal(param.data.shape)
+    return model, enc, store
+
+
+class TestOnePassPerEvalBlock:
+    """elbo_bpd runs the trainable encoder's inner net once per EVAL_ROWS block,
+    with the latent term's t = 1 row after the block's draw rows, and the
+    denoiser reads that pass's λ-embedding."""
+
+    @pytest.mark.parametrize("n_mc", [2, 128, EVAL_ROWS, EVAL_ROWS + 37])
+    def test_one_pass_of_each_net_and_one_embedding_per_block(self, n_mc, schedule, rng,
+                                                              monkeypatch):
+        model, enc, _ = _random_gauss2d_model("trainable", rng)
+        counts = Counter()
+        _counting(monkeypatch, counts)
+        elbo_bpd(rng.uniform(-1, 1, size=2), model, enc, schedule, n_mc,
+                 np.random.default_rng(0), pixel_data=False)
+        blocks = -(-n_mc // EVAL_ROWS)
+        assert counts == {"inner": blocks, "denoiser": blocks, "embedding": blocks}
+
+    def test_training_step_embeds_twice(self, schedule, rng, monkeypatch):
+        """The denoiser reads the stacked pass's embedding; the latent term's
+        own pass at t = 1 makes the other."""
+        model, enc, store = _random_gauss2d_model("trainable", rng)
+        x = rng.uniform(-1, 1, size=(64, 2))
+        counts = Counter()
+        _counting(monkeypatch, counts)
+        objective = (batch_vloss_graph(x, model, enc, rng.uniform(0.0, 1.0, 64),
+                                       rng.standard_normal((64, 2)), schedule)
+                     + batch_latent_graph(x, enc, schedule))
+        grad(objective, store.tensors())
+        assert counts == {"inner": 2, "denoiser": 1, "embedding": 2}
+
+    @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
+    def test_latent_term_is_latent_loss(self, kind, tmp_path):
+        """On a model trained at the gauss2d-trainable benchmark's config (100
+        steps), the latent term from the stacked pass equals latent_loss within
+        1e-15 relative, for n_mc below, at and above EVAL_ROWS; for identity
+        and nt, which have no inner net, bit for bit."""
+        state = train(RunConfig(dataset="gaussian2d", n_points=4096, mean_x=0.5, mean_y=-0.3,
+                                cov_scale=1e-4, encoder=kind, denoiser_width=64,
+                                encoder_width=32, batch_size=64, steps=100, log_every=100,
+                                checkpoint_every=100, seed=3, out_dir=str(tmp_path)))
+        rng = np.random.default_rng(0)
+        for n_mc in (2, 128, EVAL_ROWS, EVAL_ROWS + 37):
+            for x in state.dataset.items[:10]:
+                got = elbo_bpd(x, state.model, state.encoder, state.schedule, n_mc, rng,
+                               pixel_data=False).latent
+                want = latent_loss(x, state.encoder, state.schedule)
+                if kind == "trainable":
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+                else:
+                    assert got == want
+
+    @pytest.mark.parametrize("encoder_width", [32, 64])
+    @pytest.mark.parametrize("n_mc", [128, EVAL_ROWS + 37])
+    def test_draw_rows_keep_their_bits(self, n_mc, encoder_width, schedule, rng):
+        """The latent row comes after the first block's 3·n draw rows, so those
+        rows keep the bits of a pass without it when n is a multiple of 4."""
+        model, enc, _ = _random_gauss2d_model("trainable", rng, encoder_width)
+        x = rng.uniform(-1, 1, size=2)
+        ts, eps = rng.uniform(0.0, 1.0, size=n_mc), rng.standard_normal((n_mc, 2))
+        with_latent, x1 = _vloss_draws(x, model, enc, ts, eps, schedule, schedule.at(1.0))
+        without, none = _vloss_draws(x, model, enc, ts, eps, schedule)
+        assert x1.shape == (1, 2) and none is None
+        assert with_latent.tobytes() == without.tobytes()
+
+
+def test_training_draws_t_uniformly_on_the_unit_interval(tmp_path, monkeypatch):
+    """The t that train passes to the v-loss lie in [0, 1] and fill it: each
+    tenth of the interval holds 5-15% of 1280 draws (10% expected)."""
+    import encdiff.train as train_module
+
+    recorded = []
+
+    def recording(x, model, encoder, ts, eps, schedule):
+        recorded.append(np.array(ts))
+        return batch_vloss_graph(x, model, encoder, ts, eps, schedule)
+
+    monkeypatch.setattr(train_module, "batch_vloss_graph", recording)
+    train_module.train(RunConfig(dataset="gaussian2d", n_points=256, encoder="identity",
+                                 denoiser_width=8, batch_size=32, steps=40, log_every=40,
+                                 checkpoint_every=40, out_dir=str(tmp_path)))
+    ts = np.concatenate(recorded)
+    assert ts.size == 40 * 32
+    assert ts.min() >= 0.0 and ts.max() <= 1.0
+    share = np.histogram(ts, bins=10, range=(0.0, 1.0))[0] / ts.size
+    assert np.all((share > 0.05) & (share < 0.15)), share
+
+
 class TestStratifiedEvalIsUnbiased:
     """The diffusion loss is an integral over t between fixed endpoints, so
     stratifying t changes the estimator's variance, not its mean."""
@@ -639,7 +747,7 @@ class TestStratifiedEvalIsUnbiased:
         r = np.random.default_rng(6)
         ts = r.uniform(size=n)
         uniform = mc_estimate(_vloss_draws(x, model, enc, ts, r.standard_normal((n, 3)),
-                                           schedule))
+                                           schedule)[0])
         combined = math.hypot(stratified.diffusion_stderr, uniform.std_error)
         assert abs(stratified.diffusion - uniform.value) < 4.0 * combined
 
