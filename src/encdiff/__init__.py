@@ -2,9 +2,10 @@
 
 Core pieces: a log-SNR noise schedule, the closed-form Gaussian transition
 algebra (with the encoder's mean-shift term and the generative counterterm),
-v-parameterized continuous-time losses, a minimal reverse-mode autodiff engine
-with desk-scale networks, encoder-free samplers, and independent verification
-oracles for every identity the implementation relies on.
+v-parameterized continuous-time losses whose gradients go straight to
+(parameter, gradient) pairs, desk-scale networks, encoder-free samplers, and
+independent verification oracles for every identity the implementation
+relies on.
 """
 
 from .schedule import LogLinearSchedule, SchedulePoint

@@ -30,7 +30,7 @@ Each encoder carries its role in the v-loss (see objective.py) as `Terms`,
 which `loss_terms(x2, point)` returns for rows x2 at one schedule point (a
 float point, or `columns`' point of per-row columns): the encoded data x_enc,
 the extra residual as a function of the x-prediction x̂, and for training
-the encoder's parameters with the backward that the v-loss node's backward
+the encoder's parameters with the backward that the v-loss's map
 calls:
 
     identity     None  (no extra term)
@@ -40,11 +40,11 @@ calls:
 Only the trainable encoder's x_enc and extra depend on parameters, through
 its inner net's stacked pass, which with buffers from `buffers(rows)` runs
 into them for the values alone, as evaluation calls it.  Training's latent
-term reads the encoded data at t = 1 from `encode_t`, one node over the inner
-net's parameters.  No loss differentiates any other view: `encode`, `y` and
-the dλ views are numpy values, the same bits as `encode_t`'s data, and `y_t`
-and the dλ views' `_t` forms are constants over them, as `encode_t` is for
-the other encoders.
+term reads the encoded data at t = 1 from `encode_t`, a Tensor whose map
+sends its gradient to the inner net's parameters.  No loss differentiates
+any other view: `encode`, `y` and the dλ views are numpy values, the same
+bits as `encode_t`'s data, and `y_t` and the dλ views' `_t` forms are
+constant Tensors of them, as `encode_t` is for the other encoders.
 
 `counterterm` says whether the generative mean carries the counterterm: the
 discrete loss follows it, and the sampler by default.  It is off for identity
@@ -59,7 +59,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .errors import ConfigError
-from .nets import EncoderInnerNet, sinusoidal_embedding
+from .nets import EncoderInnerNet, Parameter, sinusoidal_embedding
 from .schedule import LogLinearSchedule, SchedulePoint
 
 FD_REL_STEP = 1e-3
@@ -80,7 +80,7 @@ class Terms(NamedTuple):
 
     x_enc: np.ndarray
     extra: Callable[[np.ndarray], np.ndarray] | None = None
-    params: tuple[Tensor, ...] = ()
+    params: tuple[Parameter, ...] = ()
     backward: Callable[[np.ndarray, np.ndarray], list[np.ndarray]] | None = None
     emb: np.ndarray | None = None
     x1: np.ndarray | None = None
@@ -215,15 +215,13 @@ class TrainableEncoder:
         return (vjp, emb, y, _central_difference(y_up, y_down, h), h,
                 None if p1 is None else out[3 * n:])
 
-    def _y(self, x2: np.ndarray, lam) -> np.ndarray:
-        """y(x2, λ) as values, through buffers of this call."""
-        return self.inner.forward(x2, lam, self.inner.buffers(len(x2)))
-
     def y_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        return Tensor(self._y(np.atleast_2d(x), point.lam))
+        return Tensor(self.y(np.atleast_2d(x), point))
 
     def y(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        return _shaped_like(x, self._y(np.atleast_2d(x), point.lam))
+        """y(x, λ) as values, through buffers of this call."""
+        x2 = np.atleast_2d(x)
+        return _shaped_like(x, self.inner.forward(x2, point.lam, self.inner.buffers(len(x2))))
 
     def dy_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         x2 = np.atleast_2d(x)
@@ -233,17 +231,17 @@ class TrainableEncoder:
         return Tensor(self.dy_dlambda(x, point))
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
-        """x_t as one node over the inner net's parameters."""
+        """x_t as a Tensor that maps its gradient to the inner net's parameters."""
         self.calls += 1
         x2 = np.atleast_2d(x)
         y, vjp = self.inner.forward(x2, point.lam)
-        return Tensor(_x_t(x2, y, point), _parents=self.inner.net.params, _op="encode",
-                      _backward=lambda g: vjp(g * point.sigma_sq, False)[0])
+        return Tensor(_x_t(x2, y, point), "encode", lambda g: list(
+            zip(self.inner.net.params, vjp(g * point.sigma_sq, False)[0])))
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         self.calls += 1
         x2 = np.atleast_2d(x)
-        return _shaped_like(x, _x_t(x2, self._y(x2, point.lam), point))
+        return _shaped_like(x, _x_t(x2, self.y(x2, point), point))
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""

@@ -17,7 +17,9 @@ one layer loop, `MLP._layers`, which checks each hidden layer's
 pre-activation and the output, so also a non-finite input, and names the
 layer.  Both take λ's embedding from the caller when it has one: the
 trainable encoder's stacked pass embeds its λ rows once and the denoiser
-reads the λ rows' part, so a block of rows is embedded once.
+reads the λ rows' part, so a block of rows is embedded once.  A Parameter
+is a plain named view of its span of its ParamStore's flat buffer, and a
+vector-Jacobian function gives the gradients in `MLP.params` order.
 
 Conditioning is on λ rather than t throughout, which keeps all derivative
 bookkeeping in a single variable.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, all_finite
+from .autodiff import all_finite
 from .errors import ConfigError, NumericsError
 from .schedule import point_from_lam
 
@@ -53,37 +55,30 @@ def sinusoidal_embedding(lam) -> np.ndarray:
     return out
 
 
-# the storage slot behind Tensor.data, which Parameter's property shadows
-_DATA_SLOT = Tensor.__dict__["data"]
-
-
-class Parameter(Tensor):
-    """Trainable leaf whose values are a view into its ParamStore's flat buffer.
+class Parameter:
+    """A named trainable array: a view of its span of its ParamStore's flat buffer.
 
     Assigning `.data` copies the new values into that view, so a parameter
     never drops out of the buffer that the optimizer and checkpoints read.
     """
 
-    __slots__ = ()
+    __slots__ = ("name", "_view")
 
-    def __init__(self, data: np.ndarray, name: str):
-        # Tensor.__init__ assigns .data through the property below, which
-        # writes into the array already in the slot
-        _DATA_SLOT.__set__(self, data)
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, view: np.ndarray, name: str):
+        self.name = name
+        self._view = view
 
     @property
     def data(self) -> np.ndarray:
-        return _DATA_SLOT.__get__(self)
+        return self._view
 
     @data.setter
     def data(self, value) -> None:
-        view = _DATA_SLOT.__get__(self)
         value = np.asarray(value, dtype=np.float64)
-        if value.shape != view.shape:
-            raise ValueError(f"parameter '{self.name}' has shape {view.shape}; "
+        if value.shape != self._view.shape:
+            raise ValueError(f"parameter '{self.name}' has shape {self._view.shape}; "
                              f"cannot assign shape {value.shape}")
-        view[...] = value
+        self._view[...] = value
 
 
 def _views(flat: np.ndarray, layout: dict[str, tuple[slice, tuple]]) -> dict[str, np.ndarray]:
@@ -133,10 +128,12 @@ class ParamStore:
         views = _views(flat, layout)
         for name, value in values.items():
             views[name][...] = value
-        # a non-finite value raises here, before the store changes
+            if not all_finite(views[name]):
+                # before the store changes
+                raise NumericsError(f"non-finite values in parameter '{name}'")
         added = {name: Parameter(views[name], name) for name in values}
         for name, param in self.params.items():
-            _DATA_SLOT.__set__(param, views[name])
+            param._view = views[name]
         self.params.update(added)
         self._layout = layout
         self.flat = flat
@@ -148,7 +145,7 @@ class ParamStore:
         """Each parameter's span of a buffer laid out like `flat`, in its shape."""
         return _views(flat, self._layout)
 
-    def tensors(self) -> list[Tensor]:
+    def parameters(self) -> list[Parameter]:
         return list(self.params.values())
 
     def n_scalars(self) -> int:
@@ -353,7 +350,7 @@ class DenoiserNet:
 
     def predict_v(self, z: np.ndarray, lam) -> np.ndarray:
         """v̂ for numpy input of shape (d,) or (B, d), through the buffers form
-        of `forward` into buffers of its own; records nothing."""
+        of `forward` into buffers of its own; makes no Tensor."""
         z2 = np.atleast_2d(z)
         out = self.forward(z2, lam, self.buffers(len(z2)))
         return out[0] if np.ndim(z) == 1 else out
@@ -362,7 +359,7 @@ class DenoiserNet:
         return _x_from_v(np.asarray(z), self.predict_v(z, lam), lam)
 
     def predictor(self, rows: int):
-        """x̂(z, λ) for (rows, d) latents z, recording no node.
+        """x̂(z, λ) for (rows, d) latents z, making no Tensor.
 
         Every array of a call lives in buffers allocated here, once, and the
         result is the same array each call, overwritten by the next.  Its values

@@ -30,15 +30,15 @@ block's encoder pass: `latent_loss`'s bits for identity and nt, within a few
 ulp of the inner net's t = 1 output for the trainable encoder (see README).
 Only training calls the training form
 `forward(z, λ)`, which a DenoiserNet alone has: v̂ and its vector-Jacobian
-function.  The v-loss of a batch is one node on the autodiff record over the
-denoiser's and the encoder's parameters, and the latent term one more; each
-wraps the same value computation, and its hand-written backward composes the
-networks' vector-Jacobian functions with the composed elementwise graph's
-arithmetic in its order, so values and gradients are the same bits as that
-graph's (kept as a reference in the tests).  The encoder answers for its own
-part through `loss_terms` (see encoder.Terms), so nothing here depends on the
-encoder's kind.  A non-finite v-loss or latent value is a NumericsError
-naming op 'vloss' or 'latent' on either path.
+function.  The v-loss of a batch is one Tensor whose map sends its gradient
+to the denoiser's and the encoder's parameters, and the latent term one
+more; each wraps the same value computation, and its hand-written map
+composes the networks' vector-Jacobian functions with the composed
+elementwise graph's arithmetic in its order, so values and gradients are the
+same bits as that graph's (kept as a reference in the tests).  The encoder
+answers for its own part through `loss_terms` (see encoder.Terms), so nothing
+here depends on the encoder's kind.  A non-finite v-loss or latent value is a
+NumericsError naming op 'vloss' or 'latent' on either path.
 
 Training draws t uniformly.  Evaluation (`elbo_bpd`) stratifies its n draws
 of t in pairs: K = n // 2 strata of width n_k / n cover [0, 1] in order, each
@@ -189,8 +189,8 @@ def batch_vloss_graph(
 ) -> Tensor:
     """Mean single-sample diffusion loss over a batch; differentiable. x is (B, d).
 
-    One node whose value is `_vloss_values`' and whose parents are the
-    denoiser's parameters and the encoder's (see encoder.Terms).  Its backward
+    One Tensor whose value is `_vloss_values`' and whose map sends its gradient
+    to the denoiser's parameters and the encoder's (see encoder.Terms).  Its map
     composes the denoiser's vector-Jacobian function with the encoder's and
     repeats the composed elementwise graph's arithmetic in its order: z's
     gradient is the v-loss's share plus the denoiser's input gradient, and it
@@ -224,8 +224,8 @@ def batch_vloss_graph(
         g_x = ((-g_extra) + g_v * p.sigma) + (g_extra * p.alpha + g_in) * p.alpha
         return (*g_params, *terms.backward(g_x, g_extra))
 
-    return Tensor(per_item.sum() * (1.0 / n), _parents=(*model.net.params, *terms.params),
-                  _op="vloss", _backward=backward)
+    return Tensor(per_item.sum() * (1.0 / n), "vloss",
+                  lambda g: list(zip((*model.net.params, *terms.params), backward(g))))
 
 
 def continuous_vloss(
@@ -259,7 +259,7 @@ def _vloss_draws(
 
     Values only: the model's and the encoder's buffers are allocated here,
     once, for EVAL_ROWS-row blocks, and each block's v̂ is the value form
-    `model.forward(z, lam, buffers, emb)`; no node is recorded.  The first
+    `model.forward(z, lam, buffers, emb)`; no Tensor is made.  The first
     block's `loss_terms` encodes x at p1 too, in the same pass.
     """
     rows = min(len(ts), EVAL_ROWS)
@@ -425,18 +425,18 @@ def batch_latent_graph(x: np.ndarray, encoder: Encoder,
                        schedule: LogLinearSchedule) -> Tensor:
     """Differentiable batch-mean latent term; trains the encoder's t=1 output.
 
-    One node on the encoder's encode_t node at t = 1, whose value is
-    `_latent_value`'s and whose backward does the arithmetic of the composed
-    elementwise graph in its order.  A constant for the encoders without
-    parameters.
+    One Tensor over the encoder's encode_t at t = 1, whose value is
+    `_latent_value`'s and whose map hands x_1's gradient, from the composed
+    elementwise graph's arithmetic in its order, to encode_t's map.  A
+    constant for the encoders without parameters.
     """
     p1 = schedule.at(1.0)
-    x1_node = encoder.encode_t(np.atleast_2d(np.asarray(x, dtype=np.float64)), p1)
-    x1 = x1_node.data
+    x1_t = encoder.encode_t(np.atleast_2d(np.asarray(x, dtype=np.float64)), p1)
+    x1, x1_grads = x1_t.data, x1_t.param_grads
     scale = 0.5 * p1.alpha_sq
     n = len(x1)
-    return Tensor(_latent_value(x1, p1), _parents=(x1_node,), _op="latent",
-                  _backward=lambda g: ((2.0 * (g * scale * (1.0 / n))) * x1,))
+    return Tensor(_latent_value(x1, p1), "latent", None if x1_grads is None else (
+        lambda g: x1_grads((2.0 * (g * scale * (1.0 / n))) * x1)))
 
 
 # exp(x) is exactly +0.0 for every double x below this

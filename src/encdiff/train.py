@@ -67,7 +67,9 @@ def build_model(config: RunConfig, d: int) -> tuple[DenoiserNet, Encoder, ParamS
 
 def _loss_metrics(x_batch: np.ndarray, state: TrainState, diffusion: float,
                   rng: np.random.Generator) -> LossBreakdown:
-    """Batch-mean loss components at the current parameters."""
+    """Batch-mean loss components for the log: diffusion is the step's v-loss
+    from before its update, and the latent and reconstruction terms are taken
+    after optimizer_step, at the updated parameters."""
     latent = latent_loss(x_batch, state.encoder, state.schedule)
     recon = 0.0
     if state.dataset.kind == PIXELS:
@@ -144,7 +146,7 @@ def train(config: RunConfig, progress=None) -> TrainState:
                 # the latent term keeps the encoder's t=1 output anchored near
                 # zero; it is a constant for the other encoder kinds
                 objective = loss + batch_latent_graph(x_batch, encoder, schedule)
-            optimizer_step(store, grad(objective, store.tensors()), config.lr)
+            optimizer_step(store, grad(objective, store.parameters()), config.lr)
             metrics = _loss_metrics(x_batch, state, float(loss.data), metrics_rng) if log else None
         except NumericsError as err:
             # parameters are still finite here: forward ops reject non-finite

@@ -415,7 +415,7 @@ def fd_gradient_suite(schedule: LogLinearSchedule, encoder_kind: str, n_coords: 
     loss, cause = _measure(lambda: batch_vloss_graph(x, model, encoder, ts, eps, schedule))
     if cause:
         return _report("fd_gradient", math.nan, 0.0, 1e-4, cause=f"{cause} encoder={encoder_kind}")
-    grads = grad(loss, store.tensors())  # laid out like store.flat
+    grads = grad(loss, store.parameters())  # laid out like store.flat
     # each coordinate of store.flat as name(index), in its order
     coords = [f"{name}{idx}" for name, param in store.params.items()
               for idx in np.ndindex(param.data.shape)]

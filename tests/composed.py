@@ -1,35 +1,47 @@
-"""The composed-graph reference: generic elementwise Tensor ops, and the MLP,
-v-loss and latent term built from them one op per node; and the discrete loss
-one layer at a time.
+"""The composed-graph reference: a small reverse-mode engine of its own with
+generic elementwise ops, and the MLP, v-loss and latent term built from them
+one op per node; and the discrete loss one layer at a time.
 
-encdiff runs an MLP as values plus a vector-Jacobian function, and records
-each loss as one node over the parameters, whose hand-written backward
-composes those functions and repeats the composed graph's arithmetic in its
-order.  The tests compare them with the graphs built here, value and
-gradient, bit for bit where the order is kept.  Every MLP here is
-`mlp_forward`'s, so the reference calls no network of encdiff's.  Likewise
-encdiff runs the discrete loss's Gaussian algebra once over all layers, and
-the tests compare it with `discrete_step_terms` here, which calls the scalar
-process helpers layer by layer.
+encdiff runs an MLP as values plus a vector-Jacobian function, and makes each
+loss one Tensor whose map sends its gradient straight to (parameter,
+gradient) pairs, composing those functions and repeating the composed graph's
+arithmetic in its order.  The tests compare them with the graphs built here,
+value and gradient, bit for bit where the order is kept.  Every MLP here is
+`mlp_forward`'s, so the reference calls no network of encdiff's, and `Ref`
+and `grad` share no graph code with encdiff.  Likewise encdiff runs the
+discrete loss's Gaussian algebra once over all layers, and the tests compare
+it with `discrete_step_terms` here, which calls the scalar process helpers
+layer by layer.
 
-`Ref` is a Tensor with the operators; wrap a Tensor that encdiff made (a
-loss or encode_t node, a parameter) with `ref` before using it as a left
-operand.
+An encdiff Parameter used as an operand becomes a fresh leaf keyed by the
+Parameter, so `grad(loss, store.parameters())` sums every use's gradient in
+the Parameter's span.  `grad` walks the nodes in reverse creation order (a
+node's parents are always made before it): each variable's first gradient is
+assigned and later ones added, a node with no variable behind it is a
+constant and passes no gradient, and a node used several times sums its
+consumers' gradients before passing them on.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from encdiff.autodiff import Tensor
+from encdiff.autodiff import all_finite
 from encdiff.encoder import FD_REL_STEP, IdentityEncoder, NonTrainableEncoder
-from encdiff.nets import N_HIDDEN, MLP, sinusoidal_embedding
+from encdiff.errors import NumericsError, UnusedParameterError
+from encdiff.nets import N_HIDDEN, MLP, Parameter, sinusoidal_embedding
 from encdiff.objective import StepTerm
 from encdiff.process import (OPTIMAL, GaussianParams, generative_mean, kl_isotropic,
                              optimal_sigma_p, reverse_posterior, weighting_penalty)
 from encdiff.verify import AnalyticPredictor
+
+# creation numbers: a node's parents always carry smaller ones than the node
+_node_ids = itertools.count(1)
+_by_node_id = attrgetter("node_id")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -46,23 +58,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Ref(x)
+def lift(x) -> "Ref":
+    """x as a node: a Ref as is, a Parameter as a variable keyed by it, and
+    anything else as a constant."""
+    if isinstance(x, Ref):
+        return x
+    if isinstance(x, Parameter):
+        return Ref(x.data, requires_grad=True, name=x.name, key=x)
+    return Ref(x)
 
 
-def as_ref(x) -> "Ref":
-    return x if isinstance(x, Ref) else ref(x) if isinstance(x, Tensor) else Ref(x)
+class Ref:
+    """One node: a float64 array, the nodes it was made from and the rule that
+    maps its gradient to theirs, with numpy-style broadcasting.  A leaf with
+    requires_grad is a variable, looked up in grad's slots by `key`: itself,
+    or the Parameter it was lifted from.  A node is checked for NaN/Inf when
+    it is made, and a non-finite one is a NumericsError naming its op."""
 
+    __slots__ = ("data", "requires_grad", "name", "key", "node_id", "_parents", "_backward")
 
-def ref(t: Tensor) -> "Ref":
-    """t as a Ref: one node that passes its gradient on to t unchanged."""
-    return Ref(t.data, _parents=(t,), _op="ref", _backward=lambda g: (g,))
+    # numpy raises on mixed ndarray/Ref arithmetic instead of making object arrays
+    __array_ufunc__ = None
 
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
+                 _parents: tuple = (), _op: str = "leaf", _backward=None, key=None):
+        data = np.asarray(data, dtype=np.float64)
+        if not all_finite(data):
+            raise NumericsError(f"non-finite values produced by op '{_op}'")
+        self.data = data
+        self.requires_grad = requires_grad
+        self.name = name
+        self.key = self if key is None else key
+        self.node_id = next(_node_ids)
+        self._parents = _parents
+        # a node with no variable behind it is a constant
+        self._backward = _backward if any(
+            p._backward is not None or p.requires_grad for p in _parents) else None
 
-class Ref(Tensor):
-    """A Tensor with the generic ops, each one node with numpy-style broadcasting."""
-
-    __slots__ = ()
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
 
     def _make(self, data, parents, op, backward) -> "Ref":
         return Ref(data, _parents=parents, _op=op, _backward=backward)
@@ -86,7 +121,7 @@ class Ref(Tensor):
         return self._make(self.data - other.data, (self, other), "sub", backward)
 
     def __rsub__(self, other):
-        return as_ref(other) - self
+        return lift(other) - self
 
     def __mul__(self, other):
         other = lift(other)
@@ -141,6 +176,57 @@ class Ref(Tensor):
 
         return self._make(self.data[start:stop], (self,), "rows", backward)
 
+    def backward(self, slots: dict) -> set:
+        """Write the gradient of this scalar into slots[key] for each variable
+        key of slots, in one walk over the nodes it depends on, newest first.
+        Returns the keys whose slot was written."""
+        if self.data.size != 1:
+            raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
+        seen = {self}
+        stack = [self]
+        while stack:
+            for parent in stack.pop()._parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        written = set()
+        grads = {self: np.ones_like(self.data)}
+        for node in sorted(seen, key=_by_node_id, reverse=True):
+            g = grads.pop(node, None)
+            if g is None or node._backward is None:
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                slot = slots.get(parent.key)
+                if slot is not None:
+                    if parent.key in written:
+                        np.add(slot, pg, out=slot)
+                    else:
+                        slot[...] = pg
+                        written.add(parent.key)
+                if parent._backward is None:
+                    # a leaf: nothing flows further back
+                    continue
+                grads[parent] = grads[parent] + pg if parent in grads else pg
+        return written
+
+
+def grad(loss: Ref, params: Sequence) -> np.ndarray:
+    """The gradients of a scalar Ref loss in one flat buffer, laid out like
+    encdiff's grad(): each of params (variables, or Parameters) in turn.  A
+    variable that the loss does not depend on is an UnusedParameterError."""
+    params = list(params)
+    flat = np.empty(sum(p.data.size for p in params))
+    slots = {}
+    start = 0
+    for p in params:
+        slots[p] = flat[start:start + p.data.size].reshape(p.data.shape)
+        start += p.data.size
+    written = loss.backward(slots)
+    missing = [p.name or f"<node {p.node_id}>" for p in params if p not in written]
+    if missing:
+        raise UnusedParameterError("parameters not on the graph: " + ", ".join(missing))
+    return flat
+
 
 def concat(parts: Sequence, axis: int = -1) -> Ref:
     parts = [lift(p) for p in parts]
@@ -158,7 +244,7 @@ def concat(parts: Sequence, axis: int = -1) -> Ref:
 
 # --- composed graphs ---------------------------------------------------------
 
-def mlp_forward(net: MLP, x: Tensor, lam) -> Ref:
+def mlp_forward(net: MLP, x: Ref, lam) -> Ref:
     """The MLP as a graph of generic ops, one node per matmul, add and tanh."""
     emb = sinusoidal_embedding(lam)
     if emb.shape[0] == 1 and x.data.shape[0] > 1:

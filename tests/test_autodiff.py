@@ -1,22 +1,35 @@
-"""Autodiff engine tests: hand-derived gradients, finite differences,
-broadcasting, and the unused-parameter report.
-
-The graphs are built from the composed reference's generic ops (composed.py),
-the ops the fused nodes of encdiff are checked against."""
+"""Gradient tests: encdiff's Tensor and grad(), which map a loss's gradient
+to (parameter, gradient) pairs and write them into one flat buffer; and the
+composed reference's engine (composed.py), which the fused losses of encdiff
+are checked against, on hand-derived gradients, finite differences and
+broadcasting."""
 
 import numpy as np
 import pytest
 
-from composed import Ref, concat
+from composed import Ref, concat, grad as ref_grad
 from encdiff.autodiff import Tensor, all_finite, grad
 from encdiff.errors import NumericsError, UnusedParameterError
+from encdiff.nets import ParamStore
 
 
 def grads(loss, params):
-    """grad()'s flat buffer split back into one array per parameter."""
-    flat = grad(loss, params)
+    """The reference grad()'s flat buffer split back into one array per parameter."""
+    flat = ref_grad(loss, params)
     bounds = np.cumsum([p.data.size for p in params])[:-1]
     return [part.reshape(p.shape) for part, p in zip(np.split(flat, bounds), params)]
+
+
+def parameters(**values):
+    """Parameters of a fresh ParamStore, by name."""
+    return ParamStore().add_many({name: np.asarray(v, dtype=np.float64)
+                                  for name, v in values.items()})
+
+
+def loss_of(value, *pairs):
+    """A scalar Tensor whose gradient g sends g times each given array to its
+    parameter, in the order given."""
+    return Tensor(value, "loss", lambda g: [(p, g * pg) for p, pg in pairs])
 
 
 class TestHandDerivedGradients:
@@ -138,104 +151,86 @@ class TestFiniteDifferenceAgreement:
 
 class TestGradContract:
     def test_unused_parameter_reported(self):
-        x = Ref(np.array(1.0), requires_grad=True, name="x")
-        unused = Ref(np.array(2.0), requires_grad=True, name="unused")
-        loss = x * x
+        p = parameters(x=1.0, unused=2.0)
+        loss = loss_of(1.0, (p["x"], np.array(2.0)))
         with pytest.raises(UnusedParameterError, match="unused"):
-            grad(loss, [x, unused])
+            grad(loss, [p["x"], p["unused"]])
 
     def test_on_record_but_no_influence_gives_zero(self):
-        x = Ref(np.array(1.5), requires_grad=True, name="x")
-        w = Ref(np.array(2.5), requires_grad=True, name="w")
-        loss = x * x + w * 0.0
-        gx, gw = grads(loss, [x, w])
-        assert gx == pytest.approx(3.0)
-        assert gw == 0.0
+        p = parameters(x=1.5, w=2.5)
+        loss = loss_of(2.25, (p["x"], np.array(3.0)), (p["w"], np.array(0.0)))
+        flat = grad(loss, [p["x"], p["w"]])
+        assert flat[0] == 3.0 and flat[1] == 0.0
 
     def test_backward_requires_scalar(self):
-        x = Ref(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
-            (x * 2).backward({})
+            Tensor(np.ones(3)).backward({})
 
-    def test_grad_walks_the_graph_once(self, monkeypatch, rng):
-        walks = []
-        toposort = Tensor._toposort
-
-        def counting(self):
-            walks.append(self)
-            return toposort(self)
-
-        monkeypatch.setattr(Tensor, "_toposort", counting)
-        W = Ref(rng.standard_normal((4, 3)), requires_grad=True, name="W")
-        b = Ref(np.zeros(3), requires_grad=True, name="b")
-        loss = (Ref(rng.standard_normal((5, 4))) @ W + b).tanh().square().sum()
-        grad(loss, [W, b])
-        assert len(walks) == 1
-        walks.clear()
-        unused = Ref(np.ones(2), requires_grad=True, name="unused")
+    def test_grad_walks_the_graph_once(self):
+        """grad() asks the loss for its pairs once, also when it reports an
+        unused parameter."""
+        p = parameters(w=np.ones((4, 3)), b=np.zeros(3), unused=np.ones(2))
+        calls = []
+        loss = Tensor(1.0, "loss", lambda g: calls.append(g) or [(p["w"], np.ones((4, 3))),
+                                                                 (p["b"], np.ones(3))])
+        grad(loss, [p["w"], p["b"]])
+        assert len(calls) == 1
+        calls.clear()
         with pytest.raises(UnusedParameterError, match="unused"):
-            grad(loss, [W, unused, b])
-        assert len(walks) == 1
+            grad(loss, [p["w"], p["unused"], p["b"]])
+        assert len(calls) == 1
 
     def test_flat_buffer_holds_each_gradient_in_its_span(self, rng):
-        W = Ref(rng.standard_normal((4, 3)), requires_grad=True, name="W")
-        b = Ref(rng.standard_normal(3), requires_grad=True, name="b")
-        x = Ref(rng.standard_normal((5, 4)))
-        flat = grad(((x @ W + b).tanh() * 2.0).sum(), [W, b])
+        p = parameters(w=rng.standard_normal((4, 3)), b=rng.standard_normal(3))
+        gw, gb = rng.standard_normal((4, 3)), rng.standard_normal(3)
+        # the store's order, whatever order the pairs come in
+        flat = grad(loss_of(0.5, (p["b"], gb), (p["w"], gw)), [p["w"], p["b"]])
         assert flat.shape == (15,)
-        y = np.tanh(x.data @ W.data + b.data)
-        ga = 2.0 * (1.0 - y * y)
-        np.testing.assert_allclose(flat[:12].reshape(4, 3), x.data.T @ ga, rtol=1e-12)
-        np.testing.assert_allclose(flat[12:], ga.sum(axis=0), rtol=1e-12)
+        assert flat[:12].reshape(4, 3).tobytes() == gw.tobytes()
+        assert flat[12:].tobytes() == gb.tobytes()
 
     def test_first_contribution_is_assigned_and_later_ones_added(self):
-        """A −0.0 gradient stays −0.0, and a parameter used twice gets the sum
-        of its contributions in the walk's order, bit for bit."""
-        x = Ref(np.array([1.0, 2.0]), requires_grad=True, name="x")
-        (gx,) = grads((x * Ref(np.array([-0.0, 3.0]))).sum(), [x])
-        assert np.signbit(gx[0]) and gx[1] == 3.0
+        """A −0.0 gradient stays −0.0, and a parameter sent two gradients gets
+        their sum, bit for bit."""
+        p = parameters(x=[1.0, 2.0])
+        flat = grad(loss_of(1.0, (p["x"], np.array([-0.0, 3.0]))), [p["x"]])
+        assert np.signbit(flat[0]) and flat[1] == 3.0
         a = np.array([0.1, 0.7])
         c = np.array([0.2, -1e-17])
-        (gx,) = grads((x * Ref(a)).sum() + (x * Ref(c)).sum(), [x])
-        # the later use is walked first
-        assert gx.tobytes() == (c + a).tobytes()
+        flat = grad(loss_of(1.0, (p["x"], a)) + loss_of(2.0, (p["x"], c)), [p["x"]])
+        assert flat.tobytes() == (a + c).tobytes()
 
     def test_add_of_equal_shapes_passes_the_gradient_to_both(self):
-        """The one op of encdiff's own Tensor: the sum of two losses."""
-        a = Tensor(np.array(1.5), requires_grad=True, name="a")
-        b = Tensor(np.array(-2.5), requires_grad=True, name="b")
-        loss = a + b
-        assert loss._op == "add" and float(loss.data) == -1.0
-        ga, gb = grads(loss, [a, b])
-        assert ga == 1.0 and gb == 1.0
+        """The one op of encdiff's Tensor: the sum of two losses, whose pairs
+        are both summands' in order."""
+        p = parameters(a=1.5, b=-2.5)
+        loss = loss_of(1.5, (p["a"], np.array(1.0))) + loss_of(-2.5, (p["b"], np.array(1.0)))
+        assert loss.op == "add" and float(loss.data) == -1.0
+        assert [param for param, _ in loss.param_grads(np.array(1.0))] == [p["a"], p["b"]]
+        assert grad(loss, [p["a"], p["b"]]).tolist() == [1.0, 1.0]
         with pytest.raises(ValueError, match="equal shapes"):
-            a + Tensor(np.ones(2))
+            loss + Tensor(np.ones(2))
 
     def test_node_with_no_parent_on_the_record_is_a_constant(self):
-        """A node made only from constants drops its backward, so no consumer
-        computes a gradient for it; one live parent keeps it."""
-        def node(*parents):
-            return Tensor(np.ones(2), _parents=parents, _op="node", _backward=lambda g: (g,) * 2)
-
-        assert node()._backward is None
-        assert node(Tensor(np.ones(2)), node(Tensor(np.ones(2))))._backward is None
-        live = Tensor(np.ones(2), requires_grad=True)
-        assert node(Tensor(np.ones(2)), live)._backward is not None
-        assert node(node(live))._backward is not None
-
-    def test_parameter_without_requires_grad_rejected(self):
-        x = Ref(np.array(1.0), requires_grad=True, name="x")
-        frozen = Ref(np.array(2.0), name="frozen")
-        with pytest.raises(ValueError, match="frozen"):
-            grad(x * frozen, [x, frozen])
+        """A Tensor without a map is a constant: it writes no slot, the sum of
+        two constants is one, and a sum with one live summand keeps its pairs."""
+        p = parameters(x=2.0)
+        constant = Tensor(np.array(1.0))
+        assert constant.param_grads is None
+        assert constant.backward({p["x"]: np.empty(())}) == set()
+        assert (constant + Tensor(np.array(2.0))).param_grads is None
+        live = constant + loss_of(3.0, (p["x"], np.array(4.0)))
+        assert grad(live, [p["x"]]).tolist() == [4.0]
 
 
 class TestNumericsDiagnostics:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nonfinite_op_names_the_op(self):
-        a = Ref(np.array(1e200))
-        with pytest.raises(NumericsError, match="square"):
-            _ = a.square()
+        a = Tensor(np.array([1e308, 1.0]))
+        with pytest.raises(NumericsError, match="'add'"):
+            _ = a + a
+        with pytest.raises(NumericsError, match="'vloss'"):
+            Tensor(np.nan, "vloss")
 
     def test_nonfinite_leaf_rejected(self):
         with pytest.raises(NumericsError):

@@ -238,7 +238,7 @@ class TestTrainCommand:
         # parameters in the retained checkpoint are finite (pre-abort state)
         model, _encoder, store, _config, _schedule = restore(
             os.path.join(out, "model.ckpt"))
-        for tensor in store.tensors():
+        for tensor in store.parameters():
             assert np.all(np.isfinite(tensor.data))
         # the abort names the step that failed: the one after the retained state
         err = capsys.readouterr().err
@@ -257,7 +257,7 @@ class TestTrainCommand:
         assert "numerical abort: training step 1: " in err and "'encoder.out'" in err, err
         _model, _encoder, store, _config, _schedule = restore(os.path.join(out, "model.ckpt"))
         assert store.step == 1
-        for tensor in store.tensors():
+        for tensor in store.parameters():
             assert np.all(np.isfinite(tensor.data))
 
     def test_config_written_alongside_checkpoint(self, trained_run):
@@ -1136,7 +1136,7 @@ def test_logged_reconstruction_matches_the_per_row_loop(encoder, rng):
     dataset = Dataset(items=rng.integers(0, 256, size=(12, 9), dtype=np.uint8), dims=(3, 3),
                       name="noise", kind=PIXELS)
     model, enc, store = build_model(config, d=9)
-    for param in store.tensors():
+    for param in store.parameters():
         param.data = 0.3 * rng.standard_normal(param.data.shape)
     schedule = LogLinearSchedule(config.lambda_max, config.lambda_min)
     state = TrainState(config=config, schedule=schedule, dataset=dataset, model=model,

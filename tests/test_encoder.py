@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import composed
-from composed import Ref, mlp_forward, ref
+from composed import Ref, grad as ref_grad, mlp_forward
 from encdiff.autodiff import Tensor, grad
 from encdiff.encoder import (
     FD_REL_STEP,
@@ -149,18 +149,18 @@ class TestStackedInnerPass:
 
     @staticmethod
     def _terms_loss(terms, x_hat):
-        """_loss of the encoder's terms as one node over its parameters: the
+        """_loss of the encoder's terms as one Tensor over its parameters: the
         extra is x̂ − x_enc plus the encoder's own terms, and terms.backward
         maps the gradients on x_enc and on the extra to the parameters'."""
         x_enc = terms.x_enc
         e = terms.extra(x_hat)
         value = ((e * e).sum() + (x_enc * x_hat).sum()) * 0.5
-        return Tensor(value, _parents=terms.params,
-                      _backward=lambda g: terms.backward((g * 0.5) * x_hat - g * e, g * e))
+        return Tensor(value, "terms", lambda g: list(
+            zip(terms.params, terms.backward((g * 0.5) * x_hat - g * e, g * e))))
 
     def test_matches_separate_passes(self, schedule, rng):
         enc = _randomized_trainable(rng, d=4, width=16)
-        params = enc.inner.store.tensors()
+        params = enc.inner.store.parameters()
         x2 = rng.uniform(-1, 1, size=(7, 4))
         p = schedule.columns(rng.uniform(0.0, 1.0, size=7))
         x_hat = rng.standard_normal((7, 4))
@@ -168,7 +168,7 @@ class TestStackedInnerPass:
         y, dy, x_enc, extra = self._separate_terms(enc, x2, p.lam[:, 0], p.alpha_sq, p.sigma_sq,
                                                    p.lam_prime)
         loss = self._loss(x_enc, extra, Ref(x_hat))
-        expected_grads = enc.inner.store.views(grad(loss, params)).values()
+        expected_grads = enc.inner.store.views(ref_grad(loss, params)).values()
 
         terms = enc.loss_terms(x2, p)
         # extra(x̂) − x̂ + x_enc = y − dy/dλ; x_enc gives y back through its σ² factor
@@ -194,25 +194,26 @@ class TestStackedInnerPass:
 
 
 class TestGraphViews:
-    """encode_t is one node over the inner net's parameters; its value and
+    """encode_t maps its gradient to the inner net's parameters; its value and
     gradient equal those of the composed graph.  The numpy views are the data
-    of the graph ones, and y_t and the dλ views are constants over their numpy
+    of the Tensor ones, and y_t and the dλ views are constants over their numpy
     values."""
 
     # the graph view with a gradient rule besides loss_terms (TestStackedInnerPass)
     @pytest.mark.parametrize("view", ["encode_t"])
     def test_matches_composed_graph(self, view, schedule, rng):
         enc = _randomized_trainable(rng, d=3, width=8)
-        params = enc.inner.store.tensors()
+        params = enc.inner.store.parameters()
         x2 = rng.uniform(-1, 1, size=(5, 3))
         p = schedule.at(0.45)
         weights = rng.standard_normal((5, 3))
         fused = getattr(enc, view)(x2, p)
         reference = composed.encode_t(enc, x2, p)
-        assert fused._parents == enc.inner.net.params
+        assert [q for q, _ in fused.param_grads(weights)] == list(enc.inner.net.params)
         assert fused.data.tobytes() == reference.data.tobytes()
-        g_fused = grad((ref(fused) * weights).sum(), params)
-        g_composed = grad((reference * weights).sum(), params)
+        g_fused = grad(Tensor((fused.data * weights).sum(), "weighted",
+                              lambda g: fused.param_grads(g * weights)), params)
+        g_composed = ref_grad((reference * weights).sum(), params)
         assert np.any(g_fused != 0.0)
         np.testing.assert_array_equal(g_fused, g_composed)
 
@@ -233,7 +234,7 @@ class TestGraphViews:
         x2 = rng.uniform(-1, 1, size=(5, 3))
         p = schedule.at(0.45)
         node = getattr(enc, view)(x2, p)
-        assert node._backward is None and node._parents == ()
+        assert node.param_grads is None
         assert node.data.tobytes() == getattr(enc, view[:-2])(x2, p).tobytes()
 
     def test_encode_dlambda_is_one_inner_pass(self, schedule, rng, monkeypatch):

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from composed import mlp_forward
-from encdiff.autodiff import Tensor, grad
+from composed import Ref, grad as ref_grad, mlp_forward
+from encdiff.autodiff import Tensor
 from encdiff.checkpoint import Checkpoint, load, save
 from encdiff.config import RunConfig
 from encdiff.errors import ConfigError, NumericsError
@@ -87,12 +87,12 @@ class TestFusedMLP:
 
     @staticmethod
     def _composed_grads(net: MLP, x: np.ndarray, lam, g: np.ndarray, need_gx: bool):
-        """The composed graph's output, and grad()'s flat buffer of x's
-        gradient (when need_gx) and the parameters' for output gradient g."""
-        x_node = Tensor(x, requires_grad=need_gx, name="x")
+        """The composed graph's output, and the reference grad()'s flat buffer
+        of x's gradient (when need_gx) and the parameters' for output gradient g."""
+        x_node = Ref(x, requires_grad=need_gx, name="x")
         composed = mlp_forward(net, x_node, lam)
         targets = [x_node, *net.params] if need_gx else net.params
-        return composed.data, grad((composed * g).sum(), targets)
+        return composed.data, ref_grad((composed * g).sum(), targets)
 
     @pytest.mark.parametrize("kind", ["denoiser", "encoder"])
     @pytest.mark.parametrize("rows", [1, 7])

@@ -190,7 +190,7 @@ def test_batch_graphs_match_per_item_losses(make, schedule, rng):
 
 
 class TestFusedLossNodes:
-    """The v-loss and the latent term are one node each, and their values,
+    """The v-loss and the latent term are one Tensor each, and their values,
     grad()'s flat buffer and the eval draws equal those of the composed
     elementwise graph (composed.py) bit for bit, for every encoder."""
 
@@ -198,7 +198,7 @@ class TestFusedLossNodes:
     def _model(kind, rng):
         model, enc, store = build_model(RunConfig(encoder=kind, denoiser_width=8,
                                                   encoder_width=8), 3)
-        for param in store.tensors():
+        for param in store.parameters():
             param.data = 0.4 * rng.standard_normal(param.data.shape)
         return model, enc, store
 
@@ -210,14 +210,14 @@ class TestFusedLossNodes:
         eps = rng.standard_normal((16, 3))
         loss = batch_vloss_graph(x, model, enc, ts, eps, schedule)
         latent = batch_latent_graph(x, enc, schedule)
-        assert (loss._op, latent._op) == ("vloss", "latent")
+        assert (loss.op, latent.op) == ("vloss", "latent")
         fused = loss + latent
         reference = (composed.vloss_per_item(x, model, enc, ts, eps, schedule).mean()
                      + composed.latent(x, enc, schedule))
         assert fused.data.tobytes() == reference.data.tobytes()
-        g_fused = grad(fused, store.tensors())
+        g_fused = grad(fused, store.parameters())
         assert np.count_nonzero(g_fused) > 0.9 * g_fused.size
-        assert g_fused.tobytes() == grad(reference, store.tensors()).tobytes()
+        assert g_fused.tobytes() == composed.grad(reference, store.parameters()).tobytes()
 
     @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])
     def test_eval_draws_match_composed_graph_bitwise(self, kind, schedule, rng):
@@ -624,7 +624,7 @@ def _random_gauss2d_model(kind: str, rng, encoder_width: int = 32):
     """A gauss2d-sized model (d = 2, denoiser width 64) with random parameters."""
     model, enc, store = build_model(RunConfig(encoder=kind, denoiser_width=64,
                                               encoder_width=encoder_width), 2)
-    for param in store.tensors():
+    for param in store.parameters():
         param.data = 0.3 * rng.standard_normal(param.data.shape)
     return model, enc, store
 
@@ -655,7 +655,7 @@ class TestOnePassPerEvalBlock:
         objective = (batch_vloss_graph(x, model, enc, rng.uniform(0.0, 1.0, 64),
                                        rng.standard_normal((64, 2)), schedule)
                      + batch_latent_graph(x, enc, schedule))
-        grad(objective, store.tensors())
+        grad(objective, store.parameters())
         assert counts == {"inner": 2, "denoiser": 1, "embedding": 2}
 
     @pytest.mark.parametrize("kind", ["identity", "nt", "trainable"])

@@ -209,6 +209,26 @@ class TestDecode:
         pixels = decode_pixels(np.array([[0.5]]), rng, schedule.at(0.0))
         assert abs(int(pixels[0, 0]) - 191) <= 1
 
+    def test_stochastic_decode_follows_the_categorical_at_alpha0(self):
+        """At λ_max = 1, where α₀² ≈ 0.73, the levels drawn for x_out follow
+        p(v) ∝ N(α₀ x_out; α₀·scale(v), σ₀²): the mean and variance of their
+        scaled values are within 4 standard errors of the categorical's.
+        Decoding at α₀ = 1 puts the variance 9 standard errors off at each x_out."""
+        p0 = LogLinearSchedule(lambda_max=1.0).at(0.0)
+        levels = scale_pixels(np.arange(256))
+        x = np.array([-0.6, 0.1, 0.7])
+        n = 4000
+        drawn = levels[decode_pixels(np.tile(x, (n, 1)), np.random.default_rng(8), p0)]
+        for j, xj in enumerate(x):
+            logits = -(p0.alpha * xj - p0.alpha * levels) ** 2 / (2.0 * p0.sigma_sq)
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            mean = probs @ levels
+            var = probs @ (levels - mean) ** 2
+            fourth = probs @ (levels - mean) ** 4
+            assert abs(drawn[:, j].mean() - mean) < 4.0 * np.sqrt(var / n)
+            assert abs(drawn[:, j].var() - var) < 4.0 * np.sqrt((fourth - var * var) / n)
+
 
 class TestSde:
     def test_g_squared_matches_transition_variance(self, schedule):

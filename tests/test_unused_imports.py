@@ -129,7 +129,6 @@ TRACER_PINNED_METHODS = {
     "NonTrainableEncoder.encode_dlambda_t": "the tracer wraps every encoder's encode methods",
     "TrainableEncoder.encode_dlambda_t": "the tracer wraps every encoder's encode methods",
     "TrainableEncoder.dy_dlambda_t": "the tracer wraps the trainable encoder's views",
-    "TrainableEncoder.y": "the tracer wraps the trainable encoder's views",
     "TrainableEncoder.y_t": "the tracer wraps the trainable encoder's views",
     "Tensor.reachable_ids": "the tracer counts its calls as graph walks",
 }

@@ -375,7 +375,7 @@ class TestFdGradientSuite:
         assert store.views(np.arange(store.flat.size))["encoder.h1.w"][11, 12] in probed
         loss = batch_vloss_graph(x, model, encoder, ts, eps, schedule)
         assert float(loss.data) == pytest.approx(393, rel=0.01)
-        analytic = grad(loss, store.tensors())
+        analytic = grad(loss, store.parameters())
         h = 1e-4
         flat = store.flat
         worst = 0.0
@@ -411,7 +411,7 @@ class TestFdGradientSuite:
         enc_names = [n for n in store.params if n.startswith("encoder")]
         assert enc_names
         with pytest.raises(UnusedParameterError) as info:
-            grad(loss, store.tensors())
+            grad(loss, store.parameters())
         assert str(info.value).split(": ", 1)[1].split(", ") == enc_names
 
         def loss_value():
