@@ -92,9 +92,6 @@ class IdentityEncoder:
     trainable = False
     counterterm = False
 
-    def __init__(self):
-        self.calls = 0
-
     def buffers(self, rows: int) -> None:
         return None
 
@@ -103,11 +100,9 @@ class IdentityEncoder:
         return Terms(x2, x1=None if p1 is None else x2[:1])
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
         return np.asarray(x, dtype=np.float64).copy()
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
         return np.zeros_like(np.asarray(x, dtype=np.float64))
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
@@ -123,9 +118,6 @@ class NonTrainableEncoder:
     trainable = False
     counterterm = True
 
-    def __init__(self):
-        self.calls = 0
-
     def buffers(self, rows: int) -> None:
         return None
 
@@ -136,11 +128,9 @@ class NonTrainableEncoder:
                      x1=None if p1 is None else p1.alpha_sq * x2[:1])
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
         return point.alpha_sq * np.asarray(x, dtype=np.float64)
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
         return point.alpha_sq * point.sigma_sq * np.asarray(x, dtype=np.float64)
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
@@ -160,7 +150,6 @@ class TrainableEncoder:
         if inner_net is None:
             raise ConfigError("trainable encoder requires an inner network")
         self.inner = inner_net
-        self.calls = 0
 
     def buffers(self, rows: int) -> tuple[np.ndarray, ...]:
         """Arrays for loss_terms' value form on up to `rows` rows: the inner
@@ -232,20 +221,17 @@ class TrainableEncoder:
 
     def encode_t(self, x: np.ndarray, point: SchedulePoint) -> Tensor:
         """x_t as a Tensor that maps its gradient to the inner net's parameters."""
-        self.calls += 1
         x2 = np.atleast_2d(x)
         y, vjp = self.inner.forward(x2, point.lam)
         return Tensor(_x_t(x2, y, point), "encode", lambda g: list(
             zip(self.inner.net.params, vjp(g * point.sigma_sq, False)[0])))
 
     def encode(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
-        self.calls += 1
         x2 = np.atleast_2d(x)
         return _shaped_like(x, _x_t(x2, self.y(x2, point), point))
 
     def encode_dlambda(self, x: np.ndarray, point: SchedulePoint) -> np.ndarray:
         """dx_t/dλ = α²σ² x + σ² dy/dλ − α²σ² y, from one inner-net pass."""
-        self.calls += 1
         x2 = np.atleast_2d(x)
         _, _, y, dy, _, _ = self._fd_pass(x2, point, self.buffers(len(x2)))
         a2s2 = point.alpha_sq * point.sigma_sq

@@ -46,11 +46,6 @@ def _any(flags) -> bool:
     return flags is True or (flags is not False and bool(np.any(flags)))
 
 
-def _first(values, bad):
-    """The first entry of values (a float, or an array over a layer axis) where bad holds."""
-    return np.extract(bad, values)[0] if isinstance(values, np.ndarray) else values
-
-
 @dataclass(frozen=True)
 class GaussianParams:
     """Isotropic Gaussian: mean vector plus a single scalar variance (or, over a
@@ -66,7 +61,7 @@ class GaussianParams:
         invalid = ~((self.var > 0) & np.isfinite(self.var))
         if _any(invalid):
             raise ValueError(f"Gaussian variance must be positive and finite, got "
-                             f"{_first(self.var, invalid)}")
+                             f"{np.extract(invalid, self.var)[0]}")
 
 
 @dataclass(frozen=True)
@@ -159,7 +154,7 @@ def weighting_penalty(w: float, d: int) -> float:
     """(d/2)(w − 1 − log w): the KL cost of using unequal variances. Zero iff w = 1."""
     nonpositive = w <= 0
     if _any(nonpositive):
-        raise ValueError(f"variance ratio must be positive, got {_first(w, nonpositive)}")
+        raise ValueError(f"variance ratio must be positive, got {np.extract(nonpositive, w)[0]}")
     return 0.5 * d * (w - 1.0 - np.log(w))
 
 
@@ -192,10 +187,11 @@ def optimal_sigma_p(sigma2_q: float, mean_sq_gap: float, d: int) -> float:
     """Generative variance minimizing the expected KL: σ_Q² + E‖μ_P − μ_Q‖²/d."""
     nonpositive = sigma2_q <= 0
     if _any(nonpositive):
-        raise ValueError(f"sigma2_q must be positive, got {_first(sigma2_q, nonpositive)}")
+        raise ValueError(f"sigma2_q must be positive, got {np.extract(nonpositive, sigma2_q)[0]}")
     negative = mean_sq_gap < 0
     if _any(negative):
-        raise ValueError(f"mean_sq_gap must be nonnegative, got {_first(mean_sq_gap, negative)}")
+        raise ValueError(f"mean_sq_gap must be nonnegative, got "
+                         f"{np.extract(negative, mean_sq_gap)[0]}")
     if d <= 0:
         raise ValueError(f"dimension must be positive, got {d}")
     return sigma2_q + mean_sq_gap / d

@@ -346,6 +346,18 @@ class TestImpossibleAllocation:
         assert result.stderr.startswith("config error: out of memory")
         assert not out.exists()
 
+    def test_memory_error_in_process(self, tmp_path, capsys, monkeypatch):
+        """main()'s own mapping of a MemoryError, which the capped child processes
+        above reach out of sight of this process; nothing is allocated."""
+        def out_of_memory(args):
+            raise MemoryError("a stand-in")
+
+        monkeypatch.setattr(encdiff.cli, "cmd_train", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["train", "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: out of memory (a stand-in)\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_round_trip(self):
@@ -533,6 +545,19 @@ _SMALL_TRAIN = ["--steps", "2", "--n-points", "64", "--batch-size", "8"]
                  id="train-seed-negative"),
     pytest.param("verify", ["--quick", "--seed=-1"], None, "seed must be >= 0",
                  id="verify-seed-negative"),
+    pytest.param("train", [*_SMALL_TRAIN, "--dataset", "idx"], None,
+                 "dataset 'idx' requires idx_path", id="idx-without-idx-path"),
+    pytest.param("train", [*_SMALL_TRAIN, "--lr", "0"], None, "lr must be positive", id="lr-0"),
+    pytest.param("train", _SMALL_TRAIN, "[model]\nencoder = foo\n", "unknown encoder 'foo'",
+                 id="encoder-foo"),
+    pytest.param("train", _SMALL_TRAIN, "[sample]\ncounterterm = maybe\n",
+                 "counterterm must be on/off/auto, got 'maybe'", id="counterterm-maybe"),
+    # a bytes flag is an input file's content, passed as the file's path
+    pytest.param("train", [*_SMALL_TRAIN, "--dataset", "idx", "--idx-path", b"\x00\x00\x08"],
+                 None, "truncated IDX file (only 3 bytes)", id="idx-of-3-bytes"),
+    pytest.param("train", [*_SMALL_TRAIN, "--dataset", "idx", "--idx-path",
+                           struct.pack(">IIII", IDX_U8_RANK3_MAGIC, 2, 3, 3)[:10]],
+                 None, "truncated IDX header at byte 10", id="idx-header-ends-at-byte-10"),
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, ini, error):
     out = tmp_path / "out"
@@ -540,6 +565,11 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, command, flags, ini,
     if ini is not None:
         (tmp_path / "run.ini").write_bytes(ini if isinstance(ini, bytes) else ini.encode())
         config = ["--config", str(tmp_path / "run.ini")]
+    data = tmp_path / "data.idx"
+    for flag in flags:
+        if isinstance(flag, bytes):
+            data.write_bytes(flag)
+    flags = [str(data) if isinstance(flag, bytes) else flag for flag in flags]
     assert main([command, *config, *flags, "--out-dir", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and error in err
@@ -1123,7 +1153,7 @@ def test_two_inner_passes_per_trainable_training_step(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("encoder", ["identity", "nt", "trainable"])
-def test_logged_reconstruction_matches_the_per_row_loop(encoder, rng):
+def test_logged_reconstruction_matches_the_per_row_loop(encoder, rng, monkeypatch):
     """The logged rows are encoded in one call and their noise is one (n, d)
     draw: the same stream, and the same values, as encoding and drawing row by
     row.  identity and nt encode elementwise, so they agree bit for bit."""
@@ -1142,14 +1172,16 @@ def test_logged_reconstruction_matches_the_per_row_loop(encoder, rng):
     state = TrainState(config=config, schedule=schedule, dataset=dataset, model=model,
                        encoder=enc, store=store)
     x_batch = real_items(dataset)[:10]
-    calls = enc.calls
+    encoded = []  # the rows of each encode call
+    encode = enc.encode
+    monkeypatch.setattr(enc, "encode", lambda x, point: encoded.append(len(x)) or encode(x, point))
     latent_loss(x_batch, enc, schedule)
-    latent_calls = enc.calls - calls
+    latent_calls = len(encoded)
 
     metrics_rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    calls = enc.calls
+    encoded.clear()
     recon = _loss_metrics(x_batch, state, 0.0, metrics_rng).reconstruction
-    assert enc.calls - calls == latent_calls + 1
+    assert len(encoded) == latent_calls + 1
     p0 = schedule.at(0.0)
     values = []
     for x in x_batch[:8]:

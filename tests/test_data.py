@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from encdiff.cli import EXIT_CONFIG_ERROR, main
+from encdiff.config import RunConfig
 from encdiff.data import (
     Dataset,
     PIXELS,
@@ -19,6 +20,7 @@ from encdiff.data import (
     write_idx,
 )
 from encdiff.errors import ConfigError
+from encdiff.train import load_dataset
 
 
 class TestScalePixels:
@@ -179,6 +181,30 @@ def test_real_items_scales_pixels(rng):
     items = rng.integers(0, 256, size=(3, 4)).astype(np.uint8)
     ds = Dataset(items=items, dims=(2, 2), name="x", kind=PIXELS)
     np.testing.assert_allclose(real_items(ds), 2.0 * items / 255.0 - 1.0)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ConfigError, match="unknown dataset kind 'voxels'"):
+        Dataset(items=np.zeros((2, 3)), dims=(3,), name="x", kind="voxels")
+
+
+def test_d_is_the_flattened_item_size():
+    items = np.zeros((2, 20), dtype=np.uint8)
+    assert Dataset(items=items, dims=(5, 4), name="x", kind=PIXELS).d == 20
+    assert synth_gaussian2d(4, [0.0, 0.0], 1.0, seed=0).d == 2
+
+
+def test_real_dataset_is_not_written_as_idx(tmp_path):
+    path = tmp_path / "real.idx"
+    with pytest.raises(ConfigError, match="only pixel datasets can be written as IDX"):
+        write_idx(str(path), synth_gaussian2d(4, [0.0, 0.0], 1.0, seed=0))
+    assert not path.exists()
+
+
+def test_load_dataset_rejects_an_unknown_dataset_unvalidated():
+    """train.load_dataset keeps its own check for a config that skipped validate()."""
+    with pytest.raises(ConfigError, match="unknown dataset 'mnist'"):
+        load_dataset(RunConfig(dataset="mnist"))
 
 
 def test_pixel_dataset_range_validated():

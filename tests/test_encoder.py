@@ -289,12 +289,3 @@ class TestChangeHeatmap:
     def test_ordering_enforced(self, schedule):
         with pytest.raises(ValueError):
             change_heatmap(make_encoder("identity"), np.zeros(2), schedule, 0.6, 0.4)
-
-
-def test_invocation_counter(schedule, rng):
-    enc = NonTrainableEncoder()
-    x = rng.uniform(-1, 1, size=2)
-    assert enc.calls == 0
-    enc.encode(x, schedule.at(0.1))
-    enc.encode_dlambda(x, schedule.at(0.1))
-    assert enc.calls == 2

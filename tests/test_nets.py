@@ -1,6 +1,7 @@
 """Denoiser network, parameter store, optimizer and checkpoint tests."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestDenoiser:
         net.predict_v(z, 0.5)
         net.predict_x(z, 0.5)
         assert net.calls == before + 2
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,)])
+    def test_input_of_the_wrong_width_rejected(self, shape):
+        net = DenoiserNet(d=3, width=8, seed=0)
+        message = f"expected input of shape (B, 3), got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            net.forward(np.zeros(shape), 0.5)
 
     def test_per_row_lambda_matches_scalar(self, rng):
         net = DenoiserNet(d=2, width=16, seed=4)

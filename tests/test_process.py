@@ -15,6 +15,7 @@ from encdiff.process import (
     marginal,
     optimal_sigma_p,
     reverse_posterior,
+    squared_gap,
     transition_coefficients,
     weighting_penalty,
 )
@@ -227,6 +228,17 @@ class TestKL:
         with pytest.raises(ValueError):
             kl_isotropic(q, q, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="Gaussian mean must be finite"):
+            GaussianParams(mean=np.array([0.5, bad]), var=1.0)
+
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_nonpositive_dimension_rejected(self, d):
+        q = GaussianParams(mean=np.zeros(0), var=1.0)
+        with pytest.raises(ValueError, match=f"dimension must be positive, got {d}"):
+            kl_isotropic(q, q, d)
+
 
 class TestWeightingPenalty:
     def test_zero_at_one(self):
@@ -283,6 +295,9 @@ class TestOptimalSigmaP:
             optimal_sigma_p(-1.0, 0.1, 2)
         with pytest.raises(ValueError):
             optimal_sigma_p(1.0, -0.1, 2)
+        for d in (0, -2):
+            with pytest.raises(ValueError, match=f"dimension must be positive, got {d}"):
+                optimal_sigma_p(1.0, 0.1, d)
 
 
 def test_transition_coefficient_identity(schedule, rng):
@@ -295,3 +310,120 @@ def test_transition_coefficient_identity(schedule, rng):
         c = transition_coefficients(sp, tp)
         assert c.sigma2_ts > 0
         assert c.sigma2_q == pytest.approx(c.sigma2_ts * sp.sigma_sq / tp.sigma_sq, rel=1e-12)
+
+
+def _log_alpha_sq(lam: float) -> float:
+    """log α² = λ − log(1 + e^λ), exact in double range for very negative λ."""
+    return lam - math.log1p(math.exp(lam))
+
+
+_FAR_SCHEDULE = LogLinearSchedule(13.3, -800.0)
+_ALPHA_FLOORED = pytest.mark.xfail(strict=True, reason=(
+    "α_s is clamped below λ_s = −138.2; ROADMAP item 3 takes the ratio from log α² "
+    "and must remove this marker"))
+
+
+@pytest.mark.parametrize("lam_s", [-50.0, -100.0, -137.0, *(
+    pytest.param(lam, marks=_ALPHA_FLOORED) for lam in (-140.0, -250.0, -700.0))])
+def test_alpha_ratio_matches_the_log_space_form_at_very_negative_lambda(lam_s):
+    """α_{t|s} = exp(½(log α_t² − log α_s²)), to 1e-12 relative, for s at λ_s and t
+    at λ_s − 1, where α_s ≈ e^{λ_s/2} is tiny but a normal float."""
+    span = _FAR_SCHEDULE.lambda_max - _FAR_SCHEDULE.lambda_min
+    sp = _FAR_SCHEDULE.at((_FAR_SCHEDULE.lambda_max - lam_s) / span)
+    tp = _FAR_SCHEDULE.at((_FAR_SCHEDULE.lambda_max - lam_s + 1.0) / span)
+    expected = math.exp(0.5 * (_log_alpha_sq(tp.lam) - _log_alpha_sq(sp.lam)))
+    assert transition_coefficients(sp, tp).alpha_ts == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestLayerAxis:
+    """Every helper over a layer axis, on `columns` points, gives layer i the bits
+    of its one-layer call on `at` points; and every check over a layer axis, with
+    only the second of three layers bad, names that layer's value."""
+
+    S_TIMES, T_TIMES, D = np.array([0.1, 0.35, 0.6]), np.array([0.2, 0.5, 0.95]), 3
+
+    @pytest.fixture
+    def layers(self, schedule, rng):
+        """Points over 3 layers, their per-layer points, and (3, d) rows."""
+        many = schedule.columns(self.S_TIMES), schedule.columns(self.T_TIMES)
+        ones = [(schedule.at(float(s)), schedule.at(float(t)))
+                for s, t in zip(self.S_TIMES, self.T_TIMES)]
+        rows = [rng.uniform(-1, 1, size=(3, self.D)) for _ in range(3)]
+        return many, ones, rows
+
+    @staticmethod
+    def assert_layers(many, ones):
+        """Row i of the layer-axis result has the bits of the i-th one-layer result."""
+        many = np.asarray(many)
+        assert many.shape[0] == len(ones)
+        for i, one in enumerate(ones):
+            assert _bits(many[i].reshape(np.shape(one))) == _bits(one), f"layer {i}"
+
+    def test_transition_coefficients(self, layers):
+        (sp, tp), ones, _ = layers
+        many = transition_coefficients(sp, tp)
+        singles = [transition_coefficients(*pair) for pair in ones]
+        for field in ("alpha_ts", "sigma2_ts", "sigma2_q", "z_weight", "x_weight"):
+            assert np.shape(getattr(many, field)) == (3, 1)
+            self.assert_layers(getattr(many, field), [getattr(c, field) for c in singles])
+
+    @pytest.mark.parametrize("helper", [forward_transition, reverse_posterior])
+    def test_transition(self, layers, helper):
+        (sp, tp), ones, (z, x_t, x_s) = layers
+        many = helper(z, x_t, x_s, sp, tp)
+        singles = [helper(z[i], x_t[i], x_s[i], *pair) for i, pair in enumerate(ones)]
+        self.assert_layers(many.mean, [g.mean for g in singles])
+        self.assert_layers(many.var, [g.var for g in singles])
+
+    @pytest.mark.parametrize("counterterm", [False, True])
+    def test_generative_mean(self, layers, counterterm):
+        (sp, tp), ones, (z, x_hat, _) = layers
+        singles = [generative_mean(z[i], x_hat[i], *pair, counterterm)
+                   for i, pair in enumerate(ones)]
+        self.assert_layers(generative_mean(z, x_hat, sp, tp, counterterm), singles)
+        in_place = z.copy()
+        out = generative_mean(in_place, x_hat, sp, tp, counterterm, out=in_place,
+                              scratch=np.empty_like(z))
+        assert out is in_place
+        self.assert_layers(out, singles)
+
+    def test_kl_and_its_parts(self, layers):
+        (sp, tp), ones, (z, x_t, x_s) = layers
+        q = reverse_posterior(z, x_t, x_s, sp, tp)
+        p = GaussianParams(mean=x_t, var=q.var * np.array([[0.5], [1.0], [3.0]]))
+        qs = [reverse_posterior(z[i], x_t[i], x_s[i], *pair) for i, pair in enumerate(ones)]
+        ps = [GaussianParams(mean=x_t[i], var=qs[i].var * k) for i, k in enumerate((0.5, 1.0, 3.0))]
+        self.assert_layers(weighting_penalty(q.var / p.var, self.D),
+                           [weighting_penalty(a.var / b.var, self.D) for a, b in zip(qs, ps)])
+        self.assert_layers(squared_gap(p.mean, q.mean),
+                           [squared_gap(b.mean, a.mean) for a, b in zip(qs, ps)])
+        self.assert_layers(kl_isotropic(q, p, self.D),
+                           [kl_isotropic(a, b, self.D) for a, b in zip(qs, ps)])
+        gap = squared_gap(p.mean, q.mean)
+        self.assert_layers(optimal_sigma_p(q.var, gap, self.D),
+                           [optimal_sigma_p(a.var, squared_gap(b.mean, a.mean), self.D)
+                            for a, b in zip(qs, ps)])
+
+    @pytest.mark.parametrize("check, bad", [
+        pytest.param(lambda v: GaussianParams(mean=np.zeros((3, 2)), var=v), -2.5,
+                     id="gaussian-variance"),
+        pytest.param(lambda v: weighting_penalty(v, 2), -0.25, id="weighting-ratio"),
+        pytest.param(lambda v: optimal_sigma_p(v, np.full((3, 1), 0.1), 2), -0.125,
+                     id="optimal-sigma2-q"),
+        pytest.param(lambda v: optimal_sigma_p(np.full((3, 1), 0.5), v, 2), -0.375,
+                     id="optimal-mean-sq-gap"),
+    ])
+    def test_check_names_the_bad_layers_value(self, check, bad):
+        with pytest.raises(ValueError, match=f"got {bad}$"):
+            check(np.array([[0.5], [bad], [0.75]]))
+        with pytest.raises(ValueError, match=f"got {bad}$"):  # and the one-layer form
+            check(bad)
+
+    def test_transition_order_check_names_the_bad_layer(self, schedule):
+        sp, tp = schedule.columns(np.array([0.1, 0.875, 0.3])), schedule.columns(self.T_TIMES)
+        with pytest.raises(ValueError, match="0.875"):
+            transition_coefficients(sp, tp)
